@@ -222,18 +222,18 @@ def _mat_inv_weyl(rs: RootSystem, M):
     """Inverse of a finite Weyl matrix: M^{-1} = C M^T C^{-1} (form-orthogonality)."""
     n = rs.rank
     C = rs.cartan
-    Ci = rs.inverse_cartan
+    F = rs.form  # det(C) * C^{-1}
     MT = tuple(tuple(M[c][r] for c in range(n)) for r in range(n))
     out = []
     for r in range(n):
         row = []
         for c in range(n):
-            v = sum(
-                Fraction(C[r][a]) * MT[a][b] * Ci[b][c] for a in range(n) for b in range(n)
+            v, rem = divmod(
+                sum(C[r][a] * MT[a][b] * F[b][c] for a in range(n) for b in range(n)), rs.det
             )
-            if v.denominator != 1:
+            if rem:
                 raise AssertionError("finite part is not a Weyl matrix")
-            row.append(int(v))
+            row.append(v)
         out.append(tuple(row))
     return tuple(out)
 
@@ -242,8 +242,7 @@ def _act_rc(rs: RootSystem, M, rc):
     """Finite part acting on root coordinates."""
     fw = rs._rc_to_fw(tuple(rc))
     wfw = _mat_vec(M, fw)
-    out = rs.root_coords(Weight(wfw))
-    return tuple(int(c) for c in out)
+    return tuple(c // rs.det for c in rs.scaled_root_coords(wfw))
 
 
 def compose(rs: RootSystem, g: AffineWeylElement, h: AffineWeylElement) -> AffineWeylElement:

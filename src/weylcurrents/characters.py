@@ -10,6 +10,7 @@ normalized so its head sits at q-degree 0, so all stored exponents lie in [0, N]
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .affine import (
     AffineWeight,
@@ -22,7 +23,7 @@ from .affine import (
     reflect_affine,
 )
 from .errors import ExpansionError, StructuralError
-from .qseries import QPolynomial, euler_column, geometric_series
+from .qseries import QPolynomial, geometric_series
 from .rootsystem import RootSystem, Weight
 
 
@@ -138,40 +139,72 @@ _PBW_CACHE: dict = {}
 
 
 def _pbw_raw(rs: RootSystem, N: int):
-    """Character of the symmetric algebra on g tensor z*C[z], truncated at q^N,
-    as a raw dict Weight -> {exponent: coeff}. Independent of the level."""
+    """Dominant part of the character P of the symmetric algebra on g tensor
+    z*C[z], truncated at q^N, as a dict dominant coeffs -> [P_0, ..., P_N] of
+    multiplicities by q-degree. Independent of the level.
+
+    P = prod_{n>=1} (1 - q^n)^{-rank} prod_{alpha in Phi} (1 - q^n e^alpha)^{-1}
+    is W-invariant, so its dominant chamber determines it. Taking q d/dq of
+    log P gives the power-sum recursion d P_d = sum_{j=1..d} A_j P_{d-j} with
+    A_j = sum_{m n = j} n (rank e^0 + sum_alpha e^{m alpha}), where P_{d-j} at
+    any weight is read at its dominant representative. A degree-d monomial has
+    weight a sum of at most d roots, so P_d needs only the dominant kappa <=
+    d theta."""
     key = (rs.family, rs.rank, N)
     hit = _PBW_CACHE.get(key)
     if hit is not None:
         return hit
-    cartan_part = QPolynomial.one()
-    for n in range(1, N + 1):
-        cartan_part = (cartan_part * geometric_series(n, N)).truncated(hi=N)
-    acc = {rs.zero(): cartan_part}
-    for _ in range(1, rs.rank):
-        acc = {rs.zero(): (acc[rs.zero()] * cartan_part).truncated(hi=N)}
-    columns = [euler_column(j, N) for j in range(N + 1)]
-    roots = list(rs.positive_roots) + [-a for a in rs.positive_roots]
-    for alpha in roots:
-        nxt: dict = {}
-        for w, p in acc.items():
-            for j, col in enumerate(columns):
-                piece = (p * col).truncated(hi=N)
-                if not piece:
-                    continue
-                tw = w + j * alpha
-                nxt[tw] = nxt[tw] + piece if tw in nxt else piece
-        acc = nxt
-    out = {w: dict(p.items()) for w, p in acc.items() if p}
-    _PBW_CACHE[key] = out
-    return out
+    roots = [a.coeffs for a in rs.positive_roots]
+    roots += [tuple(-c for c in a) for a in roots]
+
+    def first_degree(kappa):
+        """Least d with kappa <= d theta."""
+        rc = [c // rs.det for c in rs.scaled_root_coords(kappa)]
+        return max(-(-c // t) for c, t in zip(rc, rs.highest_root_coords))
+
+    by_degree = [[] for _ in range(N + 1)]
+    for kappa in rs.dominant_weights_below(N * rs.highest_root):
+        by_degree[first_degree(kappa.coeffs)].append(kappa.coeffs)
+    sigma = [0] + [sum(n for n in range(1, j + 1) if j % n == 0) for j in range(1, N + 1)]
+    zero = rs.zero().coeffs
+    table = {zero: [1] + [0] * N}
+    dominant = {}  # weight -> dominant representative, for this call only
+    active = by_degree[0]
+    for d in range(1, N + 1):
+        active += sorted(by_degree[d])
+        for kappa in active:
+            own = table.get(kappa)
+            total = rs.rank * sum(sigma[j] * own[d - j] for j in range(1, d + 1)) if own else 0
+            for m in range(1, d + 1):
+                steps = range(1, d // m + 1)
+                for alpha in roots:
+                    x = tuple([c - m * a for c, a in zip(kappa, alpha)])
+                    y = dominant.get(x)
+                    if y is None:
+                        y = dominant[x] = rs.ascend(x)[0]
+                    series = table.get(y)
+                    if series is not None:
+                        total += sum(n * series[d - m * n] for n in steps)
+            value, rem = divmod(total, d)
+            if rem:
+                raise StructuralError(f"PBW recursion: degree {d} at {kappa} is not integral")
+            if value:
+                if own is None:
+                    own = table[kappa] = [0] * (N + 1)
+                own[d] = value
+    _PBW_CACHE[key] = table
+    return table
 
 
 def char_parabolic_verma(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter:
     """Character of the module induced from V(lam) over the z-positive part:
     ch V(lam) times the symmetric-algebra factor, truncated at q^N."""
-    pbw = GradedCharacter({w: QPolynomial(p) for w, p in _pbw_raw(rs, N).items()}, cutoff=N)
-    return char_irreducible(rs, lam) * pbw
+    pbw = {}
+    for kappa, series in _pbw_raw(rs, N).items():
+        poly = QPolynomial(dict(enumerate(series)))
+        for w in rs.weyl_orbit(Weight(kappa)):
+            pbw[w] = poly
+    return char_irreducible(rs, lam) * GradedCharacter(pbw, cutoff=N)
 
 
 # -- integrable characters by the affine alternating sum ------------------
@@ -211,7 +244,9 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
 
     Truncated Weyl-Kac sum: each coset representative contributes
     sign * q^offset * ch V(image) * (symmetric-algebra factor); products are
-    pruned to the norm region every weight of L_k(lam) must satisfy."""
+    pruned to the norm region every weight of L_k(lam) must satisfy. At a
+    dominant nu the sum is sum_w num[w] P[dom(nu - w)], with the factor P
+    stored on the dominant chamber only (see _pbw_raw)."""
     if not in_level_dominant(rs, lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
     key = (rs.family, rs.rank, lam.coeffs, k, N)
@@ -219,27 +254,49 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
     if hit is not None:
         return hit
     L = k + rs.dual_coxeter
-    numerator: dict = {}
+    orbits: dict = {}
+
+    def orbit(mu: Weight):
+        cached = orbits.get(mu)
+        if cached is None:
+            cached = orbits[mu] = [w.coeffs for w in rs.weyl_orbit(mu)]
+        return cached
+
+    numerator: dict = {}  # coeffs -> {offset: coefficient}
     for rep in cosets_up_to_shift(rs, lam, k, N):
-        mult_table = rs.freudenthal_weights(rep.image.classical)
-        for w, m in mult_table.items():
-            tgt = numerator.setdefault(w, {})
-            tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
+        for mu, m in rs.freudenthal_dominant(rep.image.classical).items():
+            for w in orbit(mu):
+                tgt = numerator.setdefault(w, {})
+                tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
+    terms = []
+    for w, offsets in numerator.items():
+        offsets = [(off, m) for off, m in offsets.items() if m]
+        if offsets:
+            terms.append((w, offsets))
     pbw = _pbw_raw(rs, N)
+    # every weight of the PBW support -> its dominant representative
+    support = {x: kappa for kappa in pbw for x in orbit(Weight(kappa))}
     bound = rs.inner(lam + rs.rho, lam + rs.rho) + 2 * L * N
     result = {}
     for nu in _dominant_in_ball(rs, bound, lam):
-        acc: dict = {}
-        for w, offsets in numerator.items():
-            p = pbw.get(nu - w)
-            if not p:
-                continue
-            for off, m in offsets.items():
-                for e, c in p.items():
-                    t = e + off
-                    if t <= N:
-                        acc[t] = acc.get(t, 0) + m * c
-        poly = QPolynomial(acc)
+        # numerator coefficients by offset, gathered per PBW chamber
+        gathered: dict = {}
+        for w, offsets in terms:
+            kappa = support.get(tuple(map(sub, nu.coeffs, w)))
+            if kappa is not None:
+                by_offset = gathered.get(kappa)
+                if by_offset is None:
+                    by_offset = gathered[kappa] = [0] * (N + 1)
+                for off, m in offsets:
+                    by_offset[off] += m
+        acc = [0] * (N + 1)
+        for kappa, by_offset in gathered.items():
+            series = pbw[kappa]
+            for off, m in enumerate(by_offset):
+                if m:
+                    for e in range(N + 1 - off):
+                        acc[e + off] += m * series[e]
+        poly = QPolynomial(dict(enumerate(acc)))
         if poly:
             result[nu] = poly
     _INTEGRABLE_CACHE[key] = result
@@ -300,7 +357,7 @@ def demazure_step(rs: RootSystem, i: int, char: AffineCharacter, floor=None) -> 
     theta = rs.highest_root
     out: dict = {}
 
-    def add(coeffs, deg, c):
+    def add_term(coeffs, deg, c):
         if floor is not None and deg < floor:
             return
         key = (coeffs, deg)
@@ -311,21 +368,26 @@ def demazure_step(rs: RootSystem, i: int, char: AffineCharacter, floor=None) -> 
             del out[key]
 
     if i == 0:
-        alpha_cl, alpha_deg = -theta, 1
+        alpha_cl, alpha_deg = (-theta).coeffs, 1
+        # (theta, w + rho) = sum_j rc_j(theta) (w_j + 1)
+        theta_rc = rs.highest_root_coords
+        top = k + hvee - sum(theta_rc)
     else:
-        alpha_cl, alpha_deg = rs.simple_roots[i - 1], 0
+        alpha_cl, alpha_deg = rs.simple_roots[i - 1].coeffs, 0
     for (coeffs, deg), c in char.terms.items():
-        w = Weight(coeffs)
         if i == 0:
-            m = (k + hvee) - int(rs.inner(theta, w + rs.rho))
+            m = top - sum(map(mul, theta_rc, coeffs))
         else:
             m = coeffs[i - 1] + 1
+        w = coeffs
         if m >= 1:
             for j in range(m):
-                add((w - j * alpha_cl).coeffs, deg - j * alpha_deg, c)
+                add_term(w, deg - j * alpha_deg, c)
+                w = tuple(map(sub, w, alpha_cl))
         elif m <= -1:
             for j in range(1, -m + 1):
-                add((w + j * alpha_cl).coeffs, deg + j * alpha_deg, -c)
+                w = tuple(map(add, w, alpha_cl))
+                add_term(w, deg + j * alpha_deg, -c)
     return AffineCharacter(k, out)
 
 
@@ -438,8 +500,9 @@ class Expansion:
         return self.multiplicities.get(w, QPolynomial.zero())
 
 
-def _rc_height(rs: RootSystem, w: Weight) -> Fraction:
-    return sum(rs.root_coords(w))
+def _rc_height(rs: RootSystem, w: Weight) -> int:
+    """det(C) times the height of w: orders weights as the height does."""
+    return sum(rs.scaled_root_coords(w.coeffs))
 
 
 def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:

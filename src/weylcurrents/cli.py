@@ -147,6 +147,16 @@ def cmd_verify(args) -> int:
         if val is not None:
             options[name] = val
     results = run_suite(args.suite, **options)
+    if not results:
+        flags = [f"--type {t}" for t in args.type or ()]
+        flags += [
+            f"--{name.replace('_', '-')} {options[name]}"
+            for name in ("max_mu", "max_k", "max_factors", "N")
+            if name in options
+        ]
+        raise ValueError(
+            f"no {args.suite} checks left under the filter {' '.join(flags) or '(none)'}"
+        )
     fails = [r for r in results if not r.ok]
     if args.format == "json":
         _emit(

@@ -112,11 +112,30 @@ def kostka_characters(
     return expansion.coeff(mu)
 
 
+def default_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
+    """Cutoff at which the chars route returns the whole polynomial: the norm
+    region reaches mu, and q^N covers the top degree of the local Weyl module
+    of mu, which bounds every graded multiplicity V(lam) has in it."""
+    need = required_cutoff(rs, mu, lam, k)
+    if not rs.is_dominant(mu):
+        return need
+    top = max(p.max_exponent() for p in char_local_weyl(rs, mu).terms.values())
+    return max(need, top)
+
+
+def _check_level_and_cutoff(k, N):
+    if k is not None and k < 1:
+        raise ValueError(f"level k must be >= 1, got {k}")
+    if N is not None and N < 0:
+        raise ValueError(f"cutoff N must be >= 0, got {N}")
+
+
 _EXPANSION_CACHE: dict = {}
 
 
 def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Expansion:
     """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters."""
+    _check_level_and_cutoff(k, N)
     key = (rs.family, rs.rank, lam.coeffs, k, N)
     hit = _EXPANSION_CACHE.get(key)
     if hit is None:
@@ -154,6 +173,7 @@ def kostka_by_route(
         raise ValueError(f"unknown route {route!r}")
     if route in ("paths", "altsum") and rs.family != "A":
         raise ValueError(f"route {route!r} uses the column-crystal model (type A only)")
+    _check_level_and_cutoff(k, N)
     if k is None:
         if route == "paths":
             val = kostka_paths(rs.rank, mu, lam, cache_dir=cache_dir)
@@ -168,6 +188,6 @@ def kostka_by_route(
             val = kostka_alt_sum(rs, mu, lam, k, cache_dir=cache_dir)
         else:
             if N is None:
-                N = required_cutoff(rs, mu, lam, k) + 12
+                N = default_cutoff(rs, mu, lam, k)
             val = kostka_characters(rs, mu, lam, k, N)
     return KostkaResult(mu, lam, k, val, route)

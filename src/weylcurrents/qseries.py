@@ -159,14 +159,3 @@ def geometric_series(exponent: int, hi: int) -> QPolynomial:
         raise ValueError("geometric_series needs a positive exponent")
     return QPolynomial({j: 1 for j in range(0, hi + 1, exponent)})
 
-
-def euler_column(j: int, hi: int) -> QPolynomial:
-    """q^j / ((1-q)(1-q^2)...(1-q^j)) truncated at q^hi; the j = 0 case is 1.
-
-    Coefficient of q^m is the number of partitions of m - j into at most j parts
-    shifted by the staircase; used to expand products of (1 - q^n x)^{-1} over n >= 1.
-    """
-    out = QPolynomial.monomial(j)
-    for t in range(1, j + 1):
-        out = (out * geometric_series(t, hi)).truncated(hi=hi)
-    return out

@@ -3,14 +3,25 @@ dominance order, and Freudenthal weight multiplicities.
 
 Weights are stored in fundamental-weight coordinates, so <alpha_i^vee, lam> is
 coordinate lookup and the invariant form needs one inverse-Cartan contraction.
-Simple-root indices are 1-based throughout the public API (0 is reserved for the
-affine node elsewhere).
+The form is kept as the integer matrix det(C) * C^{-1}, so every internal
+computation is in integers; `inner` and `root_coords` divide by det(C) only
+when they return. Simple-root indices are 1-based throughout the public API
+(0 is reserved for the affine node elsewhere).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, neg, sub
+
+
+def _integral(c) -> int:
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise ValueError(f"non-integral weight coordinate {c}")
+        return c.numerator
+    return int(c)
 
 
 class Weight:
@@ -19,30 +30,28 @@ class Weight:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError(f"non-integral weight coordinate {c}")
-                c = c.numerator
-            cs.append(int(c))
-        self.coeffs = tuple(cs)
+        cs = tuple(coeffs)
+        if not all(type(c) is int for c in cs):
+            cs = tuple(map(_integral, cs))
+        self.coeffs = cs
 
     def __add__(self, other):
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError("rank mismatch in weight arithmetic")
-        return Weight(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return weight_from_ints(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError("rank mismatch in weight arithmetic")
-        return Weight(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return weight_from_ints(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return Weight(-a for a in self.coeffs)
+        return weight_from_ints(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, n: int):
-        return Weight(n * a for a in self.coeffs)
+        if type(n) is not int:
+            return Weight(n * a for a in self.coeffs)
+        return weight_from_ints(tuple(n * a for a in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -63,6 +72,13 @@ class Weight:
 
     def __repr__(self):
         return f"Weight{self.coeffs}"
+
+
+def weight_from_ints(coeffs: tuple) -> Weight:
+    """Weight from a tuple of ints, without the constructor's coordinate check."""
+    w = object.__new__(Weight)
+    w.coeffs = coeffs
+    return w
 
 
 _POSITIVE_ROOT_COUNTS = {
@@ -103,23 +119,31 @@ def _cartan_matrix(family: str, rank: int):
     return tuple(tuple(row) for row in C)
 
 
-def _invert_fraction_matrix(M):
+def _integer_inverse(M):
+    """(det M, det M * M^{-1}) for an invertible integer matrix, both exact integers."""
     n = len(M)
     A = [
         [Fraction(M[i][j]) for j in range(n)]
         + [Fraction(1 if i == j else 0) for j in range(n)]
         for i in range(n)
     ]
+    det = Fraction(1)
     for c in range(n):
         p = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[p] = A[p], A[c]
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
         piv = A[c][c]
+        det *= piv
         A[c] = [x / piv for x in A[c]]
         for r in range(n):
             if r != c and A[r][c]:
                 f = A[r][c]
                 A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return tuple(tuple(row[n:]) for row in A)
+    adj = tuple(tuple(x * det for x in row[n:]) for row in A)
+    if det.denominator != 1 or any(x.denominator != 1 for row in adj for x in row):
+        raise AssertionError("adjugate of an integer matrix is not integral")
+    return int(det), tuple(tuple(int(x) for x in row) for row in adj)
 
 
 class RootSystem:
@@ -130,7 +154,11 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self.cartan = _cartan_matrix(family, rank)
-        self.inverse_cartan = _invert_fraction_matrix(self.cartan)
+        # (lam, mu) = lam . form . mu / det with form = det(C) * C^{-1} integral
+        self.det, self.form = _integer_inverse(self.cartan)
+        self.inverse_cartan = tuple(
+            tuple(Fraction(x, self.det) for x in row) for row in self.form
+        )
         # alpha_i in fundamental-weight coordinates is row i of the Cartan matrix
         self.simple_roots = tuple(Weight(self.cartan[i]) for i in range(rank))
         self.rho = Weight([1] * rank)
@@ -164,6 +192,7 @@ class RootSystem:
         if len(dominant) != 1:
             raise AssertionError("highest root is not unique")
         self.highest_root = dominant[0]
+        self.highest_root_coords = rcs[self.positive_roots.index(self.highest_root)]
         hrho = self.inner(self.highest_root, self.rho)
         self.dual_coxeter = int(hrho) + 1
 
@@ -186,17 +215,21 @@ class RootSystem:
         n = self.rank
         return tuple(sum(C[i][j] * rc[j] for j in range(n)) for i in range(n))
 
+    def scaled_root_coords(self, coeffs) -> tuple:
+        """det(C) times the simple-root coordinates of a coefficient tuple (ints)."""
+        return tuple(sum(map(mul, row, coeffs)) for row in self.form)
+
     def root_coords(self, lam: Weight):
         """Coordinates of lam over the simple roots (Fractions in general)."""
-        Ci = self.inverse_cartan
-        n = self.rank
-        return tuple(sum(Ci[i][j] * lam.coeffs[j] for j in range(n)) for i in range(n))
+        det = self.det
+        return tuple(Fraction(c, det) for c in self.scaled_root_coords(lam.coeffs))
 
     def from_root_coords(self, rc) -> Weight:
         return Weight(self._rc_to_fw(tuple(rc)))
 
     def in_root_lattice(self, lam: Weight) -> bool:
-        return all(c.denominator == 1 for c in self.root_coords(lam))
+        det = self.det
+        return all(c % det == 0 for c in self.scaled_root_coords(lam.coeffs))
 
     # -- basic operations -----------------------------------------------
 
@@ -218,17 +251,13 @@ class RootSystem:
         c = self.inner(alpha, lam)
         return lam - int(c) * alpha
 
+    def scaled_inner(self, a, b) -> int:
+        """det(C) times the invariant form of two coefficient tuples (an int)."""
+        return sum(map(mul, a, self.scaled_root_coords(b)))
+
     def inner(self, lam: Weight, mu: Weight) -> Fraction:
         """W-invariant form normalized by (theta, theta) = 2."""
-        Ci = self.inverse_cartan
-        n = self.rank
-        total = Fraction(0)
-        for i in range(n):
-            li = lam.coeffs[i]
-            if li:
-                row = Ci[i]
-                total += li * sum(row[j] * mu.coeffs[j] for j in range(n))
-        return total
+        return Fraction(self.scaled_inner(lam.coeffs, mu.coeffs), self.det)
 
     def norm2(self, lam: Weight) -> Fraction:
         return self.inner(lam, lam)
@@ -238,8 +267,9 @@ class RootSystem:
 
     def dominance_leq(self, lam: Weight, mu: Weight) -> bool:
         """lam <= mu iff mu - lam is a nonnegative integral sum of simple roots."""
-        rc = self.root_coords(mu - lam)
-        return all(c.denominator == 1 and c >= 0 for c in rc)
+        det = self.det
+        rc = self.scaled_root_coords(tuple(map(sub, mu.coeffs, lam.coeffs)))
+        return all(c >= 0 and c % det == 0 for c in rc)
 
     def zero(self) -> Weight:
         return Weight([0] * self.rank)
@@ -258,37 +288,47 @@ class RootSystem:
         cached = self._dominant_cache.get(lam.coeffs)
         if cached is not None:
             return cached
-        cur = lam
+        cur, word = self.ascend(lam.coeffs)
+        result = (weight_from_ints(cur), word)
+        self._dominant_cache[lam.coeffs] = result
+        return result
+
+    def ascend(self, coeffs):
+        """(dominant coefficient tuple, ascent word) for a coefficient tuple:
+        the greedy ascent that reflects at the first negative coordinate."""
+        cur = coeffs
         word = []
+        C = self.cartan
         while True:
-            for i in range(self.rank):
-                if cur.coeffs[i] < 0:
-                    cur = cur - cur.coeffs[i] * self.simple_roots[i]
+            for i, c in enumerate(cur):
+                if c < 0:
+                    cur = tuple([x - c * r for x, r in zip(cur, C[i])])
                     word.append(i + 1)
                     break
             else:
-                break
-        result = (cur, tuple(word))
-        self._dominant_cache[lam.coeffs] = result
-        return result
+                return cur, tuple(word)
 
     def dominant_representative(self, lam: Weight) -> Weight:
         return self.to_dominant(lam)[0]
 
     def weyl_orbit(self, lam: Weight):
         """Full W-orbit as a set of Weights."""
-        seen = {lam}
-        frontier = [lam]
+        C = self.cartan
+        seen = {lam.coeffs}
+        order = [lam.coeffs]
+        frontier = order[:]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(1, self.rank + 1):
-                    r = self.reflect(i, w)
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
+                for i, c in enumerate(w):
+                    if c:
+                        r = tuple([x - c * y for x, y in zip(w, C[i])])
+                        if r not in seen:
+                            seen.add(r)
+                            nxt.append(r)
+            order += nxt
             frontier = nxt
-        return seen
+        return {weight_from_ints(w) for w in order}
 
     def longest_element_image(self, lam: Weight) -> Weight:
         """w_0(lam), computed through the antidominant representative."""
@@ -327,34 +367,50 @@ class RootSystem:
         """Multiplicities of the dominant weights of the irreducible module V(lam)."""
         if not self.is_dominant(lam):
             raise ValueError("expected a dominant weight")
-        doms = sorted(
-            self.dominant_weights_below(lam),
-            key=lambda mu: (sum(self.root_coords(lam - mu)), mu.coeffs),
-        )
-        lam_rho = lam + self.rho
-        nlam = self.inner(lam_rho, lam_rho)
-        mult = {lam: 1}
+        top = lam.coeffs
+        det = self.det
+        # root coordinates of lam - mu: integers >= 0 for mu <= lam
+        depth = {
+            mu.coeffs: tuple(
+                c // det for c in self.scaled_root_coords(tuple(map(sub, top, mu.coeffs)))
+            )
+            for mu in self.dominant_weights_below(lam)
+        }
+        doms = sorted(depth, key=lambda c: (sum(depth[c]), c))
+        roots = [(a.coeffs, rc) for a, rc in zip(self.positive_roots, self.positive_root_coords)]
+        dominant = {}  # nu -> dominant representative, for this call only
+
+        def norm(c):
+            c = tuple(x + 1 for x in c)  # c + rho
+            return self.scaled_inner(c, c)
+
+        nlam = norm(top)
+        mult = {top: 1}
         for mu in doms:
-            if mu == lam:
+            if mu == top:
                 continue
             total = 0
-            for alpha in self.positive_roots:
-                j = 1
+            for alpha, alpha_rc in roots:
+                nu = mu
+                below = depth[mu]
                 while True:
-                    nu = mu + j * alpha
-                    if not self.dominance_leq(nu, lam):
+                    nu = tuple(map(add, nu, alpha))
+                    below = tuple(map(sub, below, alpha_rc))
+                    if min(below) < 0:
                         break
-                    m = mult.get(self.dominant_representative(nu), 0)
+                    dom = dominant.get(nu)
+                    if dom is None:
+                        dom = dominant[nu] = self.ascend(nu)[0]
+                    m = mult.get(dom, 0)
                     if m:
-                        total += m * int(self.inner(nu, alpha))
-                    j += 1
-            denom = nlam - self.inner(mu + self.rho, mu + self.rho)
-            val = Fraction(2 * total) / denom
-            if val.denominator != 1 or val < 0:
+                        # (nu, alpha) = sum_i rc_i(alpha) <alpha_i^vee, nu>
+                        total += m * sum(map(mul, alpha_rc, nu))
+            val, rem = divmod(2 * det * total, nlam - norm(mu))
+            if rem or val < 0:
                 raise AssertionError("Freudenthal recursion produced a non-integer")
             if val:
-                mult[mu] = int(val)
-        return mult
+                mult[mu] = val
+        return {weight_from_ints(mu): m for mu, m in mult.items()}
 
     def freudenthal_weights(self, lam: Weight):
         """Full weight-multiplicity table of V(lam)."""

@@ -6,6 +6,7 @@ from weylcurrents.affine import AffineWeight, level_restricted_dominant
 from weylcurrents.characters import (
     AffineCharacter,
     GradedCharacter,
+    _pbw_raw,
     char_global_weyl,
     char_integrable,
     char_irreducible,
@@ -46,6 +47,43 @@ def test_parabolic_verma_against_brute_force():
     for rs, lam, N in ((A1, Weight([0]), 3), (A1, Weight([2]), 2), (A2, Weight([0, 0]), 2)):
         oracle = brute_force_induced_factor(rs, N) * char_irreducible(rs, lam)
         assert char_parabolic_verma(rs, lam, N) == oracle.truncated(N)
+
+
+def brute_force_pbw(rs, N):
+    """prod_{n>=1} (1-q^n)^{-rank} prod_alpha (1-q^n e^alpha)^{-1} up to q^N,
+    one geometric factor at a time with plain dicts: coeffs -> {degree: coeff}."""
+    zero = (0,) * rs.rank
+    roots = [a.coeffs for a in rs.positive_roots]
+    roots += [tuple(-c for c in a) for a in roots]
+    factors = [(zero, n) for n in range(1, N + 1) for _ in range(rs.rank)]
+    factors += [(a, n) for n in range(1, N + 1) for a in roots]
+    acc = {(zero, 0): 1}
+    for step, n in factors:
+        out = dict(acc)
+        for (w, d), c in acc.items():
+            for j in range(1, (N - d) // n + 1):
+                key = (tuple(x + j * y for x, y in zip(w, step)), d + j * n)
+                out[key] = out.get(key, 0) + c
+        acc = out
+    table = {}
+    for (w, d), c in acc.items():
+        table.setdefault(w, {})[d] = c
+    return table
+
+
+def test_pbw_kernel_is_the_dominant_part_of_the_product():
+    for family, rank, N in (("A", 1, 10), ("A", 2, 8), ("A", 3, 5), ("D", 4, 4)):
+        rs = build_root_system(family, rank)
+        full = brute_force_pbw(rs, N)
+        dominant = {w: p for w, p in full.items() if min(w) >= 0}
+        got = {
+            kappa: {d: c for d, c in enumerate(series) if c}
+            for kappa, series in _pbw_raw(rs, N).items()
+        }
+        assert got == dominant, (family, rank, N)
+        # the product is W-invariant, so the dominant chamber determines it
+        for w, p in full.items():
+            assert p == dominant[rs.dominant_representative(Weight(w)).coeffs]
 
 
 def test_parabolic_verma_desk_values():

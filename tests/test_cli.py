@@ -216,3 +216,32 @@ def test_decompose_remainder_exits_1(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--N", "4")
     assert code == 1
     assert "remainder" in err or "consistency" in err
+
+
+def test_kostka_all_routes_agree_beyond_the_old_default_cutoff(capsys):
+    code, out, _ = run_cli(
+        capsys, "kostka", "--type", "A1", "--mu", "12", "--lambda", "0", "--k", "3", "--all-routes"
+    )
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+
+
+def test_decompose_rejects_negative_cutoff(capsys):
+    code, out, err = run_cli(capsys, "decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--N", "-1")
+    assert code == 2
+    assert out == "" and "cutoff" in err
+
+
+def test_kostka_paths_rejects_level_zero(capsys):
+    code, _, err = run_cli(
+        capsys, "kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "0", "--route", "paths"
+    )
+    assert code == 2
+    assert "level" in err
+
+
+def test_verify_empty_filter_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "cross-route", "--type", "Z3")
+    assert code == 2
+    assert "checks passed" not in out
+    assert "--type Z3" in err

@@ -2,6 +2,7 @@ import pytest
 
 from weylcurrents.affine import level_restricted_dominant
 from weylcurrents.kostka import (
+    integrable_weyl_expansion,
     kostka_alt_sum,
     kostka_by_route,
     kostka_characters,
@@ -166,3 +167,22 @@ def test_route_dispatcher():
     # the character route is type-generic
     res = kostka_by_route(d4, Weight([0, 1, 0, 0]), Weight([0, 0, 0, 0]), 1, "chars", N=4)
     assert res.value == q
+
+
+def test_chars_default_cutoff_returns_the_whole_polynomial():
+    # the old default cutoff (required_cutoff + 12) stopped this one at q^17
+    mu, lam = Weight([10]), Weight([0])
+    chars = kostka_by_route(A1, mu, lam, 4, "chars").value
+    assert chars == kostka_by_route(A1, mu, lam, 4, "paths").value
+    assert chars.max_exponent() == 25
+
+
+def test_level_and_cutoff_checked_at_the_boundary():
+    with pytest.raises(ValueError, match="level"):
+        kostka_by_route(A1, Weight([2]), Weight([0]), 0, "paths")
+    with pytest.raises(ValueError, match="cutoff"):
+        kostka_by_route(A1, Weight([2]), Weight([0]), 1, "chars", N=-1)
+    with pytest.raises(ValueError, match="cutoff"):
+        integrable_weyl_expansion(A1, Weight([0]), 1, -1)
+    with pytest.raises(ValueError, match="level"):
+        integrable_weyl_expansion(A1, Weight([0]), 0, 4)

@@ -1,4 +1,4 @@
-from weylcurrents.qseries import QPolynomial, euler_column, geometric_series
+from weylcurrents.qseries import QPolynomial, geometric_series
 
 
 def test_arithmetic_and_normalization():
@@ -40,23 +40,6 @@ def test_geometric_series():
     # (1 - q^2) * 1/(1 - q^2) = 1 up to the cutoff
     prod = (QPolynomial({0: 1, 2: -1}) * geometric_series(2, 8)).truncated(hi=8)
     assert prod == QPolynomial.one()
-
-
-def test_euler_column_counts_partitions():
-    # coefficient of q^m in q^j/((1-q)...(1-q^j)) counts partitions of m with at
-    # most j parts, shifted: check j = 2 against direct enumeration
-    col = euler_column(2, 8)
-    # partitions of m-2 into at most 2 parts
-    def brute(m):
-        return sum(
-            1
-            for a in range(m + 1)
-            for b in range(a + 1)
-            if a + b == m - 2
-        )
-
-    for m in range(0, 9):
-        assert col.coeff(m) == brute(m)
 
 
 def test_json_roundtrip():

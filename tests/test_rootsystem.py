@@ -157,3 +157,26 @@ def test_longest_element(a2, d4):
     # w_0 = -1 in D4; in A2 it is minus the coordinate flip
     assert d4.longest_element_image(Weight([1, 2, 3, 4])) == Weight([-1, -2, -3, -4])
     assert a2.longest_element_image(Weight([2, 1])) == Weight([-1, -2])
+
+
+def test_weight_rejects_non_integral_coordinates():
+    with pytest.raises(ValueError):
+        Weight([Fraction(1, 2)])
+    assert Weight([Fraction(4, 2), 1]) == Weight([2, 1])
+    assert Weight([Fraction(4, 2)]).coeffs == (2,) and type(Weight([Fraction(4, 2)]).coeffs[0]) is int
+    # arithmetic on two weights stays integral and checked by rank
+    w = Weight([3, -1]) + Weight([1, 2]) - Weight([0, 1])
+    assert w == Weight([4, 0]) and all(type(c) is int for c in w.coeffs)
+    with pytest.raises(ValueError):
+        Weight([1]) + Weight([1, 0])
+
+
+def test_integer_form_matches_fraction_inverse(d4):
+    for rs in (build_root_system("A", 3), d4, build_root_system("E", 6)):
+        n = rs.rank
+        for i in range(n):
+            for j in range(n):
+                expected = sum(
+                    Fraction(rs.form[i][t]) * rs.cartan[t][j] for t in range(n)
+                )
+                assert expected == (rs.det if i == j else 0)
