@@ -289,7 +289,7 @@ def main(argv=None) -> int:
         if getattr(args, "verbose", 0):
             print(f"job: {json.dumps(job_from_args(args).to_json())}", file=sys.stderr)
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StructuralError, ExpansionError, VerificationFailure) as exc:

@@ -13,10 +13,12 @@ import json
 import os
 import tempfile
 from itertools import combinations, product
+from math import comb, prod
+from operator import eq, mul, sub
 
 from .errors import StructuralError
 from .qseries import QPolynomial
-from .rootsystem import Weight, build_root_system
+from .rootsystem import Weight, build_root_system, weight_from_ints
 
 # Orientation of the local energy across 0-arrows, calibrated once against the
 # degree-function axioms (checked on every built graph): moving along e_0, a
@@ -108,24 +110,13 @@ def tensor_stats(n: int, b):
     return tensor_weight(n, b), tuple(eps), tuple(phi)
 
 
-def _prefix_stats(n: int, b, i: int):
-    e = p = 0
-    for idx, col in enumerate(b):
-        e2, p2 = column_eps(n, i, col), column_phi(n, i, col)
-        if idx == 0:
-            e, p = e2, p2
-        else:
-            e, p = e + max(0, e2 - p), p2 + max(0, p - e2)
-    return e, p
-
-
 def apply_op(n: int, direction: str, i: int, b):
     """e_i / f_i on a tensor element by the signature rule; None when it vanishes."""
     if len(b) == 1:
         col = column_apply(n, direction, i, b[0])
         return None if col is None else (col,)
     prefix, last = b[:-1], b[-1]
-    _, p1 = _prefix_stats(n, prefix, i)
+    p1 = tensor_stats(n, prefix)[2][i]
     e2 = column_eps(n, i, last)
     if direction == "e":
         act_left = p1 >= e2
@@ -288,23 +279,116 @@ def _build_H(n: int, r: int, s: int):
     return H
 
 
-def _swap_by_R(n: int, x, y):
-    out = combinatorial_R(n, (x, y))
-    return out[0], out[1]
-
-
 def energy_of_element(n: int, b) -> int:
-    """Degree statistic D: sum over factor pairs (i, j) of the local energy of
-    (b_i, b_j transported next to it by successive R swaps)."""
-    L = len(b)
+    """Degree statistic D: sum over factor pairs i < j of the local energy
+    H(b_i, x), where x is b_j transported next to b_i by successive R swaps.
+    Each b_j is moved leftward once, past b_{j-1}, ..., b_0 in turn: pair
+    (i, j) needs the swaps of pair (i + 1, j) plus one more."""
     total = 0
-    for i in range(L):
-        for j in range(i + 1, L):
-            cur = list(b)
-            for p in range(j, i + 1, -1):
-                cur[p - 1], cur[p] = _swap_by_R(n, cur[p - 1], cur[p])
-            total += local_energy(n, (cur[i], cur[i + 1]))
+    for j in range(1, len(b)):
+        x = b[j]
+        for i in range(j - 1, -1, -1):
+            total += local_energy(n, (b[i], x))
+            x = combinatorial_R(n, (b[i], x))[0]
     return total
+
+
+# -- the table-driven kernel -----------------------------------------------
+#
+# The vertices of B^{r_1,1} x ... x B^{r_L,1} are product(*columns) in
+# lexicographic order, so a vertex index is the mixed-radix number of its
+# column positions, and the prefix of length l of vertex t is t divided by the
+# product of the remaining column counts. Folding the factors in left to right
+# computes each prefix once for all the vertices that share it. Tables are
+# column-major: one list per coordinate, indexed by column or by state.
+
+
+def _column_tables(n: int, r: int):
+    """The height-r columns and their int tables (columns, weight, eps, phi,
+    f): the weight coefficients j = 1..n, and eps, phi and f for i = 0..n,
+    where f_i is the position of the image column (-1 when f_i vanishes)."""
+    cols = column_vertices(n, r)
+    pos = {c: p for p, c in enumerate(cols)}
+    ops = range(n + 1)
+    wts = list(zip(*(column_weight(n, c).coeffs for c in cols)))
+    eps = [[column_eps(n, i, c) for c in cols] for i in ops]
+    phi = [[column_phi(n, i, c) for c in cols] for i in ops]
+    f = [[pos.get(column_apply(n, "f", i, c), -1) for c in cols] for i in ops]
+    return cols, wts, eps, phi, f
+
+
+def _pair_tables(n: int, r: int, s: int):
+    """H(b, x) and the position of R(b, x)[0] on B^{r,1} x B^{s,1}, both as
+    flat lists indexed by p * (number of height-s columns) + q, where p and q
+    are the column positions of b and x."""
+    right = column_vertices(n, s)
+    pos = {c: q for q, c in enumerate(right)}
+    H, R = [], []
+    for b in column_vertices(n, r):
+        for x in right:
+            H.append(local_energy(n, (b, x)))
+            R.append(pos[combinatorial_R(n, (b, x))[0]])
+    return H, R
+
+
+def _fold(n: int, heights, energy: bool):
+    """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
+    the given column heights, vertices in lexicographic order; D is None
+    unless `energy`.
+
+    Factor l extends every prefix state s by every column c, giving state
+    s * m + c. The statistics follow the two-factor rules of `tensor_stats`.
+    f_i follows the signature rule of `apply_op`: it acts on the prefix when
+    phi_i(prefix) > eps_i(c), else on c. D adds, with x = c, H(b_i, x) and
+    then x = R(b_i, x)[0] for i = l-1, ..., 0, as in `energy_of_element`."""
+    tables = {r: _column_tables(n, r) for r in set(heights)}
+    pairs = {}
+    if energy:
+        for key in {(a, b) for j, b in enumerate(heights) for a in heights[:j]}:
+            pairs[key] = _pair_tables(n, *key)
+    ops = range(n + 1)
+    # the empty prefix is state 0
+    W = [[0] for _ in range(n)]
+    E = [[0] for _ in ops]
+    P = [[0] for _ in ops]
+    F = [[-1] for _ in ops]
+    D, POS = [0], []  # POS[i][s]: column position of factor i in state s
+    for level, r in enumerate(heights):
+        _, cwts, ceps, cphi, cf = tables[r]
+        m = len(cf[0])
+        cs = range(m)
+        W = [[x + y for x in Wj for y in cw] for Wj, cw in zip(W, cwts)]
+        F = [
+            [
+                t * m + c if q > a else (s * m + g if g >= 0 else -1)
+                for s, (t, q) in enumerate(zip(Fi, Pi))
+                for c, a, g in zip(cs, ce, cg)
+            ]
+            for Fi, Pi, ce, cg in zip(F, P, ceps, cf)
+        ]
+        E = [
+            [e + a - q if a > q else e for e, q in zip(Ei, Pi) for a in ce]
+            for Ei, Pi, ce in zip(E, P, ceps)
+        ]
+        P = [
+            [b + q - a if q > a else b for q in Pi for a, b in zip(ce, cp)]
+            for Pi, ce, cp in zip(P, ceps, cphi)
+        ]
+        if energy:
+            own = list(cs) * len(D)
+            POS = [[p for p in Pi for _ in cs] for Pi in POS]
+            D = [d for d in D for _ in cs]
+            X = own
+            for i in range(level - 1, -1, -1):
+                H, R = pairs[heights[i], r]
+                K = [p * m + x for p, x in zip(POS[i], X)]
+                D = [d + H[k] for d, k in zip(D, K)]
+                X = [R[k] for k in K]
+            POS.append(own)
+    vertices = list(product(*(tables[r][0] for r in heights)))
+    distinct = {w: weight_from_ints(w) for w in set(zip(*W))}
+    weights = [distinct[w] for w in zip(*W)]
+    return vertices, weights, list(zip(*E)), list(zip(*P)), F, D if energy else None
 
 
 # -- sealed crystal graphs -------------------------------------------------
@@ -375,8 +459,8 @@ class CrystalGraph:
 
     def _component_tops(self):
         tops = {}
-        for t in range(len(self.vertices)):
-            if all(self.eps[t][i] == 0 for i in range(1, self.n + 1)):
+        for t, e in enumerate(self.eps):
+            if not any(e[1:]):
                 c = self.component[t]
                 if c in tops:
                     raise StructuralError("component with two classical-highest elements")
@@ -388,50 +472,53 @@ class CrystalGraph:
     def _verify_axioms(self):
         n = self.n
         rs = build_root_system("A", n)
-        theta = rs.highest_root
+        ops = range(n + 1)
+        V = len(self.vertices)
         # connectivity under the full affine operator set
-        seen = {0}
+        seen = bytearray(V)
+        seen[0] = 1
         stack = [0]
         while stack:
             u = stack.pop()
-            for i in range(n + 1):
+            for i in ops:
                 for nb in (self.f_arrows[i][u], self.e_arrows[i][u]):
-                    if nb >= 0 and nb not in seen:
-                        seen.add(nb)
+                    if nb >= 0 and not seen[nb]:
+                        seen[nb] = 1
                         stack.append(nb)
-        if len(seen) != len(self.vertices):
+        if sum(seen) != V:
             raise StructuralError("tensor crystal is not affinely connected")
-        mu = tensor_weight(n, tuple(tuple(range(1, r + 1)) for r in self.heights))
-        top_candidates = [t for t, w in enumerate(self.weights) if w == mu]
+        mu = tensor_weight(n, tuple(tuple(range(1, r + 1)) for r in self.heights)).coeffs
+        top_candidates = [t for t, w in enumerate(self.weights) if w.coeffs == mu]
         if len(top_candidates) != 1:
             raise StructuralError("highest-weight vertex is not unique")
-        b0 = top_candidates[0]
-        if self.D[b0] != 0:
+        D = self.D
+        if D[top_candidates[0]] != 0:
             raise StructuralError("degree normalization D(b_0) = 0 fails")
-        for t in range(len(self.vertices)):
-            w = self.weights[t]
-            for i in range(n + 1):
-                pair = (
-                    -int(rs.inner(theta, w)) if i == 0 else w.coeffs[i - 1]
-                )
-                if pair != self.phi[t][i] - self.eps[t][i]:
-                    raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
+        # <alpha_0^vee, wt> = -(theta, wt) with theta in simple-root coordinates;
+        # f_i lowers the weight by alpha_i, whose classical part is -theta at i = 0
+        theta = rs.highest_root_coords
+        shifts = [tuple(-c for c in rs.highest_root.coeffs)]
+        shifts += [a.coeffs for a in rs.simple_roots]
+        e0 = self.e_arrows[0]
+        for t, (w, e, p) in enumerate(zip(self.weights, self.eps, self.phi)):
+            w = w.coeffs
+            if (-sum(map(mul, theta, w)),) + w != tuple(map(sub, p, e)):
+                raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
+            for i in ops:
                 dst = self.f_arrows[i][t]
-                if (dst >= 0) != (self.phi[t][i] > 0):
+                if (dst >= 0) != (p[i] > 0):
                     raise StructuralError("f_i arrow existence disagrees with phi")
                 if dst >= 0:
-                    delta_w = w - self.weights[dst]
-                    expected = -theta if i == 0 else rs.simple_roots[i - 1]
-                    if delta_w != expected:
+                    if tuple(map(sub, w, self.weights[dst].coeffs)) != shifts[i]:
                         raise StructuralError("arrow does not shift the weight by alpha_i")
-                    if i >= 1 and self.D[dst] != self.D[t]:
+                    if i >= 1 and D[dst] != D[t]:
                         raise StructuralError("degree changes along a classical arrow")
-                src = self.e_arrows[0][t]
-                if i == 0 and self.eps[t][0] >= 2:
-                    if src < 0:
-                        raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
-                    if self.D[src] != self.D[t] - 1:
-                        raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
+            if e[0] >= 2:
+                src = e0[t]
+                if src < 0:
+                    raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
+                if D[src] != D[t] - 1:
+                    raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
 
     # queries
 
@@ -489,36 +576,47 @@ class CrystalGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "CrystalGraph":
+        """The graph stored in the cache schema. Statistics and arrows are
+        recomputed from n and heights and must equal the stored tables, and the
+        stored vertex list must be the full product in lexicographic order; the
+        stored D (the expensive table) is cross-checked by the axioms."""
+        if not isinstance(data, dict):
+            raise StructuralError("crystal cache is not a JSON object")
         if data.get("format") != CACHE_FORMAT:
             raise StructuralError("unsupported crystal cache format")
         if data.get("orientation") != ENERGY_ORIENTATION:
             raise StructuralError("crystal cache has a foreign energy orientation")
-        n = data["n"]
-        vertices = [tuple(tuple(col) for col in v) for v in data["vertices"]]
-        if len(set(vertices)) != len(vertices):
-            raise StructuralError("crystal cache has duplicate vertices")
-        weights = [Weight(w) for w in data["weights"]]
-        eps = [tuple(e) for e in data["eps"]]
-        phi = [tuple(p) for p in data["phi"]]
-        f_arrows = [list(data["f"][str(i)]) for i in range(n + 1)]
-        D = list(data["D"])
-        sizes = {len(vertices), len(weights), len(eps), len(phi), len(D)}
-        sizes.update(len(f_arrows[i]) for i in range(n + 1))
-        if len(sizes) != 1:
-            raise StructuralError("crystal cache tables have inconsistent sizes")
-        # recompute statistics and arrows from the stored vertices; the stored D
-        # (the expensive table) is then cross-checked by the axiom verification
-        index = {b: t for t, b in enumerate(vertices)}
-        for t, b in enumerate(vertices):
-            w, e, p = tensor_stats(n, b)
-            if w != weights[t] or e != eps[t] or p != phi[t]:
-                raise StructuralError("crystal cache statistics do not match vertices")
-            for i in range(n + 1):
-                img = apply_op(n, "f", i, b)
-                want = index[img] if img is not None else -1
-                if f_arrows[i][t] != want:
-                    raise StructuralError("crystal cache arrows do not match vertices")
-        return cls(n, tuple(data["heights"]), vertices, weights, eps, phi, f_arrows, D)
+        n, heights = data.get("n"), data.get("heights")
+        if not (
+            type(n) is int
+            and n >= 1
+            and isinstance(heights, list)
+            and heights
+            and all(type(r) is int and 1 <= r <= n for r in heights)
+        ):
+            raise StructuralError("crystal cache has invalid n or heights")
+        heights = tuple(heights)
+        tables = [data.get(key) for key in ("vertices", "weights", "eps", "phi", "D")]
+        size = prod(comb(n + 1, r) for r in heights)
+        if not all(isinstance(rows, list) and len(rows) == size for rows in tables):
+            raise StructuralError("crystal cache tables do not cover the crystal")
+        stored_vertices, stored_weights, stored_eps, stored_phi, D = tables
+        vertices, weights, eps, phi, f_arrows, _ = _fold(n, heights, energy=False)
+        columns = [[list(c) for c in column_vertices(n, r)] for r in heights]
+        try:
+            same = (
+                all(map(eq, stored_vertices, map(list, product(*columns))))
+                and all(map(eq, map(tuple, stored_weights), (w.coeffs for w in weights)))
+                and all(map(eq, map(tuple, stored_eps), eps))
+                and all(map(eq, map(tuple, stored_phi), phi))
+                and data.get("f") == {str(i): row for i, row in enumerate(f_arrows)}
+                and all(type(d) is int for d in D)
+            )
+        except TypeError:  # a row that is not a list
+            same = False
+        if not same:
+            raise StructuralError("crystal cache tables do not match the recomputed crystal")
+        return cls(n, heights, vertices, weights, eps, phi, f_arrows, list(D))
 
 
 def element_label(b) -> str:
@@ -536,6 +634,13 @@ def heights_for_weight(mu: Weight):
 
 
 _GRAPH_CACHE: dict = {}
+
+
+def clear_caches():
+    """Empty the in-process memo tables: sealed graphs, R and H."""
+    _GRAPH_CACHE.clear()
+    _R_CACHE.clear()
+    _H_CACHE.clear()
 
 
 def _cache_path(cache_dir, n, heights):
@@ -558,32 +663,24 @@ def build_crystal(n: int, heights, cache_dir=None) -> CrystalGraph:
             _write_cache(hit, cache_dir, path)
         return hit
     if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            graph = CrystalGraph.from_json(json.load(fh))
+        graph = CrystalGraph.from_json(_read_cache(path))
         if graph.n != n or graph.heights != heights:
             raise StructuralError("crystal cache key mismatch")
         _GRAPH_CACHE[key] = graph
         return graph
-    vertices = sorted(product(*(column_vertices(n, r) for r in heights)))
-    weights, eps, phi = [], [], []
-    for b in vertices:
-        w, e, p = tensor_stats(n, b)
-        weights.append(w)
-        eps.append(e)
-        phi.append(p)
-    index = {b: t for t, b in enumerate(vertices)}
-    f_arrows = [[-1] * len(vertices) for _ in range(n + 1)]
-    for t, b in enumerate(vertices):
-        for i in range(n + 1):
-            img = apply_op(n, "f", i, b)
-            if img is not None:
-                f_arrows[i][t] = index[img]
-    D = [energy_of_element(n, b) for b in vertices]
-    graph = CrystalGraph(n, heights, vertices, weights, eps, phi, f_arrows, D)
+    graph = CrystalGraph(n, heights, *_fold(n, heights, energy=True))
     if path:
         _write_cache(graph, cache_dir, path)
     _GRAPH_CACHE[key] = graph
     return graph
+
+
+def _read_cache(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise StructuralError(f"crystal cache {path} is not valid JSON: {exc}") from exc
 
 
 def _write_cache(graph: CrystalGraph, cache_dir: str, path: str):
@@ -591,7 +688,7 @@ def _write_cache(graph: CrystalGraph, cache_dir: str, path: str):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(graph.to_json(), fh)
+            fh.write(json.dumps(graph.to_json()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -117,8 +117,6 @@ def default_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
     region reaches mu, and q^N covers the top degree of the local Weyl module
     of mu, which bounds every graded multiplicity V(lam) has in it."""
     need = required_cutoff(rs, mu, lam, k)
-    if not rs.is_dominant(mu):
-        return need
     top = max(p.max_exponent() for p in char_local_weyl(rs, mu).terms.values())
     return max(need, top)
 
@@ -174,6 +172,8 @@ def kostka_by_route(
     if route in ("paths", "altsum") and rs.family != "A":
         raise ValueError(f"route {route!r} uses the column-crystal model (type A only)")
     _check_level_and_cutoff(k, N)
+    if not rs.is_dominant(mu):
+        raise ValueError(f"{mu} is not dominant")
     if k is None:
         if route == "paths":
             val = kostka_paths(rs.rank, mu, lam, cache_dir=cache_dir)

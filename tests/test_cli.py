@@ -4,6 +4,7 @@ import os
 import pytest
 
 from weylcurrents.cli import JobSpec, main
+from weylcurrents.crystals import clear_caches
 
 
 def run_cli(capsys, *argv):
@@ -155,10 +156,8 @@ def test_verify_text_output(capsys):
 
 
 def test_verify_detects_corrupted_cache(tmp_path, capsys):
-    from weylcurrents import crystals as mod
-
     cache = str(tmp_path)
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     code, _, _ = run_cli(
         capsys, "verify", "energy-axioms", "--type", "A1", "--max-mu", "2",
         "--max-factors", "2", "--cache-dir", cache,
@@ -170,14 +169,14 @@ def test_verify_detects_corrupted_cache(tmp_path, capsys):
     data = json.load(open(path))
     data["D"] = [d + 1 for d in data["D"]]
     json.dump(data, open(path, "w"))
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     code, out, _ = run_cli(
         capsys, "verify", "energy-axioms", "--type", "A1", "--max-mu", "2",
         "--max-factors", "2", "--cache-dir", cache,
     )
     assert code == 1
     assert "FAIL" in out
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -245,3 +244,63 @@ def test_verify_empty_filter_exits_2(capsys):
     assert code == 2
     assert "checks passed" not in out
     assert "--type Z3" in err
+
+
+def _kostka_a1_mu3(capsys, cache):
+    return run_cli(
+        capsys, "kostka", "--type", "A1", "--mu", "3", "--lambda", "1", "--k", "1",
+        "--cache-dir", cache,
+    )
+
+
+def _corrupt_cache_exits_1(tmp_path, capsys, corrupt):
+    cache = str(tmp_path)
+    clear_caches()
+    code, _, _ = _kostka_a1_mu3(capsys, cache)
+    assert code == 0
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(corrupt(text))
+    clear_caches()
+    code, out, err = _kostka_a1_mu3(capsys, cache)
+    clear_caches()
+    assert code == 1
+    assert out == ""
+    assert "consistency failure" in err and "crystal cache" in err
+
+
+def test_kostka_cache_missing_last_vertex_exits_1(tmp_path, capsys):
+    def drop_last_vertex(text):
+        # from every table, so the sizes still agree
+        data = json.loads(text)
+        for rows in [data[key] for key in ("vertices", "weights", "eps", "phi", "D")]:
+            rows.pop()
+        for row in data["f"].values():
+            row.pop()
+        return json.dumps(data)
+
+    _corrupt_cache_exits_1(tmp_path, capsys, drop_last_vertex)
+
+
+def test_kostka_cache_invalid_json_exits_1(tmp_path, capsys):
+    _corrupt_cache_exits_1(tmp_path, capsys, lambda text: text[: len(text) // 2])
+
+
+def test_kostka_non_dominant_mu_exits_2_on_every_route(capsys):
+    for route in ("paths", "altsum", "chars"):
+        code, out, err = run_cli(
+            capsys, "kostka", "--type", "A1", "--mu", "-2", "--lambda", "0", "--k", "1",
+            "--route", route,
+        )
+        assert code == 2, route
+        assert out == "" and "not dominant" in err
+
+
+def test_export_into_missing_directory_exits_2(tmp_path, capsys):
+    out_path = str(tmp_path / "missing" / "crystal.dot")
+    code, out, err = run_cli(capsys, "export", "--type", "A1", "--mu", "2", "--out", out_path)
+    assert code == 2
+    assert out == "" and err.startswith("error:")

@@ -5,13 +5,16 @@ from itertools import product
 import pytest
 
 from weylcurrents.crystals import (
+    CrystalGraph,
     apply_op,
     build_crystal,
+    clear_caches,
     column_apply,
     column_vertices,
     column_weight,
     combinatorial_R,
     element_label,
+    energy_of_element,
     heights_for_weight,
     local_crystal,
     local_energy,
@@ -215,40 +218,36 @@ def test_dot_export_deterministic():
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):
-    from weylcurrents import crystals as mod
-
     cache = str(tmp_path)
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     g = build_crystal(1, (1, 1), cache_dir=cache)
     files = os.listdir(cache)
     assert len(files) == 1
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     g2 = build_crystal(1, (1, 1), cache_dir=cache)
     assert g2.vertices == g.vertices and g2.D == g.D
     path = os.path.join(cache, files[0])
     data = json.load(open(path))
     data["D"][1] = 7
     json.dump(data, open(path, "w"))
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     with pytest.raises(StructuralError):
         build_crystal(1, (1, 1), cache_dir=cache)
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
 
 
 def test_cache_rejects_foreign_format(tmp_path):
-    from weylcurrents import crystals as mod
-
     cache = str(tmp_path)
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     g = build_crystal(1, (1,), cache_dir=cache)
     path = os.path.join(cache, os.listdir(cache)[0])
     data = json.load(open(path))
     data["format"] = 999
     json.dump(data, open(path, "w"))
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     with pytest.raises(StructuralError):
         build_crystal(1, (1,), cache_dir=cache)
-    mod._GRAPH_CACHE.clear()
+    clear_caches()
     del g
 
 
@@ -260,3 +259,99 @@ def test_b0_unique_and_normalized():
         assert len(tops) == 1
         assert g.D[tops[0]] == 0
         assert tensor_weight(n, g.vertices[tops[0]]) == mu
+
+
+def _energy_by_pairs(n, b):
+    """D by its definition, transporting b_j next to b_i afresh for every
+    pair i < j (O(L^3) swaps)."""
+    total = 0
+    for i in range(len(b)):
+        for j in range(i + 1, len(b)):
+            cur = list(b)
+            for p in range(j, i + 1, -1):
+                cur[p - 1], cur[p] = combinatorial_R(n, (cur[p - 1], cur[p]))
+            total += local_energy(n, (cur[i], cur[i + 1]))
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_tables_match_per_element_references(n):
+    # every height order up to three factors; four factors in the lowest-first
+    # order that local_crystal builds
+    clear_caches()
+    for factors in range(1, 5):
+        for heights in product(range(1, n + 1), repeat=factors):
+            if factors == 4 and list(heights) != sorted(heights):
+                continue
+            g = build_crystal(n, heights)
+            assert g.vertices == sorted(product(*(column_vertices(n, r) for r in heights)))
+            index = {b: t for t, b in enumerate(g.vertices)}
+            for t, b in enumerate(g.vertices):
+                assert (g.weights[t], g.eps[t], g.phi[t]) == tensor_stats(n, b)
+                for i in range(n + 1):
+                    img = apply_op(n, "f", i, b)
+                    assert g.f_arrows[i][t] == (-1 if img is None else index[img])
+                assert g.D[t] == _energy_by_pairs(n, b) == energy_of_element(n, b)
+    clear_caches()
+
+
+def test_cache_file_is_the_json_of_the_graph(tmp_path):
+    clear_caches()
+    g = build_crystal(2, (1, 1, 1, 1, 1, 2, 2, 2, 2), cache_dir=str(tmp_path))
+    (name,) = os.listdir(tmp_path)
+    ref = tmp_path / "ref.json"
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(g.to_json(), fh)
+    assert (tmp_path / name).read_bytes() == ref.read_bytes()
+    clear_caches()
+
+
+def _tampered_cache_is_rejected(cache_dir, tamper):
+    clear_caches()
+    build_crystal(2, (1, 2), cache_dir=str(cache_dir))
+    (path,) = cache_dir.iterdir()
+    data = json.loads(path.read_text())
+    tamper(data)
+    path.write_text(json.dumps(data))
+    clear_caches()
+    with pytest.raises(StructuralError):
+        build_crystal(2, (1, 2), cache_dir=str(cache_dir))
+    with pytest.raises(StructuralError):
+        CrystalGraph.from_json(data)
+    clear_caches()
+
+
+def test_cache_rejects_permuted_vertex_order(tmp_path):
+    def swap_first_two(data):
+        # every table swapped alike: a consistent graph, but not in product order
+        for key in ("vertices", "weights", "eps", "phi", "D"):
+            rows = data[key]
+            rows[0], rows[1] = rows[1], rows[0]
+        for row in data["f"].values():
+            row[0], row[1] = row[1], row[0]
+            row[:] = [{0: 1, 1: 0}.get(t, t) for t in row]
+
+    _tampered_cache_is_rejected(tmp_path, swap_first_two)
+
+
+def test_cache_rejects_tampered_f_row(tmp_path):
+    def redirect_arrow(data):
+        row = data["f"]["1"]
+        t = next(t for t, dst in enumerate(row) if dst >= 0)
+        row[t] = (row[t] + 1) % len(row)
+
+    _tampered_cache_is_rejected(tmp_path, redirect_arrow)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda data: data["vertices"].pop(),
+        lambda data: data.pop("eps"),
+        lambda data: data["D"].__setitem__(0, "0"),
+        lambda data: data.__setitem__("heights", [1, 3]),
+    ],
+    ids=["vertex-dropped", "eps-missing", "D-not-int", "height-out-of-range"],
+)
+def test_cache_rejects_malformed_tables(tmp_path, tamper):
+    _tampered_cache_is_rejected(tmp_path, tamper)
