@@ -9,7 +9,6 @@ normalized so its head sits at q-degree 0, so all stored exponents lie in [0, N]
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, mul, sub
 
 from .affine import (
@@ -23,19 +22,18 @@ from .affine import (
     reflect_affine,
 )
 from .errors import ExpansionError, StructuralError
-from .qseries import QPolynomial, geometric_series
-from .rootsystem import RootSystem, Weight
+from .qseries import QPolynomial
+from .rootsystem import RootSystem, Weight, weight_from_ints
 
 
 class GradedCharacter:
     """Finite association Weight -> Laurent polynomial in q, with an explicit
     truncation cutoff (cutoff None means the character is exact, not truncated)."""
 
-    __slots__ = ("cutoff", "terms", "level_tag")
+    __slots__ = ("cutoff", "terms")
 
-    def __init__(self, terms=None, cutoff=None, level_tag=None):
+    def __init__(self, terms=None, cutoff=None):
         self.cutoff = cutoff
-        self.level_tag = level_tag
         self.terms = {}
         for w, p in (terms or {}).items():
             if not isinstance(p, QPolynomial):
@@ -210,29 +208,36 @@ def char_parabolic_verma(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter
 # -- integrable characters by the affine alternating sum ------------------
 
 
-def _dominant_in_ball(rs: RootSystem, bound_norm2: Fraction, coset_rep: Weight | None):
-    """Dominant mu with (mu+rho, mu+rho) <= bound, optionally within coset_rep + Q."""
+def _dominant_in_ball(rs: RootSystem, lam: Weight, k: int, N: int):
+    """Dominant nu in lam + Q with (nu, nu) <= (lam, lam) + 2kN, as coefficient
+    tuples in lexicographic order: the only nu at which ch L_k(lam) can be
+    nonzero up to q^N, since a weight nu + k Lambda0 - d delta of L_k(lam) has
+    norm (nu, nu) - 2kd <= (lam, lam) (Kac, Prop. 11.4).
+
+    Computed in det(C)-scaled integers. The form det(C) C^{-1} has positive
+    entries, so raising a coordinate of a dominant weight raises its norm and
+    a partial weight past the bound prunes all of its completions."""
+    form, det, n = rs.form, rs.det, rs.rank
+    lam_rc = rs.scaled_root_coords(lam.coeffs)
+    bound = sum(map(mul, lam.coeffs, lam_rc)) + 2 * k * N * det
     out = []
-    coords = [0] * rs.rank
+    coords = [0] * n
 
-    def rec(i):
-        if i == rs.rank:
-            mu = Weight(coords)
-            if rs.inner(mu + rs.rho, mu + rs.rho) <= bound_norm2:
-                if coset_rep is None or rs.in_root_lattice(mu - coset_rep):
-                    out.append(mu)
+    def rec(i, rc, norm):
+        # rc = det(C) * root coordinates of coords, norm = det(C) * (coords, coords)
+        if i == n:
+            if all((a - b) % det == 0 for a, b in zip(rc, lam_rc)):
+                out.append(tuple(coords))
             return
-        a = 0
-        while True:
-            coords[i] = a
-            partial = Weight(coords[: i + 1] + [0] * (rs.rank - i - 1))
-            if rs.inner(partial + rs.rho, partial + rs.rho) > bound_norm2:
-                coords[i] = 0
-                return
-            rec(i + 1)
-            a += 1
+        row = form[i]
+        while norm <= bound:
+            rec(i + 1, rc, norm)
+            norm += 2 * rc[i] + row[i]
+            rc = tuple(map(add, rc, row))
+            coords[i] += 1
+        coords[i] = 0
 
-    rec(0)
+    rec(0, (0,) * n, 0)
     return out
 
 
@@ -243,8 +248,8 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
     """Dominant sector of ch L_k(lam) truncated at q^N, as Weight -> QPolynomial.
 
     Truncated Weyl-Kac sum: each coset representative contributes
-    sign * q^offset * ch V(image) * (symmetric-algebra factor); products are
-    pruned to the norm region every weight of L_k(lam) must satisfy. At a
+    sign * q^offset * ch V(image) * (symmetric-algebra factor), evaluated
+    only at the dominant nu of the norm ball (see _dominant_in_ball). At a
     dominant nu the sum is sum_w num[w] P[dom(nu - w)], with the factor P
     stored on the dominant chamber only (see _pbw_raw)."""
     if not in_level_dominant(rs, lam, k):
@@ -253,7 +258,6 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
     hit = _INTEGRABLE_CACHE.get(key)
     if hit is not None:
         return hit
-    L = k + rs.dual_coxeter
     orbits: dict = {}
 
     def orbit(mu: Weight):
@@ -276,13 +280,12 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
     pbw = _pbw_raw(rs, N)
     # every weight of the PBW support -> its dominant representative
     support = {x: kappa for kappa in pbw for x in orbit(Weight(kappa))}
-    bound = rs.inner(lam + rs.rho, lam + rs.rho) + 2 * L * N
     result = {}
-    for nu in _dominant_in_ball(rs, bound, lam):
+    for nu in _dominant_in_ball(rs, lam, k, N):
         # numerator coefficients by offset, gathered per PBW chamber
         gathered: dict = {}
         for w, offsets in terms:
-            kappa = support.get(tuple(map(sub, nu.coeffs, w)))
+            kappa = support.get(tuple(map(sub, nu, w)))
             if kappa is not None:
                 by_offset = gathered.get(kappa)
                 if by_offset is None:
@@ -298,7 +301,7 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
                         acc[e + off] += m * series[e]
         poly = QPolynomial(dict(enumerate(acc)))
         if poly:
-            result[nu] = poly
+            result[weight_from_ints(nu)] = poly
     _INTEGRABLE_CACHE[key] = result
     return result
 
@@ -310,7 +313,7 @@ def char_integrable(rs: RootSystem, lam: Weight, k: int, N: int) -> GradedCharac
     for nu, poly in dom.items():
         for w in rs.weyl_orbit(nu):
             terms[w] = poly
-    return GradedCharacter(terms, cutoff=N, level_tag=k)
+    return GradedCharacter(terms, cutoff=N)
 
 
 # -- Demazure operators ----------------------------------------------------
@@ -405,6 +408,13 @@ def _level_one_class(rs: RootSystem, lam: Weight) -> Weight:
 _LOCAL_WEYL_CACHE: dict = {}
 
 
+def clear_caches():
+    """Empty the in-process memos of this module (PBW, integrable, local Weyl)."""
+    _PBW_CACHE.clear()
+    _INTEGRABLE_CACHE.clear()
+    _LOCAL_WEYL_CACHE.clear()
+
+
 def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
     """Graded character of the local Weyl module with top V(lam), head at q^0.
 
@@ -442,12 +452,12 @@ def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
         m_min = ch.min_degree()
         if m_min != target.degree:
             raise StructuralError("Demazure character does not reach the extremal degree")
-        terms: dict = {}
+        degrees: dict = {}  # coeffs -> {degree - m_min: coefficient}
         for (coeffs, deg), c in ch.items():
-            w = Weight(coeffs)
-            p = QPolynomial.monomial(deg - m_min, c)
-            terms[w] = terms[w] + p if w in terms else p
-        out = GradedCharacter(terms)
+            degrees.setdefault(coeffs, {})[deg - m_min] = c
+        out = GradedCharacter(
+            {weight_from_ints(coeffs): QPolynomial(d) for coeffs, d in degrees.items()}
+        )
         if out.coeff(lam) != QPolynomial.one():
             raise StructuralError("local Weyl head multiplicity is not 1")
         hit = _LOCAL_WEYL_CACHE.setdefault(key, out)
@@ -456,22 +466,30 @@ def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
     return hit
 
 
+def _hilbert_dense(coeffs, top: int, inverse: bool) -> list:
+    """prod_i prod_{j=1}^{m_i} (1 - q^j) for the weight with coordinates m_i,
+    or its inverse series if inverse, as the coefficients of q^0..q^top."""
+    out = [1] + [0] * top
+    for m in coeffs:
+        for j in range(1, m + 1):
+            if inverse:
+                for e in range(j, top + 1):
+                    out[e] += out[e - j]
+            else:
+                for e in range(top, j - 1, -1):
+                    out[e] -= out[e - j]
+    return out
+
+
 def hilbert_numerator(lam: Weight) -> QPolynomial:
     """prod_i prod_{j=1}^{m_i} (1 - q^j) for the symmetric-function algebra on lam."""
-    out = QPolynomial.one()
-    for m in lam.coeffs:
-        for j in range(1, m + 1):
-            out = out * QPolynomial({0: 1, j: -1})
-    return out
+    top = sum(m * (m + 1) // 2 for m in lam.coeffs)
+    return QPolynomial(dict(enumerate(_hilbert_dense(lam.coeffs, top, False))))
 
 
 def hilbert_series(lam: Weight, N: int) -> QPolynomial:
     """prod_i prod_{j=1}^{m_i} (1 - q^j)^{-1} truncated at q^N."""
-    out = QPolynomial.one()
-    for m in lam.coeffs:
-        for j in range(1, m + 1):
-            out = (out * geometric_series(j, N)).truncated(hi=N)
-    return out
+    return QPolynomial(dict(enumerate(_hilbert_dense(lam.coeffs, N, True))))
 
 
 def char_global_weyl(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter:
@@ -500,9 +518,9 @@ class Expansion:
         return self.multiplicities.get(w, QPolynomial.zero())
 
 
-def _rc_height(rs: RootSystem, w: Weight) -> int:
-    """det(C) times the height of w: orders weights as the height does."""
-    return sum(rs.scaled_root_coords(w.coeffs))
+def _rc_height(rs: RootSystem, coeffs) -> int:
+    """det(C) times the height of a weight: orders weights as the height does."""
+    return sum(rs.scaled_root_coords(coeffs))
 
 
 def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
@@ -512,31 +530,61 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
     coefficient divided by the Hilbert series (implemented as multiplication by
     the polynomial numerator, hence exact) is the multiplicity; the subtracted
     residual must vanish identically within the window, else the input was not
-    a nonnegative combination and an ExpansionError is raised."""
+    a nonnegative combination and an ExpansionError is raised.
+
+    Only the dominant chamber is kept, as dense integer rows over the window
+    q^lo..q^N, lo the least exponent of the input. The basis element at nu is
+    the dominant part of the local Weyl character times the Hilbert series of
+    nu, cut at q^(N-lo): a multiplicity term at q^e with e < 0 moves basis
+    terms up to that degree into the window."""
     if isinstance(char, GradedCharacter):
         if N is None:
             N = char.cutoff
-        residual = {w: p for w, p in char.dominant_part(rs).items()}
-    else:
-        residual = {w: p for w, p in char.items() if p}
+        char = char.dominant_part(rs)
     if N is None:
         raise ValueError("expansion needs a truncation cutoff")
+    char = {w: p for w, p in char.items() if p}
+    lo = min((p.min_exponent() for p in char.values()), default=0)
+    width = N + 1 - lo
+    residual = {}  # dominant coeffs -> coefficients of q^lo..q^N
+    for w, p in char.items():
+        row = [p.coeff(e) for e in range(lo, N + 1)]
+        if any(row):
+            residual[w.coeffs] = row
     mults: dict = {}
     while residual:
-        nu = max(residual, key=lambda w: (_rc_height(rs, w), w.coeffs))
-        m = (residual[nu] * hilbert_numerator(nu)).truncated(hi=N)
-        if not m:
+        nu = max(residual, key=lambda c: (_rc_height(rs, c), c))
+        top = residual[nu]
+        numerator = _hilbert_dense(nu, width - 1, False)
+        m = [
+            sum(top[e - j] * numerator[j] for j in range(e + 1) if numerator[j])
+            for e in range(width)
+        ]
+        if not any(m):
             raise StructuralError("vanishing extraction from a nonzero residual")
-        mults[nu] = m
-        basis_char = char_global_weyl(rs, nu, N)
-        for w, p in basis_char.dominant_part(rs).items():
-            upd = (residual.get(w, QPolynomial.zero()) - m * p).truncated(hi=N)
-            if upd:
-                residual[w] = upd
-            elif w in residual:
-                del residual[w]
+        nu_w = weight_from_ints(nu)
+        mults[nu_w] = QPolynomial({e + lo: c for e, c in enumerate(m) if c})
+        series = _hilbert_dense(nu, width - 1, True)
+        for w, p in char_local_weyl(rs, nu_w).terms.items():
+            if not rs.is_dominant(w):
+                continue
+            basis = [0] * width  # local coefficient times the Hilbert series
+            for e, c in p.items():
+                for j in range(width - e):
+                    basis[e + j] += c * series[j]
+            tgt = residual.get(w.coeffs)
+            if tgt is None:
+                tgt = [0] * width
+            for i, mi in enumerate(m):
+                if mi:
+                    for j in range(width - i):
+                        tgt[i + j] -= mi * basis[j]
+            if any(tgt):
+                residual[w.coeffs] = tgt
+            elif w.coeffs in residual:
+                del residual[w.coeffs]
         if nu in residual:
-            raise ExpansionError(f"expansion failed to clear weight {nu}")
+            raise ExpansionError(f"expansion failed to clear weight {nu_w}")
     return Expansion(mults, N)
 
 
@@ -545,7 +593,7 @@ def expand_in_irreducibles(rs: RootSystem, char: GradedCharacter) -> dict:
     residual = dict(char.dominant_part(rs).items())
     out = {}
     while residual:
-        nu = max(residual, key=lambda w: (_rc_height(rs, w), w.coeffs))
+        nu = max(residual, key=lambda w: (_rc_height(rs, w.coeffs), w.coeffs))
         m = residual[nu]
         out[nu] = m
         for w, mult in rs.freudenthal_dominant(nu).items():

@@ -405,7 +405,6 @@ class CrystalGraph:
         "n",
         "heights",
         "vertices",
-        "index",
         "weights",
         "eps",
         "phi",
@@ -420,7 +419,6 @@ class CrystalGraph:
         self.n = n
         self.heights = tuple(heights)
         self.vertices = vertices
-        self.index = {b: t for t, b in enumerate(vertices)}
         self.weights = weights
         self.eps = eps
         self.phi = phi

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import characters, crystals
 from .affine import cosets_up_to_shift, in_level_dominant, level_one_weights
 from .characters import (
     Expansion,
@@ -131,6 +132,14 @@ def _check_level_and_cutoff(k, N):
 _EXPANSION_CACHE: dict = {}
 
 
+def clear_caches():
+    """Empty every in-process memo the routes use: the expansions here and the
+    caches of `characters` and `crystals`."""
+    _EXPANSION_CACHE.clear()
+    characters.clear_caches()
+    crystals.clear_caches()
+
+
 def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Expansion:
     """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters."""
     _check_level_and_cutoff(k, N)
@@ -172,8 +181,9 @@ def kostka_by_route(
     if route in ("paths", "altsum") and rs.family != "A":
         raise ValueError(f"route {route!r} uses the column-crystal model (type A only)")
     _check_level_and_cutoff(k, N)
-    if not rs.is_dominant(mu):
-        raise ValueError(f"{mu} is not dominant")
+    for w in (mu, lam):
+        if not rs.is_dominant(w):
+            raise ValueError(f"{w} is not dominant")
     if k is None:
         if route == "paths":
             val = kostka_paths(rs.rank, mu, lam, cache_dir=cache_dir)

@@ -242,15 +242,15 @@ def test_expansion_is_linear_on_differences():
 def test_expand_detects_inconsistency(monkeypatch):
     import weylcurrents.characters as chars
 
-    real = chars.char_global_weyl
+    real = chars.char_local_weyl
 
-    def corrupted(rs, lam, N):
+    def corrupted(rs, lam, N=None):
         ch = real(rs, lam, N)
         bad = dict(ch.terms)
         bad[lam] = bad[lam] + QPolynomial.monomial(1)
-        return GradedCharacter(bad, cutoff=N)
+        return GradedCharacter(bad, cutoff=ch.cutoff)
 
-    monkeypatch.setattr(chars, "char_global_weyl", corrupted)
+    monkeypatch.setattr(chars, "char_local_weyl", corrupted)
     with pytest.raises(ExpansionError):
         chars.expand_in_global_weyl(A1, char_integrable(A1, Weight([0]), 1, 4))
 
@@ -270,3 +270,125 @@ def test_local_weyl_dimension_multiplicative():
         for i, m in enumerate(lam.coeffs, start=1):
             prod *= char_local_weyl(rs, rs.fundamental_weight(i)).dimension_at_q1() ** m
         assert total == prod
+
+
+# -- the chars kernel against test-local copies of the loops it replaced ------
+
+
+def rho_shifted_ball(rs, lam, k, N):
+    """Dominant mu in lam + Q with (mu+rho, mu+rho) <= (lam+rho, lam+rho) +
+    2(k+h)N: the wider ball the integrable sum used to run over."""
+    bound = rs.inner(lam + rs.rho, lam + rs.rho) + 2 * (k + rs.dual_coxeter) * N
+    out = []
+    coords = [0] * rs.rank
+
+    def rec(i):
+        if i == rs.rank:
+            mu = Weight(coords)
+            if rs.inner(mu + rs.rho, mu + rs.rho) <= bound:
+                if rs.in_root_lattice(mu - lam):
+                    out.append(mu.coeffs)
+            return
+        a = 0
+        while True:
+            coords[i] = a
+            partial = Weight(coords[: i + 1] + [0] * (rs.rank - i - 1))
+            if rs.inner(partial + rs.rho, partial + rs.rho) > bound:
+                coords[i] = 0
+                return
+            rec(i + 1)
+            a += 1
+
+    rec(0)
+    return out
+
+
+def test_kac_ball_keeps_every_nonzero_weight(monkeypatch):
+    import weylcurrents.characters as chars
+
+    cases = (("A", 1, 4, 12), ("A", 2, 3, 8), ("A", 3, 2, 5), ("D", 4, 1, 5), ("D", 4, 2, 3))
+    instances = [
+        (build_root_system(f, r), lam, k, N)
+        for f, r, k_max, N in cases
+        for k in range(1, k_max + 1)
+        for lam in level_restricted_dominant(build_root_system(f, r), k)
+    ]
+    chars.clear_caches()
+    kernel = [list(chars.char_integrable_dominant(*inst).items()) for inst in instances]
+    chars.clear_caches()
+    monkeypatch.setattr(chars, "_dominant_in_ball", rho_shifted_ball)
+    reference = [list(chars.char_integrable_dominant(*inst).items()) for inst in instances]
+    chars.clear_caches()
+    assert kernel == reference
+    d4 = build_root_system("D", 4)
+    w1 = d4.fundamental_weight(1)
+    assert len(rho_shifted_ball(d4, w1, 1, 7)) == 86
+    monkeypatch.undo()
+    assert len(chars._dominant_in_ball(d4, w1, 1, 7)) == 13
+
+
+def orbit_expansion(rs, char, N=None):
+    """The expansion loop over full-orbit global Weyl characters, with
+    QPolynomial arithmetic throughout."""
+    if isinstance(char, GradedCharacter):
+        if N is None:
+            N = char.cutoff
+        residual = dict(char.dominant_part(rs))
+    else:
+        residual = {w: p for w, p in char.items() if p}
+    mults = {}
+    while residual:
+        nu = max(residual, key=lambda w: (sum(rs.scaled_root_coords(w.coeffs)), w.coeffs))
+        numerator = one
+        for m in nu.coeffs:
+            for j in range(1, m + 1):
+                numerator = numerator * QPolynomial({0: 1, j: -1})
+        m = (residual[nu] * numerator).truncated(hi=N)
+        mults[nu] = m
+        for w, p in char_global_weyl(rs, nu, N).dominant_part(rs).items():
+            upd = (residual.get(w, QPolynomial.zero()) - m * p).truncated(hi=N)
+            if upd:
+                residual[w] = upd
+            elif w in residual:
+                del residual[w]
+        if nu in residual:
+            raise ExpansionError(f"expansion failed to clear weight {nu}")
+    return mults
+
+
+def test_dense_expansion_matches_the_orbit_loop():
+    import weylcurrents.characters as chars
+
+    inputs = [
+        (rs, chars.char_integrable_dominant(rs, lam, k, 12), 12)
+        for rs, levels in ((A1, (1, 2, 3)), (A2, (1, 2)))
+        for k in levels
+        for lam in level_restricted_dominant(rs, k)
+    ]
+    inputs += [(A1, char_parabolic_verma(A1, Weight([m]), 8), None) for m in (0, 1, 2)]
+    inputs += [(A2, char_parabolic_verma(A2, Weight([1, 0]), 5), None)]
+    for rs, big, small in ((A1, Weight([4]), Weight([2])), (A2, Weight([2, 1]), Weight([1, 0]))):
+        diff = char_global_weyl(rs, big, 6) - char_global_weyl(rs, small, 6)
+        inputs.append((rs, diff, None))
+    # Laurent input: the window starts at q^-1
+    for rs, lam in ((A1, Weight([2])), (A2, Weight([1, 1]))):
+        shifted = char_global_weyl(rs, rs.zero(), 6).scaled(QPolynomial.monomial(-1))
+        inputs.append((rs, shifted + char_global_weyl(rs, lam, 6), None))
+    chars.clear_caches()
+    dense = [expand_in_global_weyl(rs, ch, N) for rs, ch, N in inputs]
+    chars.clear_caches()
+    reference = [orbit_expansion(rs, ch, N) for rs, ch, N in inputs]
+    chars.clear_caches()
+    for got, want, (_, ch, N) in zip(dense, reference, inputs):
+        assert list(got.multiplicities.items()) == list(want.items())
+        assert got.trusted_degree == (ch.cutoff if N is None else N)
+    assert any(p.min_exponent() < 0 for got in dense for p in got.multiplicities.values())
+    assert any(not p.has_nonneg_coeffs() for got in dense for p in got.multiplicities.values())
+    # a shifted global Weyl character with an infinite Hilbert series: the
+    # basis is carried to q^(N+1), where the orbit loop cut it at q^N and failed
+    for rs, lam in ((A1, Weight([3])), (A2, Weight([1, 1]))):
+        shifted = char_global_weyl(rs, lam, 6).scaled(QPolynomial.monomial(-1))
+        got = expand_in_global_weyl(rs, shifted, 5)
+        assert got.multiplicities == {lam: QPolynomial.monomial(-1)}
+        with pytest.raises(ExpansionError):
+            orbit_expansion(rs, shifted, 5)

@@ -299,6 +299,17 @@ def test_kostka_non_dominant_mu_exits_2_on_every_route(capsys):
         assert out == "" and "not dominant" in err
 
 
+def test_kostka_unrestricted_non_dominant_lambda_exits_2_on_every_route(capsys):
+    for route in ("paths", "altsum", "chars"):
+        code, out, err = run_cli(
+            capsys, "kostka", "--type", "A1", "--mu", "2", "--lambda", "-2", "--route", route
+        )
+        assert code == 2, route
+        assert out == "" and err.startswith("error:")
+        # the CLI refuses altsum without --k before any weight is checked
+        assert route == "altsum" or "not dominant" in err
+
+
 def test_export_into_missing_directory_exits_2(tmp_path, capsys):
     out_path = str(tmp_path / "missing" / "crystal.dot")
     code, out, err = run_cli(capsys, "export", "--type", "A1", "--mu", "2", "--out", out_path)

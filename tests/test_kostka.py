@@ -186,3 +186,21 @@ def test_level_and_cutoff_checked_at_the_boundary():
         integrable_weyl_expansion(A1, Weight([0]), 1, -1)
     with pytest.raises(ValueError, match="level"):
         integrable_weyl_expansion(A1, Weight([0]), 0, 4)
+
+
+def test_clear_caches_empties_every_route_memo():
+    from weylcurrents import characters, crystals, kostka
+
+    for route in ("paths", "chars"):
+        kostka_by_route(A1, Weight([2]), Weight([0]), 1, route)
+    memos = (
+        kostka._EXPANSION_CACHE,
+        characters._PBW_CACHE,
+        characters._INTEGRABLE_CACHE,
+        characters._LOCAL_WEYL_CACHE,
+        crystals._GRAPH_CACHE,
+    )
+    assert all(memos)
+    kostka.clear_caches()
+    assert not any(memos)
+    assert kostka_by_route(A1, Weight([2]), Weight([0]), 1, "chars").value == q
