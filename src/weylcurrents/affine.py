@@ -56,18 +56,6 @@ class AffineWeight:
         return f"AffineWeight({self.classical.coeffs}, level={self.level}, degree={self.degree})"
 
 
-def lambda0(rs: RootSystem) -> AffineWeight:
-    return AffineWeight(rs.zero(), 1, 0)
-
-
-def delta(rs: RootSystem) -> AffineWeight:
-    return AffineWeight(rs.zero(), 0, 1)
-
-
-def embed(rs: RootSystem, lam: Weight, level: int = 0, degree: int = 0) -> AffineWeight:
-    return AffineWeight(lam, level, degree)
-
-
 def affine_root(rs: RootSystem, i: int) -> AffineWeight:
     """alpha_i as an affine weight; i = 0 gives -theta + delta."""
     if i == 0:
@@ -88,6 +76,23 @@ def reflect_affine(rs: RootSystem, i: int, w: AffineWeight) -> AffineWeight:
     if p == 0:
         return w
     return w - p * affine_root(rs, i)
+
+
+def chamber_ascent(rs: RootSystem, x: AffineWeight):
+    """(dominant affine weight, word) for an affine weight of positive level:
+    reflect at the first i in 0..rank with <alpha_i^vee, x> < 0 until there is
+    none, so the result is s_{word[-1]} ... s_{word[0]} (x)."""
+    word = []
+    while True:
+        if len(word) > 10**6:
+            raise StructuralError("affine chamber ascent did not terminate")
+        for i in range(0, rs.rank + 1):
+            if af_pairing(rs, i, x) < 0:
+                x = reflect_affine(rs, i, x)
+                word.append(i)
+                break
+        else:
+            return x, word
 
 
 def rho_shift(rs: RootSystem, k: int) -> AffineWeight:
@@ -313,10 +318,6 @@ def length(rs: RootSystem, g: AffineWeylElement) -> int:
     return total
 
 
-def sign_of(rs: RootSystem, g: AffineWeylElement) -> int:
-    return -1 if length(rs, g) % 2 else 1
-
-
 @dataclass(frozen=True)
 class DotRepresentative:
     """Result of pushing a weight to the rho-shifted dominant chamber."""
@@ -332,36 +333,20 @@ def dominant_dot_rep(rs: RootSystem, lam, k: int) -> DotRepresentative:
     """Dominant representative under the level-k dot action, or the wall flag.
 
     Accepts a classical Weight (taken at level 0, degree 0) or an AffineWeight.
-    Greedy ascent: reflect at any strictly negative shifted pairing; a zero
-    pairing at the top signals a nontrivial stabilizer (wall).
+    The shifted weight is pushed up by the chamber ascent; a zero pairing at
+    the top signals a nontrivial stabilizer (wall).
     """
     if k < 1:
         raise ValueError("dominant_dot_rep needs k >= 1")
     w = lam if isinstance(lam, AffineWeight) else AffineWeight(lam, 0, 0)
     s = k + rs.dual_coxeter - w.level
     shift = AffineWeight(rs.rho, s, 0)
-    x = w + shift
-    g = AffineWeylElement.identity(rs)
-    steps = 0
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10**6:
-            raise StructuralError("dominant ascent did not terminate")
-        neg = None
-        for i in range(0, rs.rank + 1):
-            if af_pairing(rs, i, x) < 0:
-                neg = i
-                break
-        if neg is None:
-            break
-        x = reflect_affine(rs, neg, x)
-        g = compose(rs, simple_element(rs, neg), g)
-        steps += 1
+    x, word = chamber_ascent(rs, w + shift)
+    g = element_from_word(rs, reversed(word))
     if any(af_pairing(rs, i, x) == 0 for i in range(0, rs.rank + 1)):
         return DotRepresentative(True, g, None, 0, 0)
     res = x - shift
-    return DotRepresentative(False, g, res.classical, res.degree, -1 if steps % 2 else 1)
+    return DotRepresentative(False, g, res.classical, res.degree, -1 if len(word) % 2 else 1)
 
 
 def root_lattice_ball(rs: RootSystem, max_norm2):
@@ -403,9 +388,13 @@ def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
         return []
     L = k + rs.dual_coxeter
     lam_rho = lam + rs.rho
-    s2 = float(rs.inner(lam_rho, lam_rho))
-    radius = (math.sqrt(s2) + math.sqrt(s2 + 2 * L * N)) / L
-    max_norm2 = int(radius * radius) + 2  # float bound only inflates the sweep box
+    # |(lam+rho, gamma)| <= |lam+rho| |gamma| turns offset <= N into |gamma| <= r
+    # with r = (sqrt(a) + sqrt(a + 2LN)) / L, a = (lam+rho, lam+rho) = A / det;
+    # r^2 <= (2a + 2LN + 2 ceil(sqrt(a (a + 2LN)))) / L^2, all in integers
+    det = rs.det
+    A = rs.scaled_inner(lam_rho.coeffs, lam_rho.coeffs)
+    root = -(-(math.isqrt(A * (A + 2 * L * N * det) - 1) + 1) // det)
+    max_norm2 = (2 * A + 2 * L * N * det + 2 * root * det) // (L * L * det)
     out = []
     seen_images = set()
     for rc in root_lattice_ball(rs, max_norm2):
@@ -420,10 +409,7 @@ def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
         dom, word = rs.to_dominant(x.classical)
         if any(c == 0 for c in dom.coeffs):
             raise StructuralError("shifted coset image is singular")
-        w_el = AffineWeylElement.identity(rs)
-        for i in word:
-            w_el = compose(rs, simple_element(rs, i), w_el)
-        g = compose(rs, w_el, t)
+        g = compose(rs, element_from_word(rs, reversed(word)), t)
         image = AffineWeight(dom - rs.rho, 0, x.degree)
         if -x.degree != offset:
             raise StructuralError("offset/degree bookkeeping mismatch")
@@ -431,26 +417,20 @@ def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
         if key in seen_images:
             raise StructuralError("duplicate coset image")
         seen_images.add(key)
-        out.append(CosetRepresentative(g, image, offset, sign_of(rs, g)))
+        # translations have even length, so the sign is det(w) = (-1)^len(word)
+        out.append(CosetRepresentative(g, image, offset, -1 if len(word) % 2 else 1))
     out.sort(key=lambda c: (c.offset, c.image.classical.coeffs))
     return out
 
 
 def reduced_word(rs: RootSystem, g: AffineWeylElement):
-    """A reduced word for g by greedy descent; product in word order equals g."""
-    word = []
-    cur = g
-    cur_len = length(rs, cur)
-    while cur_len > 0:
-        for i in range(0, rs.rank + 1):
-            cand = compose(rs, simple_element(rs, i), cur)
-            cand_len = length(rs, cand)
-            if cand_len < cur_len:
-                word.append(i)
-                cur, cur_len = cand, cand_len
-                break
-        else:
-            raise StructuralError("no descent found; length function broken")
-    if not cur.is_identity():
-        raise StructuralError("greedy descent ended off the identity")
+    """A reduced word for g; product in word order equals g.
+
+    x = rho + h^vee Lambda0 pairs to 1 with every alpha_i^vee, so it is regular
+    dominant and <alpha_i^vee, g x> < 0 exactly when s_i g is shorter than g.
+    The chamber ascent of g x therefore strips g one descent at a time."""
+    x = rho_shift(rs, 0)
+    top, word = chamber_ascent(rs, act_affine(rs, g, x))
+    if top != x:
+        raise StructuralError("chamber ascent ended off the fundamental chamber")
     return word

@@ -9,17 +9,17 @@ normalized so its head sits at q-degree 0, so all stored exponents lie in [0, N]
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, mul, sub
 
 from .affine import (
     AffineWeight,
     AffineWeylElement,
     act_affine,
-    af_pairing,
+    chamber_ascent,
     cosets_up_to_shift,
     in_level_dominant,
     level_one_weights,
-    reflect_affine,
 )
 from .errors import ExpansionError, StructuralError
 from .qseries import QPolynomial
@@ -86,9 +86,13 @@ class GradedCharacter:
         return self + other.scaled(QPolynomial.monomial(0, -1))
 
     def scaled(self, poly: QPolynomial):
-        return GradedCharacter(
-            {w: p * poly for w, p in self.terms.items()}, cutoff=self.cutoff
-        )
+        """Multiply by a Laurent polynomial. A factor whose least exponent is
+        -m < 0 lowers the cutoff by m: the products that would fill the top m
+        degrees come from terms beyond the old cutoff, which were never kept."""
+        cut = self.cutoff
+        if cut is not None and poly:
+            cut += min(poly.min_exponent(), 0)
+        return GradedCharacter({w: p * poly for w, p in self.terms.items()}, cutoff=cut)
 
     def __mul__(self, other):
         if isinstance(other, QPolynomial):
@@ -133,9 +137,7 @@ def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
     return GradedCharacter({w: one * m for w, m in rs.freudenthal_weights(lam).items()})
 
 
-_PBW_CACHE: dict = {}
-
-
+@cache
 def _pbw_raw(rs: RootSystem, N: int):
     """Dominant part of the character P of the symmetric algebra on g tensor
     z*C[z], truncated at q^N, as a dict dominant coeffs -> [P_0, ..., P_N] of
@@ -148,10 +150,6 @@ def _pbw_raw(rs: RootSystem, N: int):
     any weight is read at its dominant representative. A degree-d monomial has
     weight a sum of at most d roots, so P_d needs only the dominant kappa <=
     d theta."""
-    key = (rs.family, rs.rank, N)
-    hit = _PBW_CACHE.get(key)
-    if hit is not None:
-        return hit
     roots = [a.coeffs for a in rs.positive_roots]
     roots += [tuple(-c for c in a) for a in roots]
 
@@ -190,7 +188,6 @@ def _pbw_raw(rs: RootSystem, N: int):
                 if own is None:
                     own = table[kappa] = [0] * (N + 1)
                 own[d] = value
-    _PBW_CACHE[key] = table
     return table
 
 
@@ -241,9 +238,7 @@ def _dominant_in_ball(rs: RootSystem, lam: Weight, k: int, N: int):
     return out
 
 
-_INTEGRABLE_CACHE: dict = {}
-
-
+@cache
 def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
     """Dominant sector of ch L_k(lam) truncated at q^N, as Weight -> QPolynomial.
 
@@ -254,10 +249,6 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
     stored on the dominant chamber only (see _pbw_raw)."""
     if not in_level_dominant(rs, lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
-    key = (rs.family, rs.rank, lam.coeffs, k, N)
-    hit = _INTEGRABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
     orbits: dict = {}
 
     def orbit(mu: Weight):
@@ -302,7 +293,6 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
         poly = QPolynomial(dict(enumerate(acc)))
         if poly:
             result[weight_from_ints(nu)] = poly
-    _INTEGRABLE_CACHE[key] = result
     return result
 
 
@@ -405,65 +395,54 @@ def _level_one_class(rs: RootSystem, lam: Weight) -> Weight:
     raise StructuralError("no level-one representative found")
 
 
-_LOCAL_WEYL_CACHE: dict = {}
+def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
+    """Graded character of the local Weyl module with top V(lam), head at q^0,
+    truncated at q^N when N is given."""
+    if not rs.is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
+    out = _local_weyl(rs, lam)
+    return out if N is None else out.truncated(N)
+
+
+@cache
+def _local_weyl(rs: RootSystem, lam: Weight) -> GradedCharacter:
+    """The untruncated char_local_weyl, as a level-one Demazure character:
+    apply divided differences along the chamber-ascent word from the extremal
+    weight t_{w_0 lam - class}(class + Lambda0) (class = level-one
+    representative of lam mod Q) up to class + Lambda0, then regrade so the
+    head sits at q-degree 0."""
+    cls_w = _level_one_class(rs, lam)
+    top = AffineWeight(cls_w, 1, 0)
+    gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
+    target = act_affine(rs, AffineWeylElement.translation_by(rs, gamma_rc), top)
+    reached, word = chamber_ascent(rs, target)
+    if reached != top:
+        raise StructuralError("ascent to the dominant extremal weight failed")
+    ch = AffineCharacter.monomial(top)
+    for i in reversed(word):
+        ch = demazure_step(rs, i, ch)
+    m_min = ch.min_degree()
+    if m_min != target.degree:
+        raise StructuralError("Demazure character does not reach the extremal degree")
+    degrees: dict = {}  # coeffs -> {degree - m_min: coefficient}
+    for (coeffs, deg), c in ch.items():
+        degrees.setdefault(coeffs, {})[deg - m_min] = c
+    out = GradedCharacter(
+        {weight_from_ints(coeffs): QPolynomial(d) for coeffs, d in degrees.items()}
+    )
+    if out.coeff(lam) != QPolynomial.one():
+        raise StructuralError("local Weyl head multiplicity is not 1")
+    return out
+
+
+# taken once: a rebound name (a tracer, say) still clears its memo
+_MEMOS = (_pbw_raw, char_integrable_dominant, _local_weyl)
 
 
 def clear_caches():
     """Empty the in-process memos of this module (PBW, integrable, local Weyl)."""
-    _PBW_CACHE.clear()
-    _INTEGRABLE_CACHE.clear()
-    _LOCAL_WEYL_CACHE.clear()
-
-
-def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
-    """Graded character of the local Weyl module with top V(lam), head at q^0.
-
-    Computed as a level-one Demazure character: apply divided differences along
-    the ascent word from the extremal weight t_{w_0 lam - class}(class + Lambda0)
-    (class = level-one representative of lam mod Q) up to class + Lambda0, then
-    regrade so the head sits at q-degree 0. The cache is only ever appended to
-    with equal values, so concurrent readers are safe."""
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
-    key = (rs.family, rs.rank, lam.coeffs)
-    hit = _LOCAL_WEYL_CACHE.get(key)
-    if hit is None:
-        cls_w = _level_one_class(rs, lam)
-        top = AffineWeight(cls_w, 1, 0)
-        gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
-        target = act_affine(rs, AffineWeylElement.translation_by(rs, gamma_rc), top)
-        word = []
-        v = target
-        guard = 0
-        while v != top:
-            guard += 1
-            if guard > 10**6:
-                raise StructuralError("ascent to the dominant extremal weight failed")
-            for i in range(0, rs.rank + 1):
-                if af_pairing(rs, i, v) < 0:
-                    v = reflect_affine(rs, i, v)
-                    word.append(i)
-                    break
-            else:
-                raise StructuralError("stuck below the dominant chamber")
-        ch = AffineCharacter.monomial(top)
-        for i in reversed(word):
-            ch = demazure_step(rs, i, ch)
-        m_min = ch.min_degree()
-        if m_min != target.degree:
-            raise StructuralError("Demazure character does not reach the extremal degree")
-        degrees: dict = {}  # coeffs -> {degree - m_min: coefficient}
-        for (coeffs, deg), c in ch.items():
-            degrees.setdefault(coeffs, {})[deg - m_min] = c
-        out = GradedCharacter(
-            {weight_from_ints(coeffs): QPolynomial(d) for coeffs, d in degrees.items()}
-        )
-        if out.coeff(lam) != QPolynomial.one():
-            raise StructuralError("local Weyl head multiplicity is not 1")
-        hit = _LOCAL_WEYL_CACHE.setdefault(key, out)
-    if N is not None:
-        return hit.truncated(N)
-    return hit
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def _hilbert_dense(coeffs, top: int, inverse: bool) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import cache
 from itertools import combinations, product
 from math import comb, prod
 from operator import eq, mul, sub
@@ -138,9 +139,6 @@ def _zero_action_side(n: int, b2) -> str:
 
 # -- combinatorial R and local energy (memoized per (n, r, s)) -------------
 
-_R_CACHE: dict = {}
-_H_CACHE: dict = {}
-
 
 def _pair_components(n: int, pairs):
     """Classical components of a set of two-factor elements; returns
@@ -186,13 +184,10 @@ def combinatorial_R(n: int, pair):
     r, s = len(b), len(c)
     if r == s:
         return pair
-    table = _R_CACHE.get((n, r, s))
-    if table is None:
-        table = _build_R(n, r, s)
-        _R_CACHE[(n, r, s)] = table
-    return table[pair]
+    return _build_R(n, r, s)[pair]
 
 
+@cache
 def _build_R(n: int, r: int, s: int):
     src = [(x, y) for x in column_vertices(n, r) for y in column_vertices(n, s)]
     dst = [(y, x) for y in column_vertices(n, s) for x in column_vertices(n, r)]
@@ -230,14 +225,10 @@ def local_energy(n: int, pair) -> int:
     """H on B^{r,1} x B^{s,1}: constant on classical components, 0 on the top one,
     steps by the orientation rule across 0-arrows; propagation must be consistent."""
     b, c = pair
-    key = (n, len(b), len(c))
-    table = _H_CACHE.get(key)
-    if table is None:
-        table = _build_H(n, len(b), len(c))
-        _H_CACHE[key] = table
-    return table[pair]
+    return _build_H(n, len(b), len(c))[pair]
 
 
+@cache
 def _build_H(n: int, r: int, s: int):
     pairs = [(x, y) for x in column_vertices(n, r) for y in column_vertices(n, s)]
     top = (tuple(range(1, r + 1)), tuple(range(1, s + 1)))
@@ -631,14 +622,18 @@ def heights_for_weight(mu: Weight):
     return tuple(heights)
 
 
+# Sealed graphs by (n, heights). A dict, not a function memo: an entry is
+# loaded from the disk cache or built, and a hit still writes the disk cache
+# when its file is missing.
 _GRAPH_CACHE: dict = {}
+_MEMOS = (_build_R, _build_H)  # taken once: a rebound name still clears its memo
 
 
 def clear_caches():
     """Empty the in-process memo tables: sealed graphs, R and H."""
     _GRAPH_CACHE.clear()
-    _R_CACHE.clear()
-    _H_CACHE.clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def _cache_path(cache_dir, n, heights):

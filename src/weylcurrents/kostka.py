@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import characters, crystals
 from .affine import cosets_up_to_shift, in_level_dominant, level_one_weights
@@ -129,27 +130,24 @@ def _check_level_and_cutoff(k, N):
         raise ValueError(f"cutoff N must be >= 0, got {N}")
 
 
-_EXPANSION_CACHE: dict = {}
+@cache
+def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Expansion:
+    """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters."""
+    _check_level_and_cutoff(k, N)
+    dom = char_integrable_dominant(rs, lam, k, N)
+    return expand_in_global_weyl(rs, dom, N)
+
+
+_MEMOS = (integrable_weyl_expansion,)  # taken once: a rebound name still clears its memo
 
 
 def clear_caches():
     """Empty every in-process memo the routes use: the expansions here and the
     caches of `characters` and `crystals`."""
-    _EXPANSION_CACHE.clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
     characters.clear_caches()
     crystals.clear_caches()
-
-
-def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Expansion:
-    """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters."""
-    _check_level_and_cutoff(k, N)
-    key = (rs.family, rs.rank, lam.coeffs, k, N)
-    hit = _EXPANSION_CACHE.get(key)
-    if hit is None:
-        dom = char_integrable_dominant(rs, lam, k, N)
-        hit = expand_in_global_weyl(rs, dom, N)
-        _EXPANSION_CACHE[key] = hit
-    return hit
 
 
 def kostka_characters_unrestricted(rs: RootSystem, mu: Weight, lam: Weight) -> QPolynomial:

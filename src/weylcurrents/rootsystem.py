@@ -164,7 +164,6 @@ class RootSystem:
         self.rho = Weight([1] * rank)
         self._build_positive_roots()
         self._check_invariants()
-        self._dominant_cache = {}
 
     # -- construction ---------------------------------------------------
 
@@ -285,13 +284,8 @@ class RootSystem:
         Returns (mu, word) with mu = s_{word[-1]} ... s_{word[0]} (lam) dominant;
         word entries are 1-based simple indices.
         """
-        cached = self._dominant_cache.get(lam.coeffs)
-        if cached is not None:
-            return cached
         cur, word = self.ascend(lam.coeffs)
-        result = (weight_from_ints(cur), word)
-        self._dominant_cache[lam.coeffs] = result
-        return result
+        return weight_from_ints(cur), word
 
     def ascend(self, coeffs):
         """(dominant coefficient tuple, ascent word) for a coefficient tuple:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from weylcurrents.affine import (
     level_one_weights,
     level_restricted_dominant,
     reduced_word,
+    reflect_affine,
     rho_shift,
     simple_element,
 )
@@ -25,6 +27,8 @@ from weylcurrents.verify import bfs_lengths
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
+A3 = build_root_system("A", 3)
+D4 = build_root_system("D", 4)
 
 
 def t_gamma(rs, gamma_fw):
@@ -145,6 +149,88 @@ def test_reduced_words():
     g = t_gamma(A2, A2.highest_root)
     w = reduced_word(A2, g)
     assert len(w) == 4 and element_from_word(A2, w) == g
+
+
+def greedy_descent_word(rs, g):
+    """Reference reduced word: strip the first simple reflection that lowers
+    the closed-form length, until the identity is reached."""
+    word = []
+    cur, cur_len = g, length(rs, g)
+    while cur_len > 0:
+        for i in range(0, rs.rank + 1):
+            cand = compose(rs, simple_element(rs, i), cur)
+            if length(rs, cand) < cur_len:
+                word.append(i)
+                cur, cur_len = cand, cur_len - 1
+                break
+        else:
+            raise AssertionError("no descent found")
+    assert cur.is_identity()
+    return word
+
+
+def test_reduced_word_matches_greedy_descent_on_bfs_balls():
+    for rs, radius in ((A1, 7), (A2, 6), (D4, 3)):
+        for g, d in bfs_lengths(rs, radius).items():
+            w = reduced_word(rs, g)
+            assert w == greedy_descent_word(rs, g)
+            assert len(w) == d
+
+
+def dot_rep_loop(rs, lam, k):
+    """Reference dominant_dot_rep: the ascent with the group element composed
+    step by step, as (on_wall, element, weight, degree, sign)."""
+    w = lam if isinstance(lam, AffineWeight) else AffineWeight(lam, 0, 0)
+    shift = AffineWeight(rs.rho, k + rs.dual_coxeter - w.level, 0)
+    x = w + shift
+    g = AffineWeylElement.identity(rs)
+    steps = 0
+    while True:
+        neg = next((i for i in range(rs.rank + 1) if af_pairing(rs, i, x) < 0), None)
+        if neg is None:
+            break
+        x = reflect_affine(rs, neg, x)
+        g = compose(rs, simple_element(rs, neg), g)
+        steps += 1
+    if any(af_pairing(rs, i, x) == 0 for i in range(rs.rank + 1)):
+        return True, g, None, 0, 0
+    res = x - shift
+    return False, g, res.classical, res.degree, -1 if steps % 2 else 1
+
+
+def test_dominant_dot_rep_matches_the_step_by_step_loop():
+    cases = [(A1, 4), (A2, 4), (A3, 3)]
+    for (rs, box), k, degree in product(cases, (1, 2, 3), (-2, 0, 3)):
+        for coeffs in product(range(-box, box + 1), repeat=rs.rank):
+            lam = AffineWeight(Weight(coeffs), 0, degree)
+            rep = dominant_dot_rep(rs, lam, k)
+            got = (rep.on_wall, rep.element, rep.weight, rep.degree, rep.sign)
+            assert got == dot_rep_loop(rs, lam, k)
+
+
+def test_coset_sign_is_the_length_parity():
+    for rs, lam, k, N in ((A2, Weight([1, 0]), 2, 24), (D4, Weight([0, 0, 1, 0]), 1, 10)):
+        reps = cosets_up_to_shift(rs, lam, k, N)
+        assert len(reps) > 10
+        for rep in reps:
+            assert rep.sign == (-1) ** length(rs, rep.element)
+
+
+def test_cosets_match_a_brute_force_sweep():
+    # every gamma of a box with offset (lam+rho, gamma) + L(gamma,gamma)/2 <= N
+    # is a coset W.t_gamma the sweep must return, and no other
+    for rs, lam, k, N, box in ((A3, Weight([1, 0, 1]), 2, 6, 6), (D4, Weight([0, 0, 0, 1]), 1, 5, 4)):
+        L = k + rs.dual_coxeter
+        lam_rho = lam + rs.rho
+        want = {}
+        for rc in product(range(-box, box + 1), repeat=rs.rank):
+            gamma = rs.from_root_coords(rc)
+            offset = rs.inner(lam_rho, gamma) + L * rs.norm2(gamma) / 2
+            if offset <= N:
+                want[rc] = offset
+        assert max(abs(c) for rc in want for c in rc) <= box - 2  # the box is generous
+        got = {rep.element.translation: rep.offset for rep in cosets_up_to_shift(rs, lam, k, N)}
+        assert got == want
 
 
 def test_cosets_examples():

@@ -392,3 +392,14 @@ def test_dense_expansion_matches_the_orbit_loop():
         assert got.multiplicities == {lam: QPolynomial.monomial(-1)}
         with pytest.raises(ExpansionError):
             orbit_expansion(rs, shifted, 5)
+
+
+def test_scaling_by_a_negative_power_lowers_the_cutoff():
+    # q^-1 times a character cut at q^6 is known only up to q^5; keeping the
+    # cutoff at 6 made the expansion read the missing q^6 terms as zeros
+    shifted = char_global_weyl(A1, Weight([3]), 6).scaled(QPolynomial.monomial(-1))
+    assert shifted.cutoff == 5
+    got = expand_in_global_weyl(A1, shifted)
+    assert got.multiplicities == {Weight([3]): QPolynomial.monomial(-1)}
+    assert got.trusted_degree == 5
+    assert char_global_weyl(A1, Weight([3]), 6).scaled(q * q).cutoff == 6

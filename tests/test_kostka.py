@@ -191,16 +191,28 @@ def test_level_and_cutoff_checked_at_the_boundary():
 def test_clear_caches_empties_every_route_memo():
     from weylcurrents import characters, crystals, kostka
 
+    # every functools memo defined in these modules, so that a memo added
+    # later without being registered in a clear_caches() fails here
+    memos = [
+        value
+        for mod in (characters, kostka, crystals)
+        for value in vars(mod).values()
+        if hasattr(value, "cache_info") and value.__module__ == mod.__name__
+    ]
+    assert {m.__name__ for m in memos} >= {
+        "_pbw_raw",
+        "char_integrable_dominant",
+        "_local_weyl",
+        "integrable_weyl_expansion",
+        "_build_R",
+        "_build_H",
+    }
     for route in ("paths", "chars"):
         kostka_by_route(A1, Weight([2]), Weight([0]), 1, route)
-    memos = (
-        kostka._EXPANSION_CACHE,
-        characters._PBW_CACHE,
-        characters._INTEGRABLE_CACHE,
-        characters._LOCAL_WEYL_CACHE,
-        crystals._GRAPH_CACHE,
-    )
-    assert all(memos)
+    kostka_by_route(A2, Weight([1, 1]), Weight([0, 0]), 1, "paths")  # R on unequal heights
+    assert crystals._GRAPH_CACHE
+    assert all(m.cache_info().currsize for m in memos)
     kostka.clear_caches()
-    assert not any(memos)
+    assert [m.__name__ for m in memos if m.cache_info().currsize] == []
+    assert not crystals._GRAPH_CACHE
     assert kostka_by_route(A1, Weight([2]), Weight([0]), 1, "chars").value == q
