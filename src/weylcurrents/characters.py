@@ -85,19 +85,27 @@ class GradedCharacter:
     def __sub__(self, other):
         return self + other.scaled(QPolynomial.monomial(0, -1))
 
+    @staticmethod
+    def _lowered_cutoff(cutoff, factor_polys):
+        """cutoff lowered by m when a factor has a q^-m term, m > 0: the
+        products that would fill the top m degrees come from terms beyond the
+        old cutoff, which were never kept."""
+        if cutoff is None:
+            return None
+        return cutoff + min(0, *(p.min_exponent() for p in factor_polys if p))
+
     def scaled(self, poly: QPolynomial):
-        """Multiply by a Laurent polynomial. A factor whose least exponent is
-        -m < 0 lowers the cutoff by m: the products that would fill the top m
-        degrees come from terms beyond the old cutoff, which were never kept."""
-        cut = self.cutoff
-        if cut is not None and poly:
-            cut += min(poly.min_exponent(), 0)
+        """Multiply by a Laurent polynomial (see _lowered_cutoff)."""
+        cut = self._lowered_cutoff(self.cutoff, (poly,))
         return GradedCharacter({w: p * poly for w, p in self.terms.items()}, cutoff=cut)
 
     def __mul__(self, other):
         if isinstance(other, QPolynomial):
             return self.scaled(other)
-        cut = self._merge_cutoff(self.cutoff, other.cutoff)
+        cut = self._merge_cutoff(
+            self._lowered_cutoff(self.cutoff, other.terms.values()),
+            self._lowered_cutoff(other.cutoff, self.terms.values()),
+        )
         out = {}
         for w1, p1 in self.terms.items():
             for w2, p2 in other.terms.items():
@@ -110,7 +118,8 @@ class GradedCharacter:
         return GradedCharacter(out, cutoff=cut)
 
     def truncated(self, cutoff: int):
-        return GradedCharacter(self.terms, cutoff=cutoff)
+        """Cut at q^cutoff; never above the cutoff already known."""
+        return GradedCharacter(self.terms, cutoff=self._merge_cutoff(self.cutoff, cutoff))
 
     def dimension_at_q1(self) -> int:
         return sum(p.evaluate(1) for p in self.terms.values())
@@ -251,15 +260,15 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
         raise ValueError(f"{lam} is not in P_+^{k}")
     orbits: dict = {}
 
-    def orbit(mu: Weight):
+    def orbit(mu: tuple):
         cached = orbits.get(mu)
         if cached is None:
-            cached = orbits[mu] = [w.coeffs for w in rs.weyl_orbit(mu)]
+            cached = orbits[mu] = [w.coeffs for w in rs.weyl_orbit(weight_from_ints(mu))]
         return cached
 
     numerator: dict = {}  # coeffs -> {offset: coefficient}
     for rep in cosets_up_to_shift(rs, lam, k, N):
-        for mu, m in rs.freudenthal_dominant(rep.image.classical).items():
+        for mu, m in _freudenthal_dominant(rs, rep.image.classical.coeffs).items():
             for w in orbit(mu):
                 tgt = numerator.setdefault(w, {})
                 tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
@@ -270,7 +279,7 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
             terms.append((w, offsets))
     pbw = _pbw_raw(rs, N)
     # every weight of the PBW support -> its dominant representative
-    support = {x: kappa for kappa in pbw for x in orbit(Weight(kappa))}
+    support = {x: kappa for kappa in pbw for x in orbit(kappa)}
     result = {}
     for nu in _dominant_in_ball(rs, lam, k, N):
         # numerator coefficients by offset, gathered per PBW chamber
@@ -397,20 +406,74 @@ def _level_one_class(rs: RootSystem, lam: Weight) -> Weight:
 
 def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
     """Graded character of the local Weyl module with top V(lam), head at q^0,
-    truncated at q^N when N is given."""
+    truncated at q^N when N is given: the irreducible table of _local_weyl
+    spread over the weights of each V(lam')."""
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    out = _local_weyl(rs, lam)
+    terms: dict = {}
+    for mu, poly in _local_weyl(rs, lam).items():
+        for w, m in rs.freudenthal_weights(weight_from_ints(mu)).items():
+            terms[w] = terms[w] + poly * m if w in terms else poly * m
+    out = GradedCharacter(terms)
     return out if N is None else out.truncated(N)
 
 
+def _shifted_row(row: list, s: int) -> list:
+    """row moved s places up (s < 0: down), in a row of the same length; a
+    nonzero coefficient moved off either end raises."""
+    if s == 0:
+        return row
+    if any(row[:-s] if s < 0 else row[-s:]):
+        raise StructuralError("a Demazure string leaves the degree window of the module")
+    return row[-s:] + [0] * -s if s < 0 else [0] * s + row[:-s]
+
+
+def _string_rows(rs: RootSystem, i: int, rows: dict) -> dict:
+    """demazure_step for node i at level one, on rows {classical coeffs:
+    coefficients by q-degree}. A string's length depends only on the
+    classical weight, so a whole row moves along it at once; a step of the
+    alpha_0 string lowers the degree by one, so it shifts the row."""
+    if i == 0:
+        step, shift = rs.highest_root.coeffs, -1  # -alpha_0 = theta - delta
+        theta_rc = rs.highest_root_coords
+        top = 1 + rs.dual_coxeter - sum(theta_rc)
+    else:
+        step, shift = tuple(-c for c in rs.simple_roots[i - 1].coeffs), 0
+    back = tuple(-c for c in step)
+    out: dict = {}
+    for w, row in rows.items():
+        m = top - sum(map(mul, theta_rc, w)) if i == 0 else w[i - 1] + 1
+        if m >= 1:  # + row at w + j step for j = 0..m-1
+            op, move, js = add, step, range(m)
+        else:  # - row at w + j step for j = -1..m
+            op, move, js = sub, back, range(-1, m - 1, -1)
+            w = tuple(map(add, w, back))
+        for j in js:
+            src = _shifted_row(row, j * shift)
+            tgt = out.get(w)
+            if tgt is None:
+                out[w] = src if op is add else [-c for c in src]
+            else:
+                out[w] = list(map(op, tgt, src))
+            w = tuple(map(add, w, move))
+    return {w: row for w, row in out.items() if any(row)}
+
+
 @cache
-def _local_weyl(rs: RootSystem, lam: Weight) -> GradedCharacter:
-    """The untruncated char_local_weyl, as a level-one Demazure character:
-    apply divided differences along the chamber-ascent word from the extremal
-    weight t_{w_0 lam - class}(class + Lambda0) (class = level-one
-    representative of lam mod Q) up to class + Lambda0, then regrade so the
-    head sits at q-degree 0."""
+def _local_weyl(rs: RootSystem, lam: Weight) -> dict:
+    """The local Weyl character with top V(lam) in the irreducible basis,
+    {dominant coeffs: graded multiplicity}, head at q^0.
+
+    The module is the level-one Demazure module of the extremal weight
+    t_{w_0 lam - class}(class + Lambda0) (class = level-one representative of
+    lam mod Q), whose character is the divided differences along the
+    chamber-ascent word from that weight up to class + Lambda0, applied to
+    e^{class + Lambda0}. The character is W-invariant and D_{w0} D_i = D_{w0}
+    for finite i, so the finite prefix of the word, up to its first 0, is
+    replaced by D_{w0}. The affine part acts on dense q-rows (_string_rows);
+    then D_{w0} e^mu = +-ch V(dom(mu+rho) - rho), or 0 when mu+rho lies on a
+    wall (Weyl's character formula), with the sign of the ascent's parity.
+    The memo hands every caller the same dict: read it, never change it."""
     cls_w = _level_one_class(rs, lam)
     top = AffineWeight(cls_w, 1, 0)
     gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
@@ -418,29 +481,41 @@ def _local_weyl(rs: RootSystem, lam: Weight) -> GradedCharacter:
     reached, word = chamber_ascent(rs, target)
     if reached != top:
         raise StructuralError("ascent to the dominant extremal weight failed")
-    ch = AffineCharacter.monomial(top)
-    for i in reversed(word):
-        ch = demazure_step(rs, i, ch)
-    m_min = ch.min_degree()
-    if m_min != target.degree:
+    # index e of a row is q^e: the extremal weight's degree maps to q^0
+    rows = {cls_w.coeffs: [0] * -target.degree + [1]}
+    first_affine = word.index(0) if 0 in word else len(word)
+    for i in reversed(word[first_affine:]):
+        rows = _string_rows(rs, i, rows)
+    table: dict = {}
+    for mu, row in rows.items():
+        nu, ascent = rs.ascend(tuple([c + 1 for c in mu]))
+        if 0 in nu:
+            continue
+        lam_prime = tuple([c - 1 for c in nu])
+        tgt = table.get(lam_prime, [0] * len(row))
+        table[lam_prime] = list(map(sub if len(ascent) % 2 else add, tgt, row))
+    out = {mu: QPolynomial(dict(enumerate(row))) for mu, row in table.items() if any(row)}
+    if not any(p.coeff(0) for p in out.values()):
         raise StructuralError("Demazure character does not reach the extremal degree")
-    degrees: dict = {}  # coeffs -> {degree - m_min: coefficient}
-    for (coeffs, deg), c in ch.items():
-        degrees.setdefault(coeffs, {})[deg - m_min] = c
-    out = GradedCharacter(
-        {weight_from_ints(coeffs): QPolynomial(d) for coeffs, d in degrees.items()}
-    )
-    if out.coeff(lam) != QPolynomial.one():
+    if out.get(lam.coeffs) != QPolynomial.one():
         raise StructuralError("local Weyl head multiplicity is not 1")
     return out
 
 
+@cache
+def _freudenthal_dominant(rs: RootSystem, lam: tuple) -> dict:
+    """Dominant weight multiplicities of V(lam), {coeffs: multiplicity}, for a
+    dominant coefficient tuple lam."""
+    return {mu.coeffs: m for mu, m in rs.freudenthal_dominant(weight_from_ints(lam)).items()}
+
+
 # taken once: a rebound name (a tracer, say) still clears its memo
-_MEMOS = (_pbw_raw, char_integrable_dominant, _local_weyl)
+_MEMOS = (_pbw_raw, char_integrable_dominant, _local_weyl, _freudenthal_dominant)
 
 
 def clear_caches():
-    """Empty the in-process memos of this module (PBW, integrable, local Weyl)."""
+    """Empty the in-process memos of this module (PBW, integrable, local Weyl,
+    Freudenthal)."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -513,8 +588,9 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
 
     Only the dominant chamber is kept, as dense integer rows over the window
     q^lo..q^N, lo the least exponent of the input. The basis element at nu is
-    the dominant part of the local Weyl character times the Hilbert series of
-    nu, cut at q^(N-lo): a multiplicity term at q^e with e < 0 moves basis
+    the dominant part of the local Weyl character, read off its irreducible
+    table as sum_lam' c_lam'(q) mult_{V(lam')}(w), times the Hilbert series
+    of nu, cut at q^(N-lo): a multiplicity term at q^e with e < 0 moves basis
     terms up to that degree into the window."""
     if isinstance(char, GradedCharacter):
         if N is None:
@@ -543,15 +619,23 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
             raise StructuralError("vanishing extraction from a nonzero residual")
         nu_w = weight_from_ints(nu)
         mults[nu_w] = QPolynomial({e + lo: c for e, c in enumerate(m) if c})
+        local: dict = {}  # dominant coeffs -> local Weyl coefficients in the window
+        for lam_prime, p in _local_weyl(rs, nu_w).items():
+            for w, mult in _freudenthal_dominant(rs, lam_prime).items():
+                row = local.get(w)
+                if row is None:
+                    row = local[w] = [0] * width
+                for e, c in p.items():
+                    if e < width:
+                        row[e] += c * mult
         series = _hilbert_dense(nu, width - 1, True)
-        for w, p in char_local_weyl(rs, nu_w).terms.items():
-            if not rs.is_dominant(w):
-                continue
+        for w, row in local.items():
             basis = [0] * width  # local coefficient times the Hilbert series
-            for e, c in p.items():
-                for j in range(width - e):
-                    basis[e + j] += c * series[j]
-            tgt = residual.get(w.coeffs)
+            for e, c in enumerate(row):
+                if c:
+                    for j in range(width - e):
+                        basis[e + j] += c * series[j]
+            tgt = residual.get(w)
             if tgt is None:
                 tgt = [0] * width
             for i, mi in enumerate(m):
@@ -559,9 +643,9 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
                     for j in range(width - i):
                         tgt[i + j] -= mi * basis[j]
             if any(tgt):
-                residual[w.coeffs] = tgt
-            elif w.coeffs in residual:
-                del residual[w.coeffs]
+                residual[w] = tgt
+            elif w in residual:
+                del residual[w]
         if nu in residual:
             raise ExpansionError(f"expansion failed to clear weight {nu_w}")
     return Expansion(mults, N)

@@ -550,17 +550,19 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
+        """The cache schema; the stored tuples go to json as they are, which
+        writes a tuple as an array."""
         return {
             "format": CACHE_FORMAT,
             "n": self.n,
-            "heights": list(self.heights),
+            "heights": self.heights,
             "orientation": ENERGY_ORIENTATION,
-            "vertices": [[list(col) for col in v] for v in self.vertices],
-            "weights": [list(w.coeffs) for w in self.weights],
-            "eps": [list(e) for e in self.eps],
-            "phi": [list(p) for p in self.phi],
-            "f": {str(i): list(self.f_arrows[i]) for i in range(self.n + 1)},
-            "D": list(self.D),
+            "vertices": self.vertices,
+            "weights": [w.coeffs for w in self.weights],
+            "eps": self.eps,
+            "phi": self.phi,
+            "f": {str(i): self.f_arrows[i] for i in range(self.n + 1)},
+            "D": self.D,
         }
 
     @classmethod

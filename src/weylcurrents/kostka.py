@@ -15,10 +15,9 @@ from . import characters, crystals
 from .affine import cosets_up_to_shift, in_level_dominant, level_one_weights
 from .characters import (
     Expansion,
+    _local_weyl,
     char_integrable_dominant,
-    char_local_weyl,
     expand_in_global_weyl,
-    expand_in_irreducibles,
 )
 from .crystals import restricted_paths
 from .qseries import QPolynomial
@@ -119,7 +118,7 @@ def default_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
     region reaches mu, and q^N covers the top degree of the local Weyl module
     of mu, which bounds every graded multiplicity V(lam) has in it."""
     need = required_cutoff(rs, mu, lam, k)
-    top = max(p.max_exponent() for p in char_local_weyl(rs, mu).terms.values())
+    top = max(p.max_exponent() for p in _local_weyl(rs, mu).values())
     return max(need, top)
 
 
@@ -157,8 +156,7 @@ def kostka_characters_unrestricted(rs: RootSystem, mu: Weight, lam: Weight) -> Q
         raise ValueError("both weights must be dominant")
     if not rs.dominance_leq(lam, mu):
         return QPolynomial.zero()
-    table = expand_in_irreducibles(rs, char_local_weyl(rs, mu))
-    return table.get(lam, QPolynomial.zero())
+    return _local_weyl(rs, mu).get(lam.coeffs, QPolynomial.zero())
 
 
 def level_one_multiplicities(rs: RootSystem, w1: Weight, N: int) -> Expansion:

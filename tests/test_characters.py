@@ -1,8 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
-from weylcurrents.affine import AffineWeight, level_restricted_dominant
+from weylcurrents.affine import (
+    AffineWeight,
+    AffineWeylElement,
+    act_affine,
+    chamber_ascent,
+    level_one_weights,
+    level_restricted_dominant,
+)
 from weylcurrents.characters import (
     AffineCharacter,
     GradedCharacter,
@@ -18,7 +26,7 @@ from weylcurrents.characters import (
     hilbert_numerator,
     hilbert_series,
 )
-from weylcurrents.errors import ExpansionError
+from weylcurrents.errors import ExpansionError, StructuralError
 from weylcurrents.qseries import QPolynomial, geometric_series
 from weylcurrents.rootsystem import Weight, build_root_system
 from weylcurrents.verify import brute_force_induced_factor
@@ -242,15 +250,15 @@ def test_expansion_is_linear_on_differences():
 def test_expand_detects_inconsistency(monkeypatch):
     import weylcurrents.characters as chars
 
-    real = chars.char_local_weyl
+    real = chars._local_weyl
 
-    def corrupted(rs, lam, N=None):
-        ch = real(rs, lam, N)
-        bad = dict(ch.terms)
-        bad[lam] = bad[lam] + QPolynomial.monomial(1)
-        return GradedCharacter(bad, cutoff=ch.cutoff)
+    def corrupted(rs, lam):
+        bad = dict(real(rs, lam))
+        bad[lam.coeffs] = bad[lam.coeffs] + QPolynomial.monomial(1)
+        return bad
 
-    monkeypatch.setattr(chars, "char_local_weyl", corrupted)
+    # the irreducible table the expansion reads its basis from
+    monkeypatch.setattr(chars, "_local_weyl", corrupted)
     with pytest.raises(ExpansionError):
         chars.expand_in_global_weyl(A1, char_integrable(A1, Weight([0]), 1, 4))
 
@@ -403,3 +411,87 @@ def test_scaling_by_a_negative_power_lowers_the_cutoff():
     assert got.multiplicities == {Weight([3]): QPolynomial.monomial(-1)}
     assert got.trusted_degree == 5
     assert char_global_weyl(A1, Weight([3]), 6).scaled(q * q).cutoff == 6
+
+
+def test_truncating_never_raises_the_cutoff():
+    # a character known up to q^6 cut "at q^8" is still known only up to q^6;
+    # claiming q^8 made the expansion read the missing q^7, q^8 terms as zeros
+    gw = char_global_weyl(A1, Weight([3]), 6)
+    assert gw.truncated(8).cutoff == 6
+    assert gw.truncated(4).cutoff == 4
+    got = expand_in_global_weyl(A1, gw.truncated(8))
+    assert got.multiplicities == {Weight([3]): one}
+    assert got.trusted_degree == 6
+    assert GradedCharacter({Weight([0]): one}).truncated(3).cutoff == 3
+
+
+def test_product_with_a_negative_power_lowers_the_cutoff():
+    # as for scaled: each factor's cutoff drops by the other factor's least
+    # negative exponent
+    gw = char_global_weyl(A1, Weight([3]), 6)
+    shift = GradedCharacter({Weight([0]): QPolynomial.monomial(-1)})
+    for prod in (gw * shift, shift * gw):
+        assert prod.cutoff == 5
+        assert expand_in_global_weyl(A1, prod).multiplicities == {
+            Weight([3]): QPolynomial.monomial(-1)
+        }
+    assert (gw * GradedCharacter({Weight([0]): q})).cutoff == 6
+
+
+def full_word_local_weyl(rs, lam):
+    """The local Weyl character by demazure_step along the whole chamber-ascent
+    word, on the full affine character, expanded in irreducibles by the
+    triangular solve: {dominant coeffs: graded multiplicity}."""
+    cls_w = next(w for w in level_one_weights(rs) if rs.in_root_lattice(lam - w))
+    top = AffineWeight(cls_w, 1, 0)
+    gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
+    target = act_affine(rs, AffineWeylElement.translation_by(rs, gamma_rc), top)
+    reached, word = chamber_ascent(rs, target)
+    assert reached == top
+    ch = AffineCharacter.monomial(top)
+    for i in reversed(word):
+        ch = demazure_step(rs, i, ch)
+    assert ch.min_degree() == target.degree
+    degrees = {}
+    for (coeffs, deg), c in ch.items():
+        degrees.setdefault(Weight(coeffs), {})[deg - target.degree] = c
+    table = expand_in_irreducibles(rs, GradedCharacter(degrees))
+    return {w.coeffs: p for w, p in table.items()}
+
+
+def test_local_weyl_table_matches_the_full_word_strings():
+    import weylcurrents.characters as chars
+
+    A3, D4, E6 = (build_root_system(f, r) for f, r in (("A", 3), ("D", 4), ("E", 6)))
+
+    def box(rs, total):
+        return [
+            Weight(c)
+            for c in product(range(total + 1), repeat=rs.rank)
+            if 0 < sum(c) <= total
+        ]
+
+    cases = [(A1, Weight([m])) for m in range(11)]
+    cases += [(A2, w) for w in box(A2, 6)] + [(A3, w) for w in box(A3, 3)]
+    cases += [(D4, w) for w in box(D4, 2)]
+    cases += [(E6, E6.fundamental_weight(i)) for i in (1, 6, 2)]
+    cases.append((E6, E6.fundamental_weight(1) + E6.fundamental_weight(6)))
+    chars.clear_caches()
+    kernel = [chars._local_weyl(rs, lam) for rs, lam in cases]
+    chars.clear_caches()
+    for (rs, lam), got in zip(cases, kernel):
+        assert got == full_word_local_weyl(rs, lam), (rs, lam)
+
+
+def test_string_rows_raise_on_a_term_beyond_the_window():
+    import weylcurrents.characters as chars
+
+    # D_0 e^{Lambda0} = e^{Lambda0} + e^{Lambda0 - alpha0}, one degree lower:
+    # the row needs room below its entry
+    assert chars._string_rows(A1, 0, {(0,): [0, 1]}) == {(0,): [0, 1], (2,): [1, 0]}
+    with pytest.raises(StructuralError):
+        chars._string_rows(A1, 0, {(0,): [1]})
+    # the negative branch moves up in degree
+    assert chars._string_rows(A1, 0, {(3,): [1, 0]}) == {(1,): [0, -1]}
+    with pytest.raises(StructuralError):
+        chars._string_rows(A1, 0, {(3,): [1]})

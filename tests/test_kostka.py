@@ -1,3 +1,7 @@
+import math
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from weylcurrents.affine import level_restricted_dominant
@@ -203,6 +207,7 @@ def test_clear_caches_empties_every_route_memo():
         "_pbw_raw",
         "char_integrable_dominant",
         "_local_weyl",
+        "_freudenthal_dominant",
         "integrable_weyl_expansion",
         "_build_R",
         "_build_H",
@@ -216,3 +221,41 @@ def test_clear_caches_empties_every_route_memo():
     assert [m.__name__ for m in memos if m.cache_info().currsize] == []
     assert not crystals._GRAPH_CACHE
     assert kostka_by_route(A1, Weight([2]), Weight([0]), 1, "chars").value == q
+
+
+def test_level_one_e6_vacuum_is_monomials_on_the_full_support():
+    """E6, class 0, N = 4: the multiplicity of V(lam) is q^((lam,lam)/2) on
+    every dominant lam of the root lattice with (lam,lam)/2 <= 4, and there is
+    nothing else. The form comes from an E6 Cartan matrix inverted here."""
+    N = 4
+    edges = ((1, 3), (3, 4), (4, 5), (5, 6), (2, 4))  # Bourbaki: node 2 hangs off node 4
+    cartan = [[2 * (i == j) for j in range(6)] for i in range(6)]
+    for a, b in edges:
+        cartan[a - 1][b - 1] = cartan[b - 1][a - 1] = -1
+    rows = [
+        [Fraction(x) for x in r] + [Fraction(i == j) for j in range(6)]
+        for i, r in enumerate(cartan)
+    ]
+    for c in range(6):
+        p = next(r for r in range(c, 6) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(6):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    inv = [r[6:] for r in rows]
+    # the inverse is positive, so (lam, lam) >= lam_i^2 inv[i][i] on dominant lam
+    top = math.isqrt(int(2 * N / min(inv[i][i] for i in range(6))))
+    expected = {}
+    for lam in product(range(top + 1), repeat=6):
+        root_coords = [sum(x * y for x, y in zip(row, lam)) for row in inv]
+        if any(c.denominator != 1 for c in root_coords):
+            continue
+        expo = sum(x * y for x, y in zip(lam, root_coords)) / 2
+        if expo <= N:
+            expected[lam] = QPolynomial.monomial(int(expo))
+    assert len(expected) > 3
+    E6 = build_root_system("E", 6)
+    got = level_one_multiplicities(E6, E6.zero(), N)
+    assert {w.coeffs: p for w, p in got.multiplicities.items()} == expected
+    assert got.trusted_degree == N
