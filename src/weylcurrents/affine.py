@@ -14,14 +14,12 @@ Conventions, fixed once and validated by tests:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iproduct
+from operator import mul
 
 from .errors import StructuralError
-from .rootsystem import RootSystem, Weight
+from .rootsystem import RootSystem, Weight, weight_from_ints
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,8 @@ def affine_root(rs: RootSystem, i: int) -> AffineWeight:
 def af_pairing(rs: RootSystem, i: int, w: AffineWeight) -> int:
     """<alpha_i^vee, w> for i in {0, 1, ..., rank}."""
     if i == 0:
-        v = w.level - rs.inner(rs.highest_root, w.classical)
-        return int(v)
+        # (theta, lam) = sum_j rc_j(theta) <alpha_j^vee, lam>
+        return w.level - sum(map(mul, rs.highest_root_coords, w.classical.coeffs))
     return w.classical.coeffs[i - 1]
 
 
@@ -349,20 +347,6 @@ def dominant_dot_rep(rs: RootSystem, lam, k: int) -> DotRepresentative:
     return DotRepresentative(False, g, res.classical, res.degree, -1 if len(word) % 2 else 1)
 
 
-def root_lattice_ball(rs: RootSystem, max_norm2):
-    """All gamma in Q (root coordinates) with (gamma,gamma) <= max_norm2."""
-    if max_norm2 < 0:
-        return
-    n = rs.rank
-    bounds = []
-    for i in range(n):
-        b2 = Fraction(max_norm2) * rs.inverse_cartan[i][i]
-        bounds.append(math.isqrt(int(b2)) + 1)
-    for rc in _iproduct(*(range(-b, b + 1) for b in bounds)):
-        if rc_norm2(rs, rc) <= max_norm2:
-            yield rc
-
-
 @dataclass(frozen=True)
 class CosetRepresentative:
     """Minimal-length representative of a W\\W_af coset together with its dot image."""
@@ -375,10 +359,15 @@ class CosetRepresentative:
 
 def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
     """All minimal-length right-coset representatives whose dot image lies within
-    degree offset N of lam; complete and duplicate-free (quadratic-growth sweep).
+    degree offset N of lam; complete and duplicate-free (alcove sweep).
 
-    Cosets W.t_gamma are indexed by gamma in Q; the offset is
-    (lam+rho, gamma) + (k+h^vee)(gamma,gamma)/2.
+    With L = k + h^vee, the coset W.t_gamma sends lam + rho + L Lambda0 to
+    (nu, L, -offset), nu the dominant representative of lam + rho + L gamma,
+    and the form gives offset = ((nu, nu) - (lam+rho, lam+rho)) / 2L. W x LQ
+    acts simply transitively on the level-L alcoves and lam + rho lies in the
+    open fundamental one, so the images are exactly the regular dominant nu of
+    that norm ball whose chamber ascent at level L reaches lam + rho + L Lambda0,
+    and the ascent word spells the unique element.
     """
     if k < 1:
         raise ValueError("level k must be >= 1")
@@ -388,37 +377,22 @@ def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
         return []
     L = k + rs.dual_coxeter
     lam_rho = lam + rs.rho
-    # |(lam+rho, gamma)| <= |lam+rho| |gamma| turns offset <= N into |gamma| <= r
-    # with r = (sqrt(a) + sqrt(a + 2LN)) / L, a = (lam+rho, lam+rho) = A / det;
-    # r^2 <= (2a + 2LN + 2 ceil(sqrt(a (a + 2LN)))) / L^2, all in integers
-    det = rs.det
+    top = AffineWeight(lam_rho, L, 0)
     A = rs.scaled_inner(lam_rho.coeffs, lam_rho.coeffs)
-    root = -(-(math.isqrt(A * (A + 2 * L * N * det) - 1) + 1) // det)
-    max_norm2 = (2 * A + 2 * L * N * det + 2 * root * det) // (L * L * det)
+    step = 2 * L * rs.det  # det(C) (nu, nu) per unit of offset
     out = []
-    seen_images = set()
-    for rc in root_lattice_ball(rs, max_norm2):
-        gamma = rs.from_root_coords(rc)
-        offset = int(rs.inner(lam_rho, gamma)) + (L * rc_norm2(rs, rc)) // 2
-        if offset < 0:
-            raise StructuralError("negative coset offset: convention violation")
-        if offset > N:
+    for nu in rs.dominant_in_ball(lam_rho.coeffs, A + N * step, low=1):
+        offset, rem = divmod(rs.scaled_inner(nu, nu) - A, step)
+        if rem:
             continue
-        t = AffineWeylElement.translation_by(rs, rc)
-        x = act_affine(rs, t, AffineWeight(lam_rho, L, 0))
-        dom, word = rs.to_dominant(x.classical)
-        if any(c == 0 for c in dom.coeffs):
-            raise StructuralError("shifted coset image is singular")
-        g = compose(rs, element_from_word(rs, reversed(word)), t)
-        image = AffineWeight(dom - rs.rho, 0, x.degree)
-        if -x.degree != offset:
-            raise StructuralError("offset/degree bookkeeping mismatch")
-        key = (image.classical.coeffs, image.degree)
-        if key in seen_images:
-            raise StructuralError("duplicate coset image")
-        seen_images.add(key)
-        # translations have even length, so the sign is det(w) = (-1)^len(word)
-        out.append(CosetRepresentative(g, image, offset, -1 if len(word) % 2 else 1))
+        nu = weight_from_ints(nu)
+        reached, word = chamber_ascent(rs, AffineWeight(nu, L, -offset))
+        if reached != top:
+            continue
+        # the ascent word spells g, so the sign is (-1)^len(word)
+        image = AffineWeight(nu - rs.rho, 0, -offset)
+        sign = -1 if len(word) % 2 else 1
+        out.append(CosetRepresentative(element_from_word(rs, word), image, offset, sign))
     out.sort(key=lambda c: (c.offset, c.image.classical.coeffs))
     return out
 

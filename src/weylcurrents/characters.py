@@ -170,10 +170,24 @@ def _pbw_raw(rs: RootSystem, N: int):
     by_degree = [[] for _ in range(N + 1)]
     for kappa in rs.dominant_weights_below(N * rs.highest_root):
         by_degree[first_degree(kappa.coeffs)].append(kappa.coeffs)
+    support = {kappa for layer in by_degree for kappa in layer}
     sigma = [0] + [sum(n for n in range(1, j + 1) if j % n == 0) for j in range(1, N + 1)]
     zero = rs.zero().coeffs
     table = {zero: [1] + [0] * N}
     dominant = {}  # weight -> dominant representative, for this call only
+    images = {}  # (kappa, m) -> {dom(kappa - m alpha) in the support: number of roots alpha}
+
+    def root_images(kappa, m):
+        out = images[kappa, m] = {}  # filled once, read at every later degree
+        for alpha in roots:
+            x = tuple([c - m * a for c, a in zip(kappa, alpha)])
+            y = dominant.get(x)
+            if y is None:
+                y = dominant[x] = rs.ascend(x)[0]
+            if y in support:
+                out[y] = out.get(y, 0) + 1
+        return out
+
     active = by_degree[0]
     for d in range(1, N + 1):
         active += sorted(by_degree[d])
@@ -182,14 +196,13 @@ def _pbw_raw(rs: RootSystem, N: int):
             total = rs.rank * sum(sigma[j] * own[d - j] for j in range(1, d + 1)) if own else 0
             for m in range(1, d + 1):
                 steps = range(1, d // m + 1)
-                for alpha in roots:
-                    x = tuple([c - m * a for c, a in zip(kappa, alpha)])
-                    y = dominant.get(x)
-                    if y is None:
-                        y = dominant[x] = rs.ascend(x)[0]
+                image = images.get((kappa, m))
+                if image is None:
+                    image = root_images(kappa, m)
+                for y, count in image.items():
                     series = table.get(y)
                     if series is not None:
-                        total += sum(n * series[d - m * n] for n in steps)
+                        total += count * sum(n * series[d - m * n] for n in steps)
             value, rem = divmod(total, d)
             if rem:
                 raise StructuralError(f"PBW recursion: degree {d} at {kappa} is not integral")
@@ -218,33 +231,37 @@ def _dominant_in_ball(rs: RootSystem, lam: Weight, k: int, N: int):
     """Dominant nu in lam + Q with (nu, nu) <= (lam, lam) + 2kN, as coefficient
     tuples in lexicographic order: the only nu at which ch L_k(lam) can be
     nonzero up to q^N, since a weight nu + k Lambda0 - d delta of L_k(lam) has
-    norm (nu, nu) - 2kd <= (lam, lam) (Kac, Prop. 11.4).
+    norm (nu, nu) - 2kd <= (lam, lam) (Kac, Prop. 11.4). Enumerated in
+    det(C)-scaled integers by `RootSystem.dominant_in_ball`."""
+    bound = rs.scaled_inner(lam.coeffs, lam.coeffs) + 2 * k * N * rs.det
+    return rs.dominant_in_ball(lam.coeffs, bound)
 
-    Computed in det(C)-scaled integers. The form det(C) C^{-1} has positive
-    entries, so raising a coordinate of a dominant weight raises its norm and
-    a partial weight past the bound prunes all of its completions."""
-    form, det, n = rs.form, rs.det, rs.rank
-    lam_rc = rs.scaled_root_coords(lam.coeffs)
-    bound = sum(map(mul, lam.coeffs, lam_rc)) + 2 * k * N * det
-    out = []
-    coords = [0] * n
 
-    def rec(i, rc, norm):
-        # rc = det(C) * root coordinates of coords, norm = det(C) * (coords, coords)
-        if i == n:
-            if all((a - b) % det == 0 for a, b in zip(rc, lam_rc)):
-                out.append(tuple(coords))
-            return
-        row = form[i]
-        while norm <= bound:
-            rec(i + 1, rc, norm)
-            norm += 2 * rc[i] + row[i]
-            rc = tuple(map(add, rc, row))
-            coords[i] += 1
-        coords[i] = 0
+@cache
+def _parabolic_order(rs: RootSystem, nodes: tuple) -> int:
+    """|W_K| for the parabolic subgroup W_K generated by the s_i with i in
+    nodes (0-based): the product of (ht alpha + 1) / ht alpha over the positive
+    roots supported on those nodes (Macdonald 1972)."""
+    num = den = 1
+    for rc in rs.positive_root_coords:
+        if all(c == 0 or i in nodes for i, c in enumerate(rc)):
+            h = sum(rc)
+            num *= h + 1
+            den *= h
+    order, rem = divmod(num, den)
+    if rem:
+        raise StructuralError(f"parabolic subgroup order at {nodes} is not an integer")
+    return order
 
-    rec(0, (0,) * n, 0)
-    return out
+
+def _orbit_size(rs: RootSystem, coeffs: tuple, nodes=None) -> int:
+    """|W_K coeffs| for a coefficient tuple dominant on the nodes K (all nodes
+    when None, so W_K = W): |W_K| / |W_J|, J the nodes of K where coeffs
+    vanishes, since the stabiliser is the parabolic subgroup W_J."""
+    if nodes is None:
+        nodes = tuple(range(rs.rank))
+    wall = tuple(i for i in nodes if coeffs[i] == 0)
+    return _parabolic_order(rs, nodes) // _parabolic_order(rs, wall)
 
 
 @cache
@@ -253,45 +270,55 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
 
     Truncated Weyl-Kac sum: each coset representative contributes
     sign * q^offset * ch V(image) * (symmetric-algebra factor), evaluated
-    only at the dominant nu of the norm ball (see _dominant_in_ball). At a
-    dominant nu the sum is sum_w num[w] P[dom(nu - w)], with the factor P
-    stored on the dominant chamber only (see _pbw_raw)."""
+    only at the dominant nu of the norm ball (see _dominant_in_ball). The
+    numerator is kept on the dominant chamber, num[mu] for dominant mu, and
+    the factor P is stored there too (see _pbw_raw). P is W-invariant, so the
+    orbit summed over can be swapped:
+    sum_{x in W mu} P[dom(nu - x)] = |W mu| / |W nu| sum_{z in W nu} P[dom(z - mu)],
+    and only the short orbits of the ball weights are walked. The stabiliser
+    W_mu fixes P[dom(z - mu)] on each of its orbits in W nu, so z runs over
+    the element of each that is dominant on the nodes where mu vanishes,
+    weighted by the orbit's size."""
     if not in_level_dominant(rs, lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
-    orbits: dict = {}
-
-    def orbit(mu: tuple):
-        cached = orbits.get(mu)
-        if cached is None:
-            cached = orbits[mu] = [w.coeffs for w in rs.weyl_orbit(weight_from_ints(mu))]
-        return cached
-
-    numerator: dict = {}  # coeffs -> {offset: coefficient}
+    numerator: dict = {}  # dominant coeffs -> {offset: coefficient}
     for rep in cosets_up_to_shift(rs, lam, k, N):
         for mu, m in _freudenthal_dominant(rs, rep.image.classical.coeffs).items():
-            for w in orbit(mu):
-                tgt = numerator.setdefault(w, {})
-                tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
-    terms = []
-    for w, offsets in numerator.items():
-        offsets = [(off, m) for off, m in offsets.items() if m]
+            tgt = numerator.setdefault(mu, {})
+            tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
+    terms = []  # [(offset, |W mu| * coefficient)] for each numerator weight mu
+    by_wall: dict = {}  # nodes where mu vanishes -> [(index in terms, mu)]
+    for mu, offsets in numerator.items():
+        size = _orbit_size(rs, mu)
+        offsets = [(off, size * m) for off, m in offsets.items() if m]
         if offsets:
-            terms.append((w, offsets))
+            wall = tuple(i for i, c in enumerate(mu) if c == 0)
+            by_wall.setdefault(wall, []).append((len(terms), mu))
+            terms.append(offsets)
     pbw = _pbw_raw(rs, N)
-    # every weight of the PBW support -> its dominant representative
-    support = {x: kappa for kappa in pbw for x in orbit(kappa)}
+    dominant: dict = {}  # weight -> dominant representative, for this call only
     result = {}
     for nu in _dominant_in_ball(rs, lam, k, N):
+        orbit = rs.orbit_coeffs(nu)
+        hits: dict = {}  # (PBW chamber, index in terms) -> weighted count of z
+        for wall, members in by_wall.items():
+            reps = [(z, _orbit_size(rs, z, wall)) for z in orbit if all(z[i] >= 0 for i in wall)]
+            for t, mu in members:
+                for z, weight in reps:
+                    x = tuple(map(sub, z, mu))
+                    kappa = dominant.get(x)
+                    if kappa is None:
+                        kappa = dominant[x] = rs.ascend(x)[0]
+                    if kappa in pbw:
+                        hits[kappa, t] = hits.get((kappa, t), 0) + weight
         # numerator coefficients by offset, gathered per PBW chamber
         gathered: dict = {}
-        for w, offsets in terms:
-            kappa = support.get(tuple(map(sub, nu, w)))
-            if kappa is not None:
-                by_offset = gathered.get(kappa)
-                if by_offset is None:
-                    by_offset = gathered[kappa] = [0] * (N + 1)
-                for off, m in offsets:
-                    by_offset[off] += m
+        for (kappa, t), count in hits.items():
+            by_offset = gathered.get(kappa)
+            if by_offset is None:
+                by_offset = gathered[kappa] = [0] * (N + 1)
+            for off, m in terms[t]:
+                by_offset[off] += count * m
         acc = [0] * (N + 1)
         for kappa, by_offset in gathered.items():
             series = pbw[kappa]
@@ -299,7 +326,13 @@ def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
                 if m:
                     for e in range(N + 1 - off):
                         acc[e + off] += m * series[e]
-        poly = QPolynomial(dict(enumerate(acc)))
+        row = []
+        for c in acc:
+            c, rem = divmod(c, len(orbit))
+            if rem:
+                raise StructuralError(f"ball sum at {nu} is not divisible by its orbit size")
+            row.append(c)
+        poly = QPolynomial(dict(enumerate(row)))
         if poly:
             result[weight_from_ints(nu)] = poly
     return result
@@ -337,11 +370,6 @@ class AffineCharacter:
             isinstance(other, AffineCharacter)
             and self.level == other.level
             and self.terms == other.terms
-        )
-
-    def restrict_degree(self, floor: int):
-        return AffineCharacter(
-            self.level, {k: c for k, c in self.terms.items() if k[1] >= floor}
         )
 
     def min_degree(self):
@@ -510,12 +538,12 @@ def _freudenthal_dominant(rs: RootSystem, lam: tuple) -> dict:
 
 
 # taken once: a rebound name (a tracer, say) still clears its memo
-_MEMOS = (_pbw_raw, char_integrable_dominant, _local_weyl, _freudenthal_dominant)
+_MEMOS = (_pbw_raw, char_integrable_dominant, _local_weyl, _freudenthal_dominant, _parabolic_order)
 
 
 def clear_caches():
     """Empty the in-process memos of this module (PBW, integrable, local Weyl,
-    Freudenthal)."""
+    Freudenthal, parabolic subgroup orders)."""
     for memo in _MEMOS:
         memo.cache_clear()
 

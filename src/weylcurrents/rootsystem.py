@@ -159,6 +159,10 @@ class RootSystem:
         self.inverse_cartan = tuple(
             tuple(Fraction(x, self.det) for x in row) for row in self.form
         )
+        # simply laced: C[i][j] = -1 exactly for the Dynkin neighbours j of i
+        self.neighbours = tuple(
+            tuple(j for j in range(rank) if j != i and self.cartan[i][j]) for i in range(rank)
+        )
         # alpha_i in fundamental-weight coordinates is row i of the Cartan matrix
         self.simple_roots = tuple(Weight(self.cartan[i]) for i in range(rank))
         self.rho = Weight([1] * rank)
@@ -292,11 +296,15 @@ class RootSystem:
         the greedy ascent that reflects at the first negative coordinate."""
         cur = coeffs
         word = []
-        C = self.cartan
         while True:
             for i, c in enumerate(cur):
                 if c < 0:
-                    cur = tuple([x - c * r for x, r in zip(cur, C[i])])
+                    # s_i: coordinate i to -c, each Dynkin neighbour + c
+                    cur = list(cur)
+                    cur[i] = -c
+                    for j in self.neighbours[i]:
+                        cur[j] += c
+                    cur = tuple(cur)
                     word.append(i + 1)
                     break
             else:
@@ -305,24 +313,66 @@ class RootSystem:
     def dominant_representative(self, lam: Weight) -> Weight:
         return self.to_dominant(lam)[0]
 
-    def weyl_orbit(self, lam: Weight):
-        """Full W-orbit as a set of Weights."""
-        C = self.cartan
-        seen = {lam.coeffs}
-        order = [lam.coeffs]
-        frontier = order[:]
+    def orbit_coeffs(self, coeffs):
+        """Full W-orbit of a coefficient tuple, as a list of tuples in
+        breadth-first order down from the dominant representative: every
+        orbit element is reached by reflections s_i at positive coordinates,
+        and s_i moves only coordinate i (to -c) and its Dynkin neighbours (+c)."""
+        top = self.ascend(coeffs)[0]
+        seen = {top}
+        order = [top]
+        frontier = [top]
         while frontier:
             nxt = []
             for w in frontier:
                 for i, c in enumerate(w):
-                    if c:
-                        r = tuple([x - c * y for x, y in zip(w, C[i])])
+                    if c > 0:
+                        r = list(w)
+                        r[i] = -c
+                        for j in self.neighbours[i]:
+                            r[j] += c
+                        r = tuple(r)
                         if r not in seen:
                             seen.add(r)
                             nxt.append(r)
             order += nxt
             frontier = nxt
-        return {weight_from_ints(w) for w in order}
+        return order
+
+    def weyl_orbit(self, lam: Weight):
+        """Full W-orbit as a set of Weights."""
+        return {weight_from_ints(w) for w in self.orbit_coeffs(lam.coeffs)}
+
+    def dominant_in_ball(self, coset, bound: int, low: int = 0):
+        """Dominant coefficient tuples nu with every coordinate >= low, nu -
+        coset in the root lattice and det(C) (nu, nu) <= bound, in
+        lexicographic order.
+
+        The form det(C) C^{-1} has positive entries, so on the dominant chamber
+        raising a coordinate raises the norm, and a partial weight (its later
+        coordinates at low) past the bound prunes all of its completions."""
+        form, det, n = self.form, self.det, self.rank
+        target = self.scaled_root_coords(coset)
+        start = (low,) * n
+        out = []
+        coords = list(start)
+
+        def rec(i, rc, norm):
+            # rc = det(C) * root coordinates of coords, norm = det(C) * (coords, coords)
+            if i == n:
+                if all((a - b) % det == 0 for a, b in zip(rc, target)):
+                    out.append(tuple(coords))
+                return
+            row = form[i]
+            while norm <= bound:
+                rec(i + 1, rc, norm)
+                norm += 2 * rc[i] + row[i]
+                rc = tuple(map(add, rc, row))
+                coords[i] += 1
+            coords[i] = low
+
+        rec(0, self.scaled_root_coords(start), self.scaled_inner(start, start))
+        return out
 
     def longest_element_image(self, lam: Weight) -> Weight:
         """w_0(lam), computed through the antidominant representative."""

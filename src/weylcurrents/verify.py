@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as _iproduct
 
 from .affine import (
@@ -26,7 +27,6 @@ from .affine import (
     level_restricted_dominant,
     reduced_word,
     element_from_word,
-    root_lattice_ball,
     rc_norm2,
     simple_element,
 )
@@ -150,6 +150,21 @@ def brute_force_induced_factor(rs, N: int):
     for (w, d), c in acc.items():
         out.setdefault(Weight(w), {})[d] = c
     return GradedCharacter({w: QPolynomial(p) for w, p in out.items()}, cutoff=N)
+
+
+def root_lattice_ball(rs, max_norm2):
+    """All gamma in Q (root coordinates) with (gamma,gamma) <= max_norm2, by a
+    box sweep."""
+    if max_norm2 < 0:
+        return
+    n = rs.rank
+    bounds = []
+    for i in range(n):
+        b2 = Fraction(max_norm2) * rs.inverse_cartan[i][i]
+        bounds.append(math.isqrt(int(b2)) + 1)
+    for rc in _iproduct(*(range(-b, b + 1) for b in bounds)):
+        if rc_norm2(rs, rc) <= max_norm2:
+            yield rc
 
 
 def frenkel_kac_character(rs, class_weight: Weight, N: int) -> GradedCharacter:
@@ -392,10 +407,16 @@ def suite_level_one(types=None, include_d4=None, N=10, **_):
                 ok = False
                 detail = f"lam={lam.coeffs}: {poly} != q^{expo}"
                 break
-        bound = 2 * N + int(base)
-        for rc in root_lattice_ball(rs, 4 * bound):
-            lam = w + rs.from_root_coords(rc)
-            if rs.is_dominant(lam):
+        # a dominant lam has (lam, lam) >= c_i^2 (w_i, w_i) for each coordinate
+        # c_i, since C^{-1} > 0, so the window 0 <= expo <= N lies in this box
+        bound = 2 * N + base
+        box = [
+            range(math.isqrt(int(bound / rs.inner(om, om))) + 1)
+            for om in map(rs.fundamental_weight, range(1, rs.rank + 1))
+        ]
+        for coeffs in _iproduct(*box):
+            lam = Weight(coeffs)
+            if rs.in_root_lattice(lam - w):
                 expo = (rs.inner(lam, lam) - base) / 2
                 if 0 <= expo <= N:
                     expected_support.add(lam)

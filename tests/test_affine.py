@@ -233,6 +233,46 @@ def test_cosets_match_a_brute_force_sweep():
         assert got == want
 
 
+def gamma_box_cosets(rs, lam, k, N):
+    """The coset sweep over a box of the root lattice: every gamma of offset
+    (lam+rho, gamma) + L (gamma, gamma)/2 <= N, pushed to the dominant chamber
+    with the finite word applied after t_gamma."""
+    L = k + rs.dual_coxeter
+    lam_rho = lam + rs.rho
+    # |(lam+rho, gamma)| <= |lam+rho| |gamma| bounds (gamma, gamma) by r2
+    a = float(rs.norm2(lam_rho))
+    r2 = int(((a**0.5 + (a + 2 * L * N) ** 0.5) / L) ** 2 + 1e-9)
+    box = [int((r2 * rs.inverse_cartan[i][i]) ** 0.5) + 1 for i in range(rs.rank)]
+    edges = [(i, j) for i in range(rs.rank) for j in range(i) if rs.cartan[i][j]]
+    out = []
+    for rc in product(*(range(-b, b + 1) for b in box)):
+        if 2 * sum(c * c for c in rc) - 2 * sum(rc[i] * rc[j] for i, j in edges) > r2:
+            continue
+        gamma = rs.from_root_coords(rc)
+        offset = rs.inner(lam_rho, gamma) + L * rs.norm2(gamma) / 2
+        if offset > N:
+            continue
+        t = AffineWeylElement.translation_by(rs, rc)
+        x = act_affine(rs, t, AffineWeight(lam_rho, L, 0))
+        dom, word = rs.to_dominant(x.classical)
+        g = compose(rs, element_from_word(rs, reversed(word)), t)
+        image = AffineWeight(dom - rs.rho, 0, x.degree)
+        out.append((g, image, int(offset), -1 if len(word) % 2 else 1))
+    out.sort(key=lambda c: (c[2], c[1].classical.coeffs))
+    return out
+
+
+def test_alcove_sweep_matches_the_gamma_box_sweep():
+    cases = [(rs, k, N) for rs, N in ((A1, 12), (A2, 8), (A3, 5)) for k in (1, 2)]
+    cases += [(D4, 1, 7), (D4, 2, 3)]
+    instances = [(rs, lam, k, N) for rs, k, N in cases for lam in level_restricted_dominant(rs, k)]
+    e6 = build_root_system("E", 6)
+    instances.append((e6, e6.zero(), 1, 4))
+    for inst in instances:
+        got = [(r.element, r.image, r.offset, r.sign) for r in cosets_up_to_shift(*inst)]
+        assert got == gamma_box_cosets(*inst), inst
+
+
 def test_cosets_examples():
     reps = cosets_up_to_shift(A1, Weight([0]), 1, 2)
     assert [(r.offset, r.image.classical.coeffs) for r in reps] == [(0, (0,)), (2, (4,))]

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -8,6 +9,7 @@ from weylcurrents.affine import (
     AffineWeylElement,
     act_affine,
     chamber_ascent,
+    cosets_up_to_shift,
     level_one_weights,
     level_restricted_dominant,
 )
@@ -333,6 +335,102 @@ def test_kac_ball_keeps_every_nonzero_weight(monkeypatch):
     assert len(rho_shifted_ball(d4, w1, 1, 7)) == 86
     monkeypatch.undo()
     assert len(chars._dominant_in_ball(d4, w1, 1, 7)) == 13
+
+
+@functools.cache
+def full_orbit_support(rs, N):
+    """Every weight of the PBW support mapped to its dominant representative."""
+    import weylcurrents.characters as chars
+
+    pbw = chars._pbw_raw(rs, N)
+    return {w.coeffs: kappa for kappa in pbw for w in rs.weyl_orbit(Weight(kappa))}
+
+
+def full_orbit_integrable(rs, lam, k, N):
+    """The integrable sum over full Weyl orbits: the numerator spread over the
+    orbit of each dominant weight, read through the full PBW support."""
+    import weylcurrents.characters as chars
+
+    numerator = {}
+    for rep in cosets_up_to_shift(rs, lam, k, N):
+        for mu, m in chars._freudenthal_dominant(rs, rep.image.classical.coeffs).items():
+            for w in rs.weyl_orbit(Weight(mu)):
+                tgt = numerator.setdefault(w.coeffs, {})
+                tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
+    pbw = chars._pbw_raw(rs, N)
+    support = full_orbit_support(rs, N)
+    result = {}
+    for nu in chars._dominant_in_ball(rs, lam, k, N):
+        gathered = {}  # PBW chamber -> numerator coefficients by offset
+        for w, offsets in numerator.items():
+            kappa = support.get(tuple(a - b for a, b in zip(nu, w)))
+            if kappa is not None:
+                by_offset = gathered.setdefault(kappa, [0] * (N + 1))
+                for off, m in offsets.items():
+                    by_offset[off] += m
+        acc = [0] * (N + 1)
+        for kappa, by_offset in gathered.items():
+            for off, m in enumerate(by_offset):
+                for e in range(N + 1 - off):
+                    acc[e + off] += m * pbw[kappa][e]
+        poly = QPolynomial(dict(enumerate(acc)))
+        if poly:
+            result[Weight(nu)] = poly
+    return result
+
+
+def test_ball_sum_matches_the_full_orbit_loop():
+    import weylcurrents.characters as chars
+
+    d4 = build_root_system("D", 4)
+    instances = [
+        (rs, lam, k, N)
+        for rs, k_max, N in ((A1, 3, 12), (A2, 2, 8))
+        for k in range(1, k_max + 1)
+        for lam in level_restricted_dominant(rs, k)
+    ]
+    instances += [(d4, lam, 1, 7) for lam in level_one_weights(d4)]
+    chars.clear_caches()
+    kernel = [list(chars.char_integrable_dominant(*inst).items()) for inst in instances]
+    # the reference reads the same PBW and Freudenthal tables, not the ball sum
+    reference = [list(full_orbit_integrable(*inst).items()) for inst in instances]
+    chars.clear_caches()
+    assert kernel == reference
+
+
+def test_orbit_size_is_the_length_of_the_orbit():
+    import weylcurrents.characters as chars
+
+    cases = [(build_root_system("A", n), 2) for n in range(1, 5)]
+    cases += [(build_root_system("D", 4), 2), (build_root_system("E", 6), 1)]
+    for rs, top in cases:
+        for mu in product(range(top + 1), repeat=rs.rank):
+            assert chars._orbit_size(rs, mu) == len(rs.weyl_orbit(Weight(mu))), (rs, mu)
+
+
+def test_parabolic_orbit_size_is_the_length_of_the_parabolic_orbit():
+    import weylcurrents.characters as chars
+
+    def parabolic_orbit(rs, z, nodes):
+        seen, frontier = {z}, [z]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for i in nodes:
+                    r = tuple(x - w[i] * c for x, c in zip(w, rs.cartan[i]))
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+            frontier = nxt
+        return seen
+
+    for rs in (A2, build_root_system("A", 3), build_root_system("D", 4)):
+        for mask in product((False, True), repeat=rs.rank):
+            nodes = tuple(i for i in range(rs.rank) if mask[i])
+            for z in product(range(-1, 2), repeat=rs.rank):
+                if all(z[i] >= 0 for i in nodes):
+                    size = len(parabolic_orbit(rs, z, nodes))
+                    assert chars._orbit_size(rs, z, nodes) == size, (rs, z, nodes)
 
 
 def orbit_expansion(rs, char, N=None):

@@ -208,6 +208,7 @@ def test_clear_caches_empties_every_route_memo():
         "char_integrable_dominant",
         "_local_weyl",
         "_freudenthal_dominant",
+        "_parabolic_order",
         "integrable_weyl_expansion",
         "_build_R",
         "_build_H",

@@ -97,3 +97,14 @@ def test_demazure_limit_fails_fast_on_starved_margin():
     assert demazure_limit_character(A1, Weight([0]), 1, 6, margin=8) == char_integrable(
         A1, Weight([0]), 1, 6
     )
+
+
+def test_level_one_suite_covers_e6():
+    # the support oracle walks the dominant box, so E6 finishes at N = 4
+    results = run_suite("level-one", types=("E6",), N=4)
+    assert [r.name.split(" (")[0] for r in results] == [
+        "E6 class=(0, 0, 0, 0, 0, 0)",
+        "E6 class=(0, 0, 0, 0, 0, 1)",
+        "E6 class=(1, 0, 0, 0, 0, 0)",
+    ]
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
