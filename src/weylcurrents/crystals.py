@@ -13,9 +13,9 @@ import json
 import os
 import tempfile
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from math import comb, prod
-from operator import eq, mul, sub
+from operator import itemgetter, mul, sub
 
 from .errors import StructuralError
 from .qseries import QPolynomial
@@ -140,40 +140,11 @@ def _zero_action_side(n: int, b2) -> str:
 # -- combinatorial R and local energy (memoized per (n, r, s)) -------------
 
 
-def _pair_components(n: int, pairs):
-    """Classical components of a set of two-factor elements; returns
-    (component id per pair, highest pair per component)."""
-    index = {b: t for t, b in enumerate(pairs)}
-    comp = [-1] * len(pairs)
-    highest = {}
-    cid = 0
-    for t, b in enumerate(pairs):
-        if comp[t] >= 0:
-            continue
-        stack, members = [t], [t]
-        comp[t] = cid
-        while stack:
-            u = stack.pop()
-            bu = pairs[u]
-            for i in range(1, n + 1):
-                for d in ("e", "f"):
-                    img = apply_op(n, d, i, bu)
-                    if img is not None:
-                        v = index[img]
-                        if comp[v] < 0:
-                            comp[v] = cid
-                            stack.append(v)
-                            members.append(v)
-        tops = [
-            v
-            for v in members
-            if all(tensor_stats(n, pairs[v])[1][i] == 0 for i in range(1, n + 1))
-        ]
-        if len(tops) != 1:
-            raise StructuralError("classical component without a unique highest element")
-        highest[cid] = pairs[tops[0]]
-        cid += 1
-    return comp, highest
+def _pair_highest(n: int, r: int, s: int):
+    """The classical-highest elements of B^{r,1} x B^{s,1}."""
+    vertices, _, eps, _, f_arrows, _ = _fold(n, (r, s), energy=False)
+    component = _classical_components(n, f_arrows, _e_arrows(f_arrows))
+    return [vertices[t] for t in _component_tops(eps, component).values()]
 
 
 def combinatorial_R(n: int, pair):
@@ -189,18 +160,14 @@ def combinatorial_R(n: int, pair):
 
 @cache
 def _build_R(n: int, r: int, s: int):
-    src = [(x, y) for x in column_vertices(n, r) for y in column_vertices(n, s)]
-    dst = [(y, x) for y in column_vertices(n, s) for x in column_vertices(n, r)]
-    _, high_src = _pair_components(n, src)
-    _, high_dst = _pair_components(n, dst)
     by_weight = {}
-    for h in high_dst.values():
+    for h in _pair_highest(n, s, r):
         w = tensor_weight(n, h).coeffs
         if w in by_weight:
             raise StructuralError("classical decomposition is not multiplicity-free")
         by_weight[w] = h
     mapping = {}
-    for h in high_src.values():
+    for h in _pair_highest(n, r, s):
         w = tensor_weight(n, h).coeffs
         if w not in by_weight:
             raise StructuralError("no weight-matched component for the R isomorphism")
@@ -216,7 +183,7 @@ def _build_R(n: int, r: int, s: int):
                         raise StructuralError("R propagation lost a lowering arrow")
                     mapping[img] = tgt
                     stack.append(img)
-    if len(mapping) != len(src):
+    if len(mapping) != comb(n + 1, r) * comb(n + 1, s):
         raise StructuralError("R isomorphism does not cover the crystal")
     return mapping
 
@@ -385,7 +352,49 @@ def _fold(n: int, heights, energy: bool):
 # -- sealed crystal graphs -------------------------------------------------
 
 CACHE_ENV = "WEYLCURRENTS_CACHE"
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2  # the disk cache document
+EXPORT_FORMAT = 1  # the `export --format json` document
+
+
+def _e_arrows(f_arrows):
+    """e_i as tables: the source of the f_i arrow into each vertex, else -1."""
+    V = range(len(f_arrows[0]))
+    return [list(map(dict(zip(row, V)).get, V, repeat(-1))) for row in f_arrows]
+
+
+def _classical_components(n: int, f_arrows, e_arrows):
+    """Component id per vertex under the classical arrows (i >= 1)."""
+    V = len(f_arrows[0])
+    comp = [-1] * V
+    cid = 0
+    for t in range(V):
+        if comp[t] >= 0:
+            continue
+        stack = [t]
+        comp[t] = cid
+        while stack:
+            u = stack.pop()
+            for i in range(1, n + 1):
+                for nb in (f_arrows[i][u], e_arrows[i][u]):
+                    if nb >= 0 and comp[nb] < 0:
+                        comp[nb] = cid
+                        stack.append(nb)
+        cid += 1
+    return comp
+
+
+def _component_tops(eps, component):
+    """The classical-highest vertex (eps_i = 0 for i >= 1) of each component."""
+    tops = {}
+    for t, e in enumerate(eps):
+        if not any(e[1:]):
+            c = component[t]
+            if c in tops:
+                raise StructuralError("component with two classical-highest elements")
+            tops[c] = t
+    if len(tops) != len(set(component)):
+        raise StructuralError("component without a classical-highest element")
+    return tops
 
 
 class CrystalGraph:
@@ -415,99 +424,71 @@ class CrystalGraph:
         self.phi = phi
         self.f_arrows = f_arrows
         self.D = D
-        e_arrows = [[-1] * len(vertices) for _ in range(n + 1)]
-        for i in range(n + 1):
-            for src, dst in enumerate(f_arrows[i]):
-                if dst >= 0:
-                    e_arrows[i][dst] = src
-        self.e_arrows = e_arrows
-        self.component = self._classical_components()
-        self.component_highest = self._component_tops()
+        self.e_arrows = _e_arrows(f_arrows)
+        self.component = _classical_components(n, f_arrows, self.e_arrows)
+        self.component_highest = _component_tops(eps, self.component)
         self._verify_axioms()
 
-    # construction helpers
-
-    def _classical_components(self):
-        V = len(self.vertices)
-        comp = [-1] * V
-        cid = 0
-        for t in range(V):
-            if comp[t] >= 0:
-                continue
-            stack = [t]
-            comp[t] = cid
-            while stack:
-                u = stack.pop()
-                for i in range(1, self.n + 1):
-                    for nb in (self.f_arrows[i][u], self.e_arrows[i][u]):
-                        if nb >= 0 and comp[nb] < 0:
-                            comp[nb] = cid
-                            stack.append(nb)
-            cid += 1
-        return comp
-
-    def _component_tops(self):
-        tops = {}
-        for t, e in enumerate(self.eps):
-            if not any(e[1:]):
-                c = self.component[t]
-                if c in tops:
-                    raise StructuralError("component with two classical-highest elements")
-                tops[c] = t
-        if len(tops) != len(set(self.component)):
-            raise StructuralError("component without a classical-highest element")
-        return tops
-
     def _verify_axioms(self):
+        """Check the crystal and degree-function axioms, one pass over the
+        column tables per operator."""
         n = self.n
         rs = build_root_system("A", n)
         ops = range(n + 1)
-        V = len(self.vertices)
-        # connectivity under the full affine operator set
-        seen = bytearray(V)
-        seen[0] = 1
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for i in ops:
-                for nb in (self.f_arrows[i][u], self.e_arrows[i][u]):
-                    if nb >= 0 and not seen[nb]:
-                        seen[nb] = 1
-                        stack.append(nb)
-        if sum(seen) != V:
-            raise StructuralError("tensor crystal is not affinely connected")
-        mu = tensor_weight(n, tuple(tuple(range(1, r + 1)) for r in self.heights)).coeffs
-        top_candidates = [t for t, w in enumerate(self.weights) if w.coeffs == mu]
-        if len(top_candidates) != 1:
-            raise StructuralError("highest-weight vertex is not unique")
+        V = range(len(self.vertices))
         D = self.D
-        if D[top_candidates[0]] != 0:
+        # the sources and the targets of the f_i arrows, for each i
+        has = [[d >= 0 for d in row] for row in self.f_arrows]
+        arrows = [(list(compress(V, h)), list(compress(F, h))) for h, F in zip(has, self.f_arrows)]
+        # affine connectivity: every classical component is connected, so it
+        # suffices that the 0-arrows join the components into one
+        comp = self.component
+        links = {c: set() for c in set(comp)}
+        for a, b in set(zip(*(map(comp.__getitem__, ends) for ends in arrows[0]))):
+            links[a].add(b)
+            links[b].add(a)
+        seen, stack = {comp[0]}, [comp[0]]
+        while stack:
+            new = links[stack.pop()] - seen
+            seen |= new
+            stack.extend(new)
+        if len(seen) != len(links):
+            raise StructuralError("tensor crystal is not affinely connected")
+        coeffs = [w.coeffs for w in self.weights]
+        mu = tensor_weight(n, tuple(tuple(range(1, r + 1)) for r in self.heights)).coeffs
+        if coeffs.count(mu) != 1:
+            raise StructuralError("highest-weight vertex is not unique")
+        if D[coeffs.index(mu)] != 0:
             raise StructuralError("degree normalization D(b_0) = 0 fails")
         # <alpha_0^vee, wt> = -(theta, wt) with theta in simple-root coordinates;
         # f_i lowers the weight by alpha_i, whose classical part is -theta at i = 0
-        theta = rs.highest_root_coords
+        coroots = [tuple(-c for c in rs.highest_root_coords)]
+        coroots += [tuple(int(j == i) for j in range(n)) for i in range(n)]
         shifts = [tuple(-c for c in rs.highest_root.coeffs)]
         shifts += [a.coeffs for a in rs.simple_roots]
-        e0 = self.e_arrows[0]
-        for t, (w, e, p) in enumerate(zip(self.weights, self.eps, self.phi)):
-            w = w.coeffs
-            if (-sum(map(mul, theta, w)),) + w != tuple(map(sub, p, e)):
+        distinct = set(coeffs)
+        E = [list(map(itemgetter(i), self.eps)) for i in ops]
+        P = [list(map(itemgetter(i), self.phi)) for i in ops]
+        for p, e, coroot in zip(P, E, coroots):
+            pairing = {w: sum(map(mul, coroot, w)) for w in distinct}
+            if list(map(sub, p, e)) != list(map(pairing.__getitem__, coeffs)):
                 raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
-            for i in ops:
-                dst = self.f_arrows[i][t]
-                if (dst >= 0) != (p[i] > 0):
-                    raise StructuralError("f_i arrow existence disagrees with phi")
-                if dst >= 0:
-                    if tuple(map(sub, w, self.weights[dst].coeffs)) != shifts[i]:
-                        raise StructuralError("arrow does not shift the weight by alpha_i")
-                    if i >= 1 and D[dst] != D[t]:
-                        raise StructuralError("degree changes along a classical arrow")
-            if e[0] >= 2:
-                src = e0[t]
-                if src < 0:
-                    raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
-                if D[src] != D[t] - 1:
-                    raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
+        for i, ((src, dst), h, p, shift) in enumerate(zip(arrows, has, P, shifts)):
+            if h != [x > 0 for x in p]:
+                raise StructuralError("f_i arrow existence disagrees with phi")
+            image = {w: tuple(map(sub, w, shift)) for w in distinct}
+            moved = map(image.__getitem__, map(coeffs.__getitem__, src))
+            if list(moved) != list(map(coeffs.__getitem__, dst)):
+                raise StructuralError("arrow does not shift the weight by alpha_i")
+            if i >= 1 and list(map(D.__getitem__, src)) != list(map(D.__getitem__, dst)):
+                raise StructuralError("degree changes along a classical arrow")
+        e0 = self.e_arrows[0]
+        for t in compress(V, [e >= 2 for e in E[0]]):
+            src = e0[t]
+            if src < 0:
+                raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
+            if D[src] != D[t] - 1:
+                raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
 
     # queries
 
@@ -550,10 +531,11 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        """The cache schema; the stored tuples go to json as they are, which
-        writes a tuple as an array."""
+        """The `export --format json` document, every table of the graph; the
+        stored tuples go to json as they are, which writes a tuple as an
+        array."""
         return {
-            "format": CACHE_FORMAT,
+            "format": EXPORT_FORMAT,
             "n": self.n,
             "heights": self.heights,
             "orientation": ENERGY_ORIENTATION,
@@ -567,10 +549,9 @@ class CrystalGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "CrystalGraph":
-        """The graph stored in the cache schema. Statistics and arrows are
-        recomputed from n and heights and must equal the stored tables, and the
-        stored vertex list must be the full product in lexicographic order; the
-        stored D (the expensive table) is cross-checked by the axioms."""
+        """The graph stored in a cache document. Vertices, statistics and
+        arrows are recomputed from n and heights; the stored D (the expensive
+        table) must hold one int per vertex and is checked by the axioms."""
         if not isinstance(data, dict):
             raise StructuralError("crystal cache is not a JSON object")
         if data.get("format") != CACHE_FORMAT:
@@ -587,27 +568,12 @@ class CrystalGraph:
         ):
             raise StructuralError("crystal cache has invalid n or heights")
         heights = tuple(heights)
-        tables = [data.get(key) for key in ("vertices", "weights", "eps", "phi", "D")]
-        size = prod(comb(n + 1, r) for r in heights)
-        if not all(isinstance(rows, list) and len(rows) == size for rows in tables):
-            raise StructuralError("crystal cache tables do not cover the crystal")
-        stored_vertices, stored_weights, stored_eps, stored_phi, D = tables
-        vertices, weights, eps, phi, f_arrows, _ = _fold(n, heights, energy=False)
-        columns = [[list(c) for c in column_vertices(n, r)] for r in heights]
-        try:
-            same = (
-                all(map(eq, stored_vertices, map(list, product(*columns))))
-                and all(map(eq, map(tuple, stored_weights), (w.coeffs for w in weights)))
-                and all(map(eq, map(tuple, stored_eps), eps))
-                and all(map(eq, map(tuple, stored_phi), phi))
-                and data.get("f") == {str(i): row for i, row in enumerate(f_arrows)}
-                and all(type(d) is int for d in D)
-            )
-        except TypeError:  # a row that is not a list
-            same = False
-        if not same:
-            raise StructuralError("crystal cache tables do not match the recomputed crystal")
-        return cls(n, heights, vertices, weights, eps, phi, f_arrows, list(D))
+        D = data.get("D")
+        if not (isinstance(D, list) and len(D) == prod(comb(n + 1, r) for r in heights)):
+            raise StructuralError("crystal cache D does not cover the crystal")
+        if not set(map(type, D)) <= {int}:
+            raise StructuralError("crystal cache D is not a list of ints")
+        return cls(n, heights, *_fold(n, heights, energy=False)[:5], D)
 
 
 def element_label(b) -> str:
@@ -639,7 +605,7 @@ def clear_caches():
 
 
 def _cache_path(cache_dir, n, heights):
-    name = f"crystal_n{n}_h{'-'.join(str(h) for h in heights)}.json"
+    name = f"crystal_v{CACHE_FORMAT}_n{n}_h{'-'.join(str(h) for h in heights)}.json"
     return os.path.join(cache_dir, name)
 
 
@@ -679,11 +645,20 @@ def _read_cache(path: str):
 
 
 def _write_cache(graph: CrystalGraph, cache_dir: str, path: str):
+    """Store the cache document: D under its key, the one table a load does
+    not recompute."""
+    document = {
+        "format": CACHE_FORMAT,
+        "n": graph.n,
+        "heights": graph.heights,
+        "orientation": ENERGY_ORIENTATION,
+        "D": graph.D,
+    }
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(graph.to_json()))
+            fh.write(json.dumps(document))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -375,16 +375,15 @@ def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None, **_):
     return results
 
 
-def suite_level_one(types=None, include_d4=None, N=10, **_):
+def suite_level_one(types=None, N=10, **_):
     """Level-one decomposition: every multiplicity is the single monomial
     q^{((lam,lam)-(w,w))/2}, the support is exactly the dominant classes of the
-    coset within the window, and positivity holds."""
+    coset within the window, and positivity holds. Each type checks all of its
+    level-one classes; the default grid is A1-A3 and the D4 vacuum."""
     results = []
-    if include_d4 is None:
-        include_d4 = types is None or "D4" in types
-    classical = [t for t in (types or ("A1", "A2", "A3")) if not t.upper().startswith("D")]
-    jobs = [(parse_type(t), w) for t in classical for w in level_one_weights(parse_type(t))]
-    if include_d4:
+    systems = [parse_type(t) for t in types or ("A1", "A2", "A3")]
+    jobs = [(rs, w) for rs in systems for w in level_one_weights(rs)]
+    if types is None:
         d4 = build_root_system("D", 4)
         jobs.append((d4, d4.zero()))
     for rs, w in jobs:

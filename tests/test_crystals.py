@@ -1,11 +1,15 @@
 import json
 import os
+import re
 from itertools import product
 
 import pytest
 
+from weylcurrents.cli import main
 from weylcurrents.crystals import (
+    ENERGY_ORIENTATION,
     CrystalGraph,
+    _fold,
     apply_op,
     build_crystal,
     clear_caches,
@@ -296,17 +300,57 @@ def test_kernel_tables_match_per_element_references(n):
 
 
 def test_cache_file_is_the_json_of_the_graph(tmp_path):
+    # the cache document holds only D under its key; the file name carries
+    # the format, so a file of another format is never opened
     clear_caches()
-    g = build_crystal(2, (1, 1, 1, 1, 1, 2, 2, 2, 2), cache_dir=str(tmp_path))
+    heights = (1, 1, 1, 1, 1, 2, 2, 2, 2)
+    g = build_crystal(2, heights, cache_dir=str(tmp_path))
     (name,) = os.listdir(tmp_path)
-    ref = tmp_path / "ref.json"
-    with open(ref, "w", encoding="utf-8") as fh:
-        json.dump(g.to_json(), fh)
-    assert (tmp_path / name).read_bytes() == ref.read_bytes()
+    assert name == "crystal_v2_n2_h1-1-1-1-1-2-2-2-2.json"
+    document = {
+        "format": 2,
+        "n": 2,
+        "heights": list(heights),
+        "orientation": ENERGY_ORIENTATION,
+        "D": g.D,
+    }
+    assert (tmp_path / name).read_text(encoding="utf-8") == json.dumps(document)
     clear_caches()
 
 
-def _tampered_cache_is_rejected(cache_dir, tamper):
+def test_cache_ignores_a_file_of_the_old_format(tmp_path):
+    clear_caches()
+    g = build_crystal(2, (1, 2))
+    old = tmp_path / "crystal_n2_h1-2.json"
+    old.write_text(json.dumps(g.to_json()), encoding="utf-8")
+    clear_caches()
+    assert build_crystal(2, (1, 2), cache_dir=str(tmp_path)).D == g.D
+    assert sorted(os.listdir(tmp_path)) == [old.name, "crystal_v2_n2_h1-2.json"]
+    clear_caches()
+
+
+def test_cache_load_equals_the_build(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    clear_caches()
+    built = build_crystal(2, (1, 1, 2, 2), cache_dir=cache)
+    clear_caches()
+    loaded = build_crystal(2, (1, 1, 2, 2), cache_dir=cache)
+    assert loaded is not built
+    for slot in CrystalGraph.__slots__:
+        assert getattr(loaded, slot) == getattr(built, slot), slot
+    # export gives the same bytes with no cache, a cold one and a warm one
+    for fmt in ("json", "dot"):
+        outputs = []
+        for cache_dir in (None, str(tmp_path / fmt), str(tmp_path / fmt)):
+            clear_caches()
+            argv = ["export", "--type", "A2", "--mu", "2,2", "--format", fmt]
+            assert main(argv + (["--cache-dir", cache_dir] if cache_dir else [])) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2], fmt
+    clear_caches()
+
+
+def _tampered_cache_is_rejected(cache_dir, tamper, match=None):
     clear_caches()
     build_crystal(2, (1, 2), cache_dir=str(cache_dir))
     (path,) = cache_dir.iterdir()
@@ -314,44 +358,93 @@ def _tampered_cache_is_rejected(cache_dir, tamper):
     tamper(data)
     path.write_text(json.dumps(data))
     clear_caches()
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=match):
         build_crystal(2, (1, 2), cache_dir=str(cache_dir))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=match):
         CrystalGraph.from_json(data)
     clear_caches()
 
 
 def test_cache_rejects_permuted_vertex_order(tmp_path):
-    def swap_first_two(data):
-        # every table swapped alike: a consistent graph, but not in product order
-        for key in ("vertices", "weights", "eps", "phi", "D"):
-            rows = data[key]
-            rows[0], rows[1] = rows[1], rows[0]
-        for row in data["f"].values():
-            row[0], row[1] = row[1], row[0]
-            row[:] = [{0: 1, 1: 0}.get(t, t) for t in row]
+    def swap_degrees(data):
+        # the D of b_0 (vertex 0) swapped with one of another degree
+        D = data["D"]
+        t = next(t for t, d in enumerate(D) if d != D[0])
+        D[0], D[t] = D[t], D[0]
 
-    _tampered_cache_is_rejected(tmp_path, swap_first_two)
+    _tampered_cache_is_rejected(tmp_path, swap_degrees)
 
 
-def test_cache_rejects_tampered_f_row(tmp_path):
-    def redirect_arrow(data):
-        row = data["f"]["1"]
-        t = next(t for t, dst in enumerate(row) if dst >= 0)
-        row[t] = (row[t] + 1) % len(row)
+# A2 heights (1, 2): V(w1) x V(w2) = V(w1 + w2) + V(0). Vertex 0 is b_0, the
+# one vertex with eps_0 >= 2, and e_0 raises it from vertex 2, the singleton
+# classical component V(0).
+SINGLETON = 2
 
-    _tampered_cache_is_rejected(tmp_path, redirect_arrow)
+
+def test_cache_rejects_shifted_degree_on_a_singleton_component(tmp_path):
+    # no classical arrow leaves vertex 2, so only the eps_0 rule sees its D
+    def shift_singleton(data):
+        data["D"][SINGLETON] += 5
+
+    _tampered_cache_is_rejected(tmp_path, shift_singleton, re.escape("D(e_0 b) != D(b) - 1"))
 
 
 @pytest.mark.parametrize(
     "tamper",
     [
-        lambda data: data["vertices"].pop(),
-        lambda data: data.pop("eps"),
+        lambda data: data["D"].pop(),
+        lambda data: data.pop("D"),
+        lambda data: data["D"].__setitem__(0, False),
         lambda data: data["D"].__setitem__(0, "0"),
         lambda data: data.__setitem__("heights", [1, 3]),
+        lambda data: data.update(build_crystal(2, (1, 2)).to_json()),
     ],
-    ids=["vertex-dropped", "eps-missing", "D-not-int", "height-out-of-range"],
+    ids=["D-short", "D-missing", "D-bool", "D-not-int", "height-out-of-range", "export-document"],
 )
 def test_cache_rejects_malformed_tables(tmp_path, tamper):
-    _tampered_cache_is_rejected(tmp_path, tamper)
+    _tampered_cache_is_rejected(tmp_path, tamper, "crystal cache")
+
+
+def _raise_eps0_and_phi0(t, by):
+    # phi_0 - eps_0 stays the pairing
+    def tamper(tables):
+        for key in ("eps", "phi"):
+            row = tables[key][t]
+            tables[key][t] = (row[0] + by,) + row[1:]
+
+    return tamper
+
+
+# One tamper per failure branch of the axiom check, on the fold of A2 (1, 2)
+# (see SINGLETON): vertex 4 has no 0-arrow in or out, vertex 5 none in, and
+# f_0 maps 5 to 3, whose weight differs from that of 4.
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda tab: tab["f"][0].__setitem__(slice(None), [-1] * 9),
+         "tensor crystal is not affinely connected"),
+        (lambda tab: tab["weights"].__setitem__(8, tab["weights"][0]),
+         "highest-weight vertex is not unique"),
+        (lambda tab: tab.__setitem__("D", [d + 1 for d in tab["D"]]),
+         "degree normalization D(b_0) = 0 fails"),
+        (lambda tab: tab["weights"].__setitem__(8, Weight([0, 0])),
+         "crystal axiom <a_i^vee, wt> = phi - eps fails"),
+        (_raise_eps0_and_phi0(4, 1), "f_i arrow existence disagrees with phi"),
+        (lambda tab: tab["f"][0].__setitem__(5, 4), "arrow does not shift the weight by alpha_i"),
+        (lambda tab: tab["D"].__setitem__(1, tab["D"][1] + 1),
+         "degree changes along a classical arrow"),
+        (_raise_eps0_and_phi0(5, 2), "eps_0 >= 2 but no raising 0-arrow"),
+        (lambda tab: tab["D"].__setitem__(SINGLETON, tab["D"][SINGLETON] + 5),
+         "D(e_0 b) != D(b) - 1 at eps_0 >= 2"),
+    ],
+    ids=["connected", "top-unique", "top-degree", "pairing", "arrow-exists", "arrow-shift",
+         "classical-degree", "eps0-arrow", "eps0-degree"],
+)
+def test_axiom_check_rejects_each_tampered_table(tamper, message):
+    keys = ("vertices", "weights", "eps", "phi", "f", "D")
+    tables = dict(zip(keys, _fold(2, (1, 2), energy=True)))
+    CrystalGraph(2, (1, 2), *tables.values())
+    tamper(tables)
+    with pytest.raises(StructuralError) as err:
+        CrystalGraph(2, (1, 2), *tables.values())
+    assert str(err.value) == message

@@ -3,10 +3,11 @@ showing each oracle genuinely discriminates."""
 
 import pytest
 
+from weylcurrents.affine import level_one_weights
 from weylcurrents.characters import char_integrable
 from weylcurrents.errors import VerificationFailure
 from weylcurrents.qseries import QPolynomial
-from weylcurrents.rootsystem import Weight, build_root_system
+from weylcurrents.rootsystem import Weight, build_root_system, parse_type
 from weylcurrents.verify import (
     bfs_lengths,
     brute_force_induced_factor,
@@ -107,4 +108,14 @@ def test_level_one_suite_covers_e6():
         "E6 class=(0, 0, 0, 0, 0, 1)",
         "E6 class=(1, 0, 0, 0, 0, 0)",
     ]
+    assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+@pytest.mark.parametrize("type_, N", [("D4", 3), ("D5", 2)])
+def test_level_one_suite_covers_every_d_class(type_, N):
+    # every level-one class of the named type, not only the D4 vacuum
+    results = run_suite("level-one", types=(type_,), N=N)
+    classes = [f"{type_} class={w.coeffs}" for w in level_one_weights(parse_type(type_))]
+    assert len(classes) == 4
+    assert [r.name.split(" (")[0] for r in results] == classes
     assert all(r.ok for r in results), [r for r in results if not r.ok]
