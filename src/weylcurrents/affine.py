@@ -205,17 +205,11 @@ def _theta_matrix(rs: RootSystem):
     return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
 
 
-@lru_cache(maxsize=None)
-def _theta_rc(rs: RootSystem):
-    rc = rs.root_coords(rs.highest_root)
-    return tuple(int(c) for c in rc)
-
-
 def simple_element(rs: RootSystem, i: int) -> AffineWeylElement:
     """s_i as a group element; s_0 = s_theta . t_{-theta}."""
     n = rs.rank
     if i == 0:
-        return AffineWeylElement(_theta_matrix(rs), tuple(-c for c in _theta_rc(rs)))
+        return AffineWeylElement(_theta_matrix(rs), tuple(-c for c in rs.highest_root_coords))
     if not 1 <= i <= n:
         raise ValueError(f"affine index {i} out of range 0..{n}")
     return AffineWeylElement(_simple_matrix(rs, i), (0,) * n)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 
 from .crystals import CACHE_ENV, local_crystal
 from .errors import ExpansionError, StructuralError, VerificationFailure
@@ -20,32 +19,6 @@ from .rootsystem import Weight, parse_type
 from .verify import SUITES, run_suite
 
 SCHEMA = 1
-
-
-@dataclass
-class JobSpec:
-    """One CLI invocation, round-trippable through JSON."""
-
-    command: str
-    family: str
-    rank: int
-    mu: list | None = None
-    lam: list | None = None
-    k: int | None = None
-    cutoff: int | None = None
-    route: str = "paths"
-    fmt: str = "json"
-    cache_dir: str | None = None
-    seed: int = 0
-    verbose: int = 0
-    options: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "JobSpec":
-        return cls(**data)
 
 
 def _parse_weight(text: str, rank: int, name: str) -> Weight:
@@ -58,13 +31,9 @@ def _parse_weight(text: str, rank: int, name: str) -> Weight:
     return Weight(coeffs)
 
 
-def _emit(data, fmt: str, out=None):
-    out = out if out is not None else sys.stdout
-    if fmt == "json":
-        json.dump(data, out, indent=2, sort_keys=False)
-        out.write("\n")
-    else:
-        raise ValueError(f"unsupported format {fmt!r} here")
+def _emit(data):
+    json.dump(data, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _weight_key(w: Weight) -> str:
@@ -72,17 +41,14 @@ def _weight_key(w: Weight) -> str:
 
 
 def cmd_kostka(args) -> int:
-    rs = parse_type(args.type, args.rank)
+    rs = parse_type(args.type)
     mu = _parse_weight(args.mu, rs.rank, "mu")
     lam = _parse_weight(args.lam, rs.rank, "lambda")
     k = args.k
-    route = "all" if args.all_routes else args.route
-    if route == "all":
+    if args.route == "all":
         routes = ["paths", "chars"] if k is None else list(ROUTES)
     else:
-        routes = [route]
-    if k is None and "altsum" in routes:
-        raise ValueError("route 'altsum' needs a finite --k")
+        routes = [args.route]
     values = {}
     for r in routes:
         res = kostka_by_route(rs, mu, lam, k, r, N=args.N, cache_dir=args.cache_dir)
@@ -107,17 +73,15 @@ def cmd_kostka(args) -> int:
                 "k": k,
                 "routes": {r: v.to_json() for r, v in values.items()},
                 "agree": agree,
-            },
-            "json",
+            }
         )
     return 0 if agree else 1
 
 
 def cmd_decompose(args) -> int:
-    rs = parse_type(args.type, args.rank)
+    rs = parse_type(args.type)
     lam = _parse_weight(args.lam, rs.rank, "lambda")
-    k = args.k
-    N = args.N if args.N is not None else 10
+    k, N = args.k, args.N
     expansion = integrable_weyl_expansion(rs, lam, k, N)
     mults = {
         _weight_key(w): p.to_json()
@@ -132,8 +96,7 @@ def cmd_decompose(args) -> int:
             "N": N,
             "trusted_degree": expansion.trusted_degree,
             "multiplicities": mults,
-        },
-        "json",
+        }
     )
     return 0
 
@@ -169,8 +132,7 @@ def cmd_verify(args) -> int:
                 ],
                 "passed": len(results) - len(fails),
                 "failed": len(fails),
-            },
-            "json",
+            }
         )
     else:
         for r in results:
@@ -183,17 +145,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    rs = parse_type(args.type, args.rank)
+    rs = parse_type(args.type)
     if rs.family != "A":
         raise ValueError("crystal export supports type A only")
     mu = _parse_weight(args.mu, rs.rank, "mu")
     graph = local_crystal(mu, cache_dir=args.cache_dir)
-    if args.format == "dot" or args.format is None:
-        payload = graph.to_dot()
-    elif args.format == "json":
+    if args.format == "json":
         payload = json.dumps({"schema": SCHEMA, **graph.to_json()}, indent=2) + "\n"
     else:
-        raise ValueError("export format must be dot or json")
+        payload = graph.to_dot()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -209,34 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
         "level-restricted Kostka polynomials.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, mu=False, lam=False, k=False):
-        sp.add_argument("--type", required=True, help="root system, e.g. A1, A2, D4")
-        sp.add_argument("--rank", type=int, default=None, help="rank when --type is a bare family")
-        if mu:
-            sp.add_argument("--mu", required=True, help="comma-separated fundamental coefficients")
-        if lam:
-            sp.add_argument(
-                "--lambda", dest="lam", required=True, help="comma-separated fundamental coefficients"
-            )
-        if k:
-            sp.add_argument("--k", type=int, default=None, help="level (omit for the unrestricted limit)")
-        sp.add_argument("--N", type=int, default=None, help="q-truncation cutoff")
-        sp.add_argument("--cache-dir", default=None, help=f"crystal cache dir (or ${CACHE_ENV})")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized property suites")
-        sp.add_argument("-v", "--verbose", action="count", default=0)
+    type_help = "root system, e.g. A1, A2, D4"
+    weight_help = "comma-separated fundamental coefficients"
+    cache_help = f"crystal cache dir (or ${CACHE_ENV})"
 
     sp = sub.add_parser("kostka", help="level-restricted Kostka polynomials")
-    common(sp, mu=True, lam=True, k=True)
+    sp.add_argument("--type", required=True, help=type_help)
+    sp.add_argument("--mu", required=True, help=weight_help)
+    sp.add_argument("--lambda", dest="lam", required=True, help=weight_help)
+    sp.add_argument("--k", type=int, default=None, help="level (omit for the unrestricted limit)")
+    sp.add_argument("--N", type=int, default=None, help="q-truncation cutoff of the chars route")
+    sp.add_argument("--cache-dir", default=None, help=cache_help)
     sp.add_argument("--route", choices=list(ROUTES) + ["all"], default="paths")
-    sp.add_argument("--all-routes", action="store_true", help="shorthand for --route all")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(fn=cmd_kostka)
 
     sp = sub.add_parser("decompose", help="global-Weyl multiplicities of an integrable module")
-    common(sp, lam=True)
+    sp.add_argument("--type", required=True, help=type_help)
+    sp.add_argument("--lambda", dest="lam", required=True, help=weight_help)
     sp.add_argument("--k", type=int, required=True, help="level")
-    sp.add_argument("--format", choices=["json"], default="json")
+    sp.add_argument("--N", type=int, default=10, help="q-truncation cutoff")
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -252,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("export", help="export a crystal graph")
-    common(sp, mu=True)
+    sp.add_argument("--type", required=True, help=type_help)
+    sp.add_argument("--mu", required=True, help=weight_help)
+    sp.add_argument("--cache-dir", default=None, help=cache_help)
     sp.add_argument("--format", choices=["dot", "json"], default="dot")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.set_defaults(fn=cmd_export)
@@ -260,34 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def job_from_args(args) -> JobSpec:
-    """Echoable description of the invocation (lossless through JSON)."""
-    family, rank = "", 0
-    if getattr(args, "type", None) and isinstance(args.type, str):
-        rs = parse_type(args.type, args.rank)
-        family, rank = rs.family, rs.rank
-    return JobSpec(
-        command=args.command,
-        family=family,
-        rank=rank,
-        mu=[int(x) for x in args.mu.split(",")] if getattr(args, "mu", None) else None,
-        lam=[int(x) for x in args.lam.split(",")] if getattr(args, "lam", None) else None,
-        k=getattr(args, "k", None),
-        cutoff=getattr(args, "N", None),
-        route=getattr(args, "route", "paths"),
-        fmt=getattr(args, "format", "json"),
-        cache_dir=getattr(args, "cache_dir", None),
-        seed=getattr(args, "seed", 0) or 0,
-        verbose=getattr(args, "verbose", 0) or 0,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "verbose", 0):
-            print(f"job: {json.dumps(job_from_args(args).to_json())}", file=sys.stderr)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from .characters import (
 )
 from .crystals import restricted_paths
 from .qseries import QPolynomial
-from .rootsystem import RootSystem, Weight
+from .rootsystem import RootSystem, Weight, build_root_system
 
 
 ROUTES = ("paths", "altsum", "chars")
@@ -36,11 +36,12 @@ class KostkaResult:
     route: str
 
 
-def kostka_paths(n: int, mu: Weight, lam: Weight, cache_dir=None) -> QPolynomial:
+def kostka_paths(n: int, mu: Weight, lam: Weight, k=None, cache_dir=None) -> QPolynomial:
     """Sum of q^{-D} over classical-highest elements of weight lam in the
-    mu-crystal (the unrestricted graded multiplicity)."""
+    mu-crystal, with the level cut eps_0 <= k unless k is None (the
+    unrestricted graded multiplicity)."""
     acc = {}
-    for _, w, d in restricted_paths(n, mu, None, cache_dir=cache_dir):
+    for _, w, d in restricted_paths(n, mu, k, cache_dir=cache_dir):
         if w == lam:
             acc[-d] = acc.get(-d, 0) + 1
     return QPolynomial(acc)
@@ -49,21 +50,10 @@ def kostka_paths(n: int, mu: Weight, lam: Weight, cache_dir=None) -> QPolynomial
 def kostka_paths_restricted(
     n: int, mu: Weight, lam: Weight, k: int, cache_dir=None
 ) -> QPolynomial:
-    """As kostka_paths with the level cut eps_0 <= k."""
-    rs_check = _type_a(n)
-    if not in_level_dominant(rs_check, lam, k):
+    """kostka_paths at level k, for lam in P_+^k."""
+    if not in_level_dominant(build_root_system("A", n), lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
-    acc = {}
-    for _, w, d in restricted_paths(n, mu, k, cache_dir=cache_dir):
-        if w == lam:
-            acc[-d] = acc.get(-d, 0) + 1
-    return QPolynomial(acc)
-
-
-def _type_a(n: int) -> RootSystem:
-    from .rootsystem import build_root_system
-
-    return build_root_system("A", n)
+    return kostka_paths(n, mu, lam, k, cache_dir=cache_dir)
 
 
 def kostka_alt_sum(
@@ -122,7 +112,7 @@ def default_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
     return max(need, top)
 
 
-def _check_level_and_cutoff(k, N):
+def check_level_and_cutoff(k, N):
     if k is not None and k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     if N is not None and N < 0:
@@ -132,7 +122,7 @@ def _check_level_and_cutoff(k, N):
 @cache
 def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Expansion:
     """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters."""
-    _check_level_and_cutoff(k, N)
+    check_level_and_cutoff(k, N)
     dom = char_integrable_dominant(rs, lam, k, N)
     return expand_in_global_weyl(rs, dom, N)
 
@@ -176,7 +166,7 @@ def kostka_by_route(
         raise ValueError(f"unknown route {route!r}")
     if route in ("paths", "altsum") and rs.family != "A":
         raise ValueError(f"route {route!r} uses the column-crystal model (type A only)")
-    _check_level_and_cutoff(k, N)
+    check_level_and_cutoff(k, N)
     for w in (mu, lam):
         if not rs.is_dominant(w):
             raise ValueError(f"{w} is not dominant")

@@ -236,10 +236,6 @@ class RootSystem:
 
     # -- basic operations -----------------------------------------------
 
-    def pairing(self, i: int, lam: Weight) -> int:
-        """<alpha_i^vee, lam>, 1-based i."""
-        return lam.coeffs[i - 1]
-
     def reflect(self, i: int, lam: Weight) -> Weight:
         """Simple reflection s_i, 1-based i."""
         if not 1 <= i <= self.rank:
@@ -493,11 +489,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, int(rank))
 
 
-def parse_type(type_str: str, rank=None) -> RootSystem:
-    """Parse 'A2' / ('A', 2) style CLI input."""
+def parse_type(type_str: str) -> RootSystem:
+    """Parse a family letter followed by the rank, such as 'A2' or 'd4'."""
     s = type_str.strip().upper()
-    if len(s) > 1 and s[1:].isdigit():
-        return build_root_system(s[0], int(s[1:]))
-    if rank is None:
-        raise ValueError(f"type {type_str!r} needs an explicit rank")
-    return build_root_system(s, int(rank))
+    if len(s) < 2 or not s[1:].isdigit():
+        raise ValueError(f"type {type_str!r} needs a family and a rank, e.g. 'A2'")
+    return build_root_system(s[0], int(s[1:]))

@@ -47,6 +47,7 @@ from .crystals import (
 )
 from .errors import StructuralError, VerificationFailure
 from .kostka import (
+    check_level_and_cutoff,
     kostka_alt_sum,
     kostka_characters,
     kostka_paths,
@@ -219,8 +220,7 @@ def suite_length_oracle(types=None, radius=6, seed=0, **_):
             w = reduced_word(rs, g)
             ok = ok and len(w) == length(rs, g) and element_from_word(rs, w) == g
         _check(results, "length-oracle", f"{t}: reduced-word roundtrip", ok)
-        theta_rc = tuple(int(c) for c in rs.root_coords(rs.highest_root))
-        t_minus = AffineWeylElement.translation_by(rs, tuple(-c for c in theta_rc))
+        t_minus = AffineWeylElement.translation_by(rs, tuple(-c for c in rs.highest_root_coords))
         lhs = act_affine(rs, t_minus, AffineWeight(rs.fundamental_weight(1), 1, 0))
         s_theta_word = rs.to_dominant(-rs.highest_root)[1]
         s_theta = element_from_word(rs, s_theta_word)
@@ -433,8 +433,8 @@ def suite_level_one(types=None, N=10, **_):
 
 
 def suite_frenkel_kac(types=None, N=10, **_):
-    types = types or ("A1", "A2", "A3")
     """Alternating-sum integrable characters against the lattice realization."""
+    types = types or ("A1", "A2", "A3")
     results = []
     for t in types:
         rs = parse_type(t)
@@ -531,10 +531,12 @@ def demazure_limit_character(rs, lam: Weight, k: int, N: int, margin=None):
     raise VerificationFailure("Demazure limit did not stabilize")
 
 
-def suite_weyl_kac_demazure(N=6, **_):
+def suite_weyl_kac_demazure(types=None, N=6, **_):
     """Criterion: iterated Demazure operators stabilize to the alternating-sum
     integrable character (A1, k=1, lam in {0, w1})."""
     results = []
+    if types is not None and "A1" not in types:
+        return results
     rs = build_root_system("A", 1)
     for lam in (Weight([0]), Weight([1])):
         target = char_integrable(rs, lam, 1, N)
@@ -627,6 +629,7 @@ SUITES = {
 
 def run_suite(name: str, **options):
     """Run one suite (or 'all'); returns the list of CheckResults."""
+    check_level_and_cutoff(None, options.get("N"))
     if name == "all":
         out = []
         for fn in SUITES.values():

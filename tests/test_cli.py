@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from weylcurrents.cli import JobSpec, main
+from weylcurrents.cli import main
 from weylcurrents.crystals import clear_caches
 
 
@@ -13,27 +13,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_jobspec_roundtrip():
-    spec = JobSpec(
-        command="kostka",
-        family="A",
-        rank=2,
-        mu=[2, 0],
-        lam=[0, 0],
-        k=1,
-        cutoff=12,
-        route="all",
-        fmt="json",
-        cache_dir=None,
-        seed=3,
-        options={"max_mu": 4},
-    )
-    assert JobSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
-
-
 def test_kostka_all_routes(capsys):
     code, out, _ = run_cli(
-        capsys, "kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "1", "--all-routes"
+        capsys, "kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "1", "--route", "all"
     )
     assert code == 0
     data = json.loads(out)
@@ -53,17 +35,6 @@ def test_kostka_output_polynomials_roundtrip(capsys):
     assert code == 0
     emitted = QPolynomial.from_json(json.loads(out)["routes"]["paths"])
     assert emitted == kostka_paths_restricted(1, Weight([4]), Weight([2]), 2)
-
-
-def test_verbose_echoes_job(capsys):
-    code = main(
-        ["kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "1", "-v"]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    echoed = json.loads(captured.err.split("job: ", 1)[1])
-    assert JobSpec.from_json(echoed) == JobSpec.from_json(echoed)
-    assert echoed["mu"] == [2] and echoed["command"] == "kostka"
 
 
 def test_kostka_trivial(capsys):
@@ -198,7 +169,7 @@ def test_kostka_route_disagreement_exits_1(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "kostka_by_route", skewed)
     code, out, _ = run_cli(
-        capsys, "kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "1", "--all-routes"
+        capsys, "kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "1", "--route", "all"
     )
     assert code == 1
     assert json.loads(out)["agree"] is False
@@ -219,7 +190,7 @@ def test_decompose_remainder_exits_1(monkeypatch, capsys):
 
 def test_kostka_all_routes_agree_beyond_the_old_default_cutoff(capsys):
     code, out, _ = run_cli(
-        capsys, "kostka", "--type", "A1", "--mu", "12", "--lambda", "0", "--k", "3", "--all-routes"
+        capsys, "kostka", "--type", "A1", "--mu", "12", "--lambda", "0", "--k", "3", "--route", "all"
     )
     assert code == 0
     assert json.loads(out)["agree"] is True
@@ -301,9 +272,7 @@ def test_kostka_unrestricted_non_dominant_lambda_exits_2_on_every_route(capsys):
             capsys, "kostka", "--type", "A1", "--mu", "2", "--lambda", "-2", "--route", route
         )
         assert code == 2, route
-        assert out == "" and err.startswith("error:")
-        # the CLI refuses altsum without --k before any weight is checked
-        assert route == "altsum" or "not dominant" in err
+        assert out == "" and "not dominant" in err
 
 
 def test_export_into_missing_directory_exits_2(tmp_path, capsys):
@@ -311,3 +280,38 @@ def test_export_into_missing_directory_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "export", "--type", "A1", "--mu", "2", "--out", out_path)
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--seed", "1"],
+        ["kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "-v"],
+        ["kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "1", "--all-routes"],
+        ["kostka", "--type", "A1", "--rank", "3", "--mu", "2", "--lambda", "0"],
+        ["decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--cache-dir", "X"],
+        ["decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--format", "json"],
+        ["export", "--type", "A1", "--mu", "2", "--N", "3"],
+    ],
+)
+def test_deleted_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["level-one", "frenkel-kac", "demazure-limit", "cross-route"])
+def test_verify_negative_cutoff_exits_2(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", suite, "--type", "A1", "--N", "-1")
+    assert code == 2
+    assert out == "" and "cutoff N must be >= 0" in err
+
+
+def test_verify_demazure_limit_honours_type(capsys):
+    code, out, err = run_cli(capsys, "verify", "demazure-limit", "--type", "A2")
+    assert code == 2
+    assert out == "" and "no demazure-limit checks left" in err
+    code, out, _ = run_cli(capsys, "verify", "demazure-limit", "--type", "A1")
+    assert code == 0
+    assert "2/2 checks passed" in out

@@ -61,8 +61,7 @@ def test_invalid_types_rejected():
 def test_parse_type():
     assert parse_type("A2").rank == 2
     assert parse_type("d4").family == "D"
-    assert parse_type("A", 3).rank == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="e.g. 'A2'"):
         parse_type("A")
 
 
