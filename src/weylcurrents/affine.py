@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from operator import mul
 
 from .errors import StructuralError
@@ -99,24 +100,13 @@ def rho_shift(rs: RootSystem, k: int) -> AffineWeight:
 
 
 def level_restricted_dominant(rs: RootSystem, k: int):
-    """P_+^k: dominant classical weights with <theta^vee, lam> <= k."""
+    """P_+^k: dominant classical weights with <theta^vee, lam> <= k, that is
+    sum_i a_i lam_i <= k over the marks a_i, in lexicographic order."""
     if k < 0:
         raise ValueError("level must be nonnegative")
-    theta = rs.highest_root
-    out = []
-    frontier = [rs.zero()]
-    seen = {rs.zero()}
-    while frontier:
-        nxt = []
-        for lam in frontier:
-            out.append(lam)
-            for i in range(1, rs.rank + 1):
-                mu = lam + rs.fundamental_weight(i)
-                if mu not in seen and rs.inner(theta, mu) <= k:
-                    seen.add(mu)
-                    nxt.append(mu)
-        frontier = nxt
-    return sorted(out, key=lambda w: w.coeffs)
+    marks = rs.highest_root_coords
+    box = product(*(range(k // a + 1) for a in marks))
+    return [Weight(c) for c in box if sum(map(mul, marks, c)) <= k]
 
 
 def in_level_dominant(rs: RootSystem, lam: Weight, k: int) -> bool:

@@ -102,21 +102,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    options = {}
+    names = ("max_mu", "max_k", "max_factors", "N", "cache_dir")
+    options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    flags = [f"--type {t}" for t in args.type or ()]
+    flags += [f"--{name.replace('_', '-')} {val}" for name, val in options.items()]
     if args.type:
         options["types"] = tuple(args.type)
-    for name in ("max_mu", "max_k", "max_factors", "N", "seed", "cache_dir"):
-        val = getattr(args, name)
-        if val is not None:
-            options[name] = val
     results = run_suite(args.suite, **options)
     if not results:
-        flags = [f"--type {t}" for t in args.type or ()]
-        flags += [
-            f"--{name.replace('_', '-')} {options[name]}"
-            for name in ("max_mu", "max_k", "max_factors", "N")
-            if name in options
-        ]
         raise ValueError(
             f"no {args.suite} checks left under the filter {' '.join(flags) or '(none)'}"
         )
@@ -198,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-k", dest="max_k", type=int, default=None)
     sp.add_argument("--max-factors", dest="max_factors", type=int, default=None)
     sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--cache-dir", dest="cache_dir", default=None)
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.set_defaults(fn=cmd_verify)

@@ -563,7 +563,6 @@ class CrystalGraph:
             type(n) is int
             and n >= 1
             and isinstance(heights, list)
-            and heights
             and all(type(r) is int and 1 <= r <= n for r in heights)
         ):
             raise StructuralError("crystal cache has invalid n or heights")
@@ -613,8 +612,6 @@ def build_crystal(n: int, heights, cache_dir=None) -> CrystalGraph:
     """Build (or load from the on-disk cache) the sealed tensor crystal with the
     given column heights. Cache writes are atomic (temp file + rename)."""
     heights = tuple(heights)
-    if not heights:
-        raise ValueError("need at least one tensor factor")
     key = (n, heights)
     cache_dir = cache_dir or os.environ.get(CACHE_ENV)
     path = _cache_path(cache_dir, n, heights) if cache_dir else None
@@ -676,8 +673,5 @@ def restricted_paths(n: int, mu: Weight, k=None, cache_dir=None):
     when k is finite; (element, weight, D) triples."""
     if len(mu.coeffs) != n:
         raise ValueError("rank mismatch between n and mu")
-    if mu.is_zero():
-        # empty tensor product: the singleton crystal with trivial statistics
-        return [((), mu, 0)]
     graph = local_crystal(mu, cache_dir=cache_dir)
     return graph.restricted_paths(k)

@@ -387,21 +387,12 @@ class RootSystem:
     # -- weight multiplicities -------------------------------------------
 
     def dominant_weights_below(self, lam: Weight):
-        """All dominant mu <= lam, via descent steps by positive roots."""
+        """All dominant mu <= lam. They lie in the ball (mu, mu) <= (lam, lam),
+        since (lam, lam) - (mu, mu) = (lam - mu, lam + mu) >= 0."""
         if not self.is_dominant(lam):
             raise ValueError("expected a dominant weight")
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for alpha in self.positive_roots:
-                    nu = mu - alpha
-                    if self.is_dominant(nu) and nu not in seen:
-                        seen.add(nu)
-                        nxt.append(nu)
-            frontier = nxt
-        return seen
+        ball = self.dominant_in_ball(lam.coeffs, self.scaled_inner(lam.coeffs, lam.coeffs))
+        return {mu for mu in map(weight_from_ints, ball) if self.dominance_leq(mu, lam)}
 
     def freudenthal_dominant(self, lam: Weight):
         """Multiplicities of the dominant weights of the irreducible module V(lam)."""

@@ -10,8 +10,8 @@ Demazure route to local Weyl modules.
 
 from __future__ import annotations
 
+import inspect
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -198,10 +198,9 @@ def frenkel_kac_character(rs, class_weight: Weight, N: int) -> GradedCharacter:
 # -- suites -------------------------------------------------------------------
 
 
-def suite_length_oracle(types=None, radius=6, seed=0, **_):
+def suite_length_oracle(types=None, radius=6):
     types = types or ("A1", "A2")
     results = []
-    rng = random.Random(seed)
     for t in types:
         rs = parse_type(t)
         dist = bfs_lengths(rs, radius)
@@ -213,10 +212,8 @@ def suite_length_oracle(types=None, radius=6, seed=0, **_):
             not bad,
             f"{len(bad)} mismatches" if bad else "",
         )
-        sample = [g for g, d in dist.items() if d >= radius - 2]
-        rng.shuffle(sample)
         ok = True
-        for g in sample[:10]:
+        for g in (g for g, d in dist.items() if d >= radius - 2):
             w = reduced_word(rs, g)
             ok = ok and len(w) == length(rs, g) and element_from_word(rs, w) == g
         _check(results, "length-oracle", f"{t}: reduced-word roundtrip", ok)
@@ -278,7 +275,7 @@ def _promotion(results, n):
     _check(results, "energy-axioms", f"A{n}: promotion conjugates f_i to f_(i+1)", ok)
 
 
-def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cache_dir=None, **_):
+def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cache_dir=None):
     """Degree-function axioms on every tensor crystal in the grid, plus the
     structural crystal oracles (Yang-Baxter, promotion, specialization count)."""
     results = []
@@ -323,7 +320,7 @@ def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cac
     return results
 
 
-def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None, **_):
+def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
     """Route equality: paths = alternating sum = character expansion, exactly."""
     results = []
     a1_levels = tuple(k for k in (1, 2, 3) if k <= max_k)
@@ -375,7 +372,7 @@ def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None, **_):
     return results
 
 
-def suite_level_one(types=None, N=10, **_):
+def suite_level_one(types=None, N=10):
     """Level-one decomposition: every multiplicity is the single monomial
     q^{((lam,lam)-(w,w))/2}, the support is exactly the dominant classes of the
     coset within the window, and positivity holds. Each type checks all of its
@@ -432,7 +429,7 @@ def suite_level_one(types=None, N=10, **_):
     return results
 
 
-def suite_frenkel_kac(types=None, N=10, **_):
+def suite_frenkel_kac(types=None, N=10):
     """Alternating-sum integrable characters against the lattice realization."""
     types = types or ("A1", "A2", "A3")
     results = []
@@ -450,17 +447,11 @@ def suite_frenkel_kac(types=None, N=10, **_):
     return results
 
 
-def suite_demazure_vs_crystal(types=None, a1_max=4, a2_max=2, N=8, cache_dir=None, **_):
+def suite_demazure_vs_crystal(types=None, max_mu=4, max_total=2, N=8, cache_dir=None):
     """Divided-difference local Weyl characters against the crystal graded
     character (q-inverted), plus the dimension multiplicativity oracle."""
     results = []
-    grid = [(build_root_system("A", 1), Weight([m])) for m in range(1, a1_max + 1)]
-    grid += [
-        (build_root_system("A", 2), Weight([m1, m2]))
-        for m1 in range(a2_max + 1)
-        for m2 in range(a2_max + 1 - m1)
-        if m1 + m2 >= 1
-    ]
+    grid = a1_mu_grid(max_mu) + a2_mu_grid(max_total)
     grid = [(rs, mu) for rs, mu in grid if _keep_type(rs, types)]
     for rs, mu in grid:
         dem = char_local_weyl(rs, mu)
@@ -531,7 +522,7 @@ def demazure_limit_character(rs, lam: Weight, k: int, N: int, margin=None):
     raise VerificationFailure("Demazure limit did not stabilize")
 
 
-def suite_weyl_kac_demazure(types=None, N=6, **_):
+def suite_weyl_kac_demazure(types=None, N=6):
     """Criterion: iterated Demazure operators stabilize to the alternating-sum
     integrable character (A1, k=1, lam in {0, w1})."""
     results = []
@@ -556,15 +547,8 @@ def vertex_identity_sides(rs, mu: Weight, k: int, cache_dir=None):
     linearly independent symbols chi(e^{lam_+ + k Lambda0})."""
     n = rs.rank
     lhs: dict = {}
-    if mu.is_zero():
-        vertices = [((), mu, 0)]
-    else:
-        graph = local_crystal(mu, cache_dir=cache_dir)
-        vertices = [
-            (graph.vertices[t], graph.weights[t], graph.D[t])
-            for t in range(len(graph.vertices))
-        ]
-    for _, wgt, d in vertices:
+    graph = local_crystal(mu, cache_dir=cache_dir)
+    for wgt, d in zip(graph.weights, graph.D):
         rep = dominant_dot_rep(rs, AffineWeight(wgt, k, -d), k)
         if rep.on_wall:
             continue
@@ -577,7 +561,7 @@ def vertex_identity_sides(rs, mu: Weight, k: int, cache_dir=None):
     return lhs, rhs
 
 
-def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8, cache_dir=None, **_):
+def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8, cache_dir=None):
     """Exact symbolic form of the tensor-decomposition character identity over
     the cross-route grid, plus one instantiated truncated comparison on A1."""
     results = []
@@ -628,13 +612,24 @@ SUITES = {
 
 
 def run_suite(name: str, **options):
-    """Run one suite (or 'all'); returns the list of CheckResults."""
+    """Run one suite (or 'all'); returns the list of CheckResults. A suite
+    gets exactly the options its signature names; an option that no suite
+    to run names is an error, as is an empty grid bound."""
     check_level_and_cutoff(None, options.get("N"))
+    for bound in ("max_mu", "max_total", "max_factors", "max_k"):
+        if options.get(bound) is not None and options[bound] < 1:
+            raise ValueError(f"{bound} must be >= 1")
     if name == "all":
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn(**options))
-        return out
-    if name not in SUITES:
+        suites = list(SUITES.values())
+    elif name in SUITES:
+        suites = [SUITES[name]]
+    else:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](**options)
+    reads = [inspect.signature(fn).parameters for fn in suites]
+    unread = sorted(set(options).difference(*reads))
+    if unread:
+        raise ValueError(f"suite {name} reads no option {', '.join(unread)}")
+    out = []
+    for fn, names in zip(suites, reads):
+        out.extend(fn(**{k: v for k, v in options.items() if k in names}))
+    return out

@@ -125,7 +125,7 @@ def test_criterion_5_energy_axioms():
 
 
 def test_criterion_6_demazure_vs_crystal():
-    results = suite_demazure_vs_crystal(a1_max=4, a2_max=2, N=8)
+    results = suite_demazure_vs_crystal(max_mu=4, max_total=2, N=8)
     bad = [r for r in results if not r.ok]
     _report(
         "criterion 6 (divided-difference vs crystal local Weyl characters)",

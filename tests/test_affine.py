@@ -359,3 +359,40 @@ def test_level_restricted_sets():
         (0, 0, 0, 1),
     }
     assert len(level_restricted_dominant(A2, 2)) == 6
+
+
+def _bfs(start, steps, keep):
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for lam in frontier:
+            for mu in steps(lam):
+                if keep(mu) and mu not in seen:
+                    seen.add(mu)
+                    nxt.append(mu)
+        frontier = nxt
+    return seen
+
+
+def _bfs_level_restricted(rs, k):
+    # add fundamental weights while <theta, lam> <= k
+    fundamentals = [rs.fundamental_weight(i) for i in range(1, rs.rank + 1)]
+    found = _bfs(
+        rs.zero(),
+        lambda lam: (lam + w for w in fundamentals),
+        lambda mu: rs.inner(rs.highest_root, mu) <= k,
+    )
+    return sorted(found, key=lambda w: w.coeffs)
+
+
+def _bfs_dominant_below(rs, lam):
+    # subtract positive roots while the weight stays dominant
+    return _bfs(lam, lambda mu: (mu - a for a in rs.positive_roots), rs.is_dominant)
+
+
+@pytest.mark.parametrize("rs", [A1, A2, A3, D4], ids=["A1", "A2", "A3", "D4"])
+def test_dominant_enumerators_match_the_bfs(rs):
+    for k in range(5):
+        assert level_restricted_dominant(rs, k) == _bfs_level_restricted(rs, k)
+    for lam in level_restricted_dominant(rs, 3) + [3 * rs.highest_root]:
+        assert rs.dominant_weights_below(lam) == _bfs_dominant_below(rs, lam)

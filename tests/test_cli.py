@@ -105,6 +105,32 @@ def test_export_json_schema(capsys):
     assert len(data["vertices"]) == 3
 
 
+def test_export_trivial_crystal(capsys):
+    # mu = 0 is the empty tensor product: one vertex, no arrows
+    code, out, _ = run_cli(capsys, "export", "--type", "A2", "--mu", "0,0")
+    assert code == 0
+    assert "->" not in out and 'v0 [label="\\nwt=(0,0), D=0"];' in out
+    code, out, _ = run_cli(capsys, "export", "--type", "A2", "--mu", "0,0", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["heights"] == [] and data["vertices"] == [[]] and data["D"] == [0]
+
+
+def test_kostka_trivial_crystal_through_the_cache(tmp_path, capsys):
+    cache = str(tmp_path)
+    clear_caches()
+    for _ in range(2):
+        code, out, _ = run_cli(
+            capsys, "kostka", "--type", "A2", "--mu", "0,0", "--lambda", "0,0", "--k", "1",
+            "--route", "all", "--cache-dir", cache,
+        )
+        clear_caches()
+        assert code == 0
+        routes = json.loads(out)["routes"]
+        assert routes == {"paths": {"0": 1}, "altsum": {"0": 1}, "chars": {"0": 1}}
+    assert os.listdir(cache) == ["crystal_v2_n2_h.json"]
+
+
 def test_export_rejects_non_type_a(capsys):
     code, _, err = run_cli(capsys, "export", "--type", "D4", "--mu", "0,1,0,0")
     assert code == 2
@@ -292,6 +318,7 @@ def test_export_into_missing_directory_exits_2(tmp_path, capsys):
         ["decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--cache-dir", "X"],
         ["decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--format", "json"],
         ["export", "--type", "A1", "--mu", "2", "--N", "3"],
+        ["verify", "length-oracle", "--seed", "1"],
     ],
 )
 def test_deleted_option_exits_2(capsys, argv):
@@ -306,6 +333,41 @@ def test_verify_negative_cutoff_exits_2(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--type", "A1", "--N", "-1")
     assert code == 2
     assert out == "" and "cutoff N must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["energy-axioms", "--max-mu", "-3"], "max_mu must be >= 1"),
+        (["cross-route", "--max-k", "0"], "max_k must be >= 1"),
+        (["vertex-identity", "--max-mu", "-3"], "max_mu must be >= 1"),
+        (["energy-axioms", "--max-factors", "0"], "max_factors must be >= 1"),
+    ],
+)
+def test_verify_empty_grid_bound_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv, "--type", "A1")
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["length-oracle", "--type", "A1", "--max-k", "1"],
+        ["level-one", "--type", "A1", "--max-factors", "2"],
+        ["level-one", "--type", "A1", "--cache-dir", "X"],
+    ],
+)
+def test_verify_unread_option_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and f"suite {argv[0]} reads no option" in err
+
+
+def test_verify_max_mu_bounds_demazure_vs_crystal(capsys):
+    code, out, _ = run_cli(capsys, "verify", "demazure-vs-crystal", "--type", "A1", "--max-mu", "1")
+    assert code == 0
+    assert "2/2 checks passed" in out
 
 
 def test_verify_demazure_limit_honours_type(capsys):

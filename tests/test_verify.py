@@ -1,6 +1,8 @@
 """The verification suites themselves: positive runs plus negative controls
 showing each oracle genuinely discriminates."""
 
+import inspect
+
 import pytest
 
 from weylcurrents.affine import level_one_weights
@@ -13,6 +15,7 @@ from weylcurrents.verify import (
     brute_force_induced_factor,
     demazure_limit_character,
     frenkel_kac_character,
+    SUITES,
     run_suite,
     vertex_identity_sides,
 )
@@ -25,6 +28,17 @@ def test_run_suite_dispatch():
     assert run_suite("length-oracle", types=("A1",))
     with pytest.raises(ValueError):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_signature_declares_every_option_it_reads(name):
+    kinds = {p.kind for p in inspect.signature(SUITES[name]).parameters.values()}
+    assert inspect.Parameter.VAR_KEYWORD not in kinds
+
+
+def test_run_suite_all_rejects_an_option_no_suite_reads():
+    with pytest.raises(ValueError, match="reads no option seed"):
+        run_suite("all", types=("A1",), seed=1)
 
 
 def test_all_suite_aggregates():
