@@ -341,38 +341,42 @@ class CosetRepresentative:
     sign: int
 
 
-def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
-    """All minimal-length right-coset representatives whose dot image lies within
-    degree offset N of lam; complete and duplicate-free (alcove sweep).
+def _alcove_sweep(rs: RootSystem, lam_rho: Weight, L: int, N: int):
+    """(nu, offset, word) for each coset W.g of W_af with offset <= N, where g
+    sends lam_rho + L Lambda0 to (nu, L, -offset) and the chamber ascent word
+    of that image spells g. lam_rho must lie in the open fundamental alcove at
+    level L: regular dominant with (theta, lam_rho) < L.
 
-    With L = k + h^vee, the coset W.t_gamma sends lam + rho + L Lambda0 to
-    (nu, L, -offset), nu the dominant representative of lam + rho + L gamma,
-    and the form gives offset = ((nu, nu) - (lam+rho, lam+rho)) / 2L. W x LQ
-    acts simply transitively on the level-L alcoves and lam + rho lies in the
-    open fundamental one, so the images are exactly the regular dominant nu of
-    that norm ball whose chamber ascent at level L reaches lam + rho + L Lambda0,
-    and the ascent word spells the unique element.
-    """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    if not in_level_dominant(rs, lam, k):
-        raise ValueError(f"{lam} is not in P_+^{k}")
-    if N < 0:
-        return []
-    L = k + rs.dual_coxeter
-    lam_rho = lam + rs.rho
+    The coset W.t_gamma sends lam_rho + L Lambda0 to (nu, L, -offset), nu the
+    dominant representative of lam_rho + L gamma, and the form gives offset =
+    ((nu, nu) - (lam_rho, lam_rho)) / 2L. W x LQ acts simply transitively on
+    the level-L alcoves, so the images are exactly the regular dominant nu of
+    that norm ball whose chamber ascent at level L reaches lam_rho + L Lambda0."""
     top = AffineWeight(lam_rho, L, 0)
     A = rs.scaled_inner(lam_rho.coeffs, lam_rho.coeffs)
     step = 2 * L * rs.det  # det(C) (nu, nu) per unit of offset
-    out = []
     for nu in rs.dominant_in_ball(lam_rho.coeffs, A + N * step, low=1):
         offset, rem = divmod(rs.scaled_inner(nu, nu) - A, step)
         if rem:
             continue
         nu = weight_from_ints(nu)
         reached, word = chamber_ascent(rs, AffineWeight(nu, L, -offset))
-        if reached != top:
-            continue
+        if reached == top:
+            yield nu, offset, word
+
+
+def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
+    """All minimal-length right-coset representatives whose dot image lies within
+    degree offset N of lam; complete and duplicate-free (the alcove sweep of
+    lam + rho at level L = k + h^vee, see _alcove_sweep)."""
+    if k < 1:
+        raise ValueError("level k must be >= 1")
+    if not in_level_dominant(rs, lam, k):
+        raise ValueError(f"{lam} is not in P_+^{k}")
+    if N < 0:
+        return []
+    out = []
+    for nu, offset, word in _alcove_sweep(rs, lam + rs.rho, k + rs.dual_coxeter, N):
         # the ascent word spells g, so the sign is (-1)^len(word)
         image = AffineWeight(nu - rs.rho, 0, -offset)
         sign = -1 if len(word) % 2 else 1

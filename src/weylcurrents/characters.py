@@ -15,6 +15,7 @@ from operator import add, mul, sub
 from .affine import (
     AffineWeight,
     AffineWeylElement,
+    _alcove_sweep,
     act_affine,
     chamber_ascent,
     cosets_up_to_shift,
@@ -135,7 +136,7 @@ class GradedCharacter:
         return f"GradedCharacter({n} weights, cutoff={self.cutoff})"
 
 
-# -- irreducible and parabolic-Verma characters ---------------------------
+# -- irreducible characters ------------------------------------------------
 
 
 def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
@@ -146,95 +147,9 @@ def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
     return GradedCharacter({w: one * m for w, m in rs.freudenthal_weights(lam).items()})
 
 
-@cache
-def _pbw_raw(rs: RootSystem, N: int):
-    """Dominant part of the character P of the symmetric algebra on g tensor
-    z*C[z], truncated at q^N, as a dict dominant coeffs -> [P_0, ..., P_N] of
-    multiplicities by q-degree. Independent of the level.
-
-    P = prod_{n>=1} (1 - q^n)^{-rank} prod_{alpha in Phi} (1 - q^n e^alpha)^{-1}
-    is W-invariant, so its dominant chamber determines it. Taking q d/dq of
-    log P gives the power-sum recursion d P_d = sum_{j=1..d} A_j P_{d-j} with
-    A_j = sum_{m n = j} n (rank e^0 + sum_alpha e^{m alpha}), where P_{d-j} at
-    any weight is read at its dominant representative. A degree-d monomial has
-    weight a sum of at most d roots, so P_d needs only the dominant kappa <=
-    d theta."""
-    roots = [a.coeffs for a in rs.positive_roots]
-    roots += [tuple(-c for c in a) for a in roots]
-
-    def first_degree(kappa):
-        """Least d with kappa <= d theta."""
-        rc = [c // rs.det for c in rs.scaled_root_coords(kappa)]
-        return max(-(-c // t) for c, t in zip(rc, rs.highest_root_coords))
-
-    by_degree = [[] for _ in range(N + 1)]
-    for kappa in rs.dominant_weights_below(N * rs.highest_root):
-        by_degree[first_degree(kappa.coeffs)].append(kappa.coeffs)
-    support = {kappa for layer in by_degree for kappa in layer}
-    sigma = [0] + [sum(n for n in range(1, j + 1) if j % n == 0) for j in range(1, N + 1)]
-    zero = rs.zero().coeffs
-    table = {zero: [1] + [0] * N}
-    dominant = {}  # weight -> dominant representative, for this call only
-    images = {}  # (kappa, m) -> {dom(kappa - m alpha) in the support: number of roots alpha}
-
-    def root_images(kappa, m):
-        out = images[kappa, m] = {}  # filled once, read at every later degree
-        for alpha in roots:
-            x = tuple([c - m * a for c, a in zip(kappa, alpha)])
-            y = dominant.get(x)
-            if y is None:
-                y = dominant[x] = rs.ascend(x)[0]
-            if y in support:
-                out[y] = out.get(y, 0) + 1
-        return out
-
-    active = by_degree[0]
-    for d in range(1, N + 1):
-        active += sorted(by_degree[d])
-        for kappa in active:
-            own = table.get(kappa)
-            total = rs.rank * sum(sigma[j] * own[d - j] for j in range(1, d + 1)) if own else 0
-            for m in range(1, d + 1):
-                steps = range(1, d // m + 1)
-                image = images.get((kappa, m))
-                if image is None:
-                    image = root_images(kappa, m)
-                for y, count in image.items():
-                    series = table.get(y)
-                    if series is not None:
-                        total += count * sum(n * series[d - m * n] for n in steps)
-            value, rem = divmod(total, d)
-            if rem:
-                raise StructuralError(f"PBW recursion: degree {d} at {kappa} is not integral")
-            if value:
-                if own is None:
-                    own = table[kappa] = [0] * (N + 1)
-                own[d] = value
-    return table
-
-
-def char_parabolic_verma(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter:
-    """Character of the module induced from V(lam) over the z-positive part:
-    ch V(lam) times the symmetric-algebra factor, truncated at q^N."""
-    pbw = {}
-    for kappa, series in _pbw_raw(rs, N).items():
-        poly = QPolynomial(dict(enumerate(series)))
-        for w in rs.weyl_orbit(Weight(kappa)):
-            pbw[w] = poly
-    return char_irreducible(rs, lam) * GradedCharacter(pbw, cutoff=N)
-
-
-# -- integrable characters by the affine alternating sum ------------------
-
-
-def _dominant_in_ball(rs: RootSystem, lam: Weight, k: int, N: int):
-    """Dominant nu in lam + Q with (nu, nu) <= (lam, lam) + 2kN, as coefficient
-    tuples in lexicographic order: the only nu at which ch L_k(lam) can be
-    nonzero up to q^N, since a weight nu + k Lambda0 - d delta of L_k(lam) has
-    norm (nu, nu) - 2kd <= (lam, lam) (Kac, Prop. 11.4). Enumerated in
-    det(C)-scaled integers by `RootSystem.dominant_in_ball`."""
-    bound = rs.scaled_inner(lam.coeffs, lam.coeffs) + 2 * k * N * rs.det
-    return rs.dominant_in_ball(lam.coeffs, bound)
+# -- parabolic-Verma and integrable characters as Weyl-Kac ratios -----------
+# A graded character in the irreducible basis is a list of layers, layer d the
+# dict {dominant coeffs: multiplicity of V at q^d}.
 
 
 @cache
@@ -254,88 +169,129 @@ def _parabolic_order(rs: RootSystem, nodes: tuple) -> int:
     return order
 
 
-def _orbit_size(rs: RootSystem, coeffs: tuple, nodes=None) -> int:
-    """|W_K coeffs| for a coefficient tuple dominant on the nodes K (all nodes
-    when None, so W_K = W): |W_K| / |W_J|, J the nodes of K where coeffs
-    vanishes, since the stabiliser is the parabolic subgroup W_J."""
-    if nodes is None:
-        nodes = tuple(range(rs.rank))
-    wall = tuple(i for i in nodes if coeffs[i] == 0)
-    return _parabolic_order(rs, nodes) // _parabolic_order(rs, wall)
+def _orbit_size(rs: RootSystem, coeffs: tuple) -> int:
+    """|W coeffs| for a dominant coefficient tuple: |W| / |W_J|, J the nodes
+    where coeffs vanishes, since the stabiliser is the parabolic subgroup W_J."""
+    wall = tuple(i for i, c in enumerate(coeffs) if c == 0)
+    return _parabolic_order(rs, tuple(range(rs.rank))) // _parabolic_order(rs, wall)
+
+
+@cache
+def _tensor(rs: RootSystem, a: tuple, b: tuple) -> dict:
+    """ch V(a) ch V(b) in the irreducible basis, {dominant coeffs:
+    multiplicity}, for a <= b (one memo entry per unordered pair; see _times).
+
+    Brauer-Klimyk: with x over the weights of the smaller factor (by
+    dimension, sum m |W mu| over its dominant weights) and c the other highest
+    weight, each e^{c + x} straightens to +-ch V(dom(c + rho + x) - rho), with
+    the sign of the ascent's parity, or to 0 when c + rho + x lies on a wall."""
+
+    def dim(lam):
+        return sum(m * _orbit_size(rs, mu) for mu, m in _freudenthal_dominant(rs, lam).items())
+
+    if dim(a) > dim(b):
+        a, b = b, a
+    shifted = [c + 1 for c in b]
+    out: dict = {}
+    for mu, m in _freudenthal_dominant(rs, a).items():
+        for x in rs.orbit_coeffs(mu):
+            nu, ascent = rs.ascend(tuple(map(add, shifted, x)))
+            if 0 not in nu:
+                key = tuple([c - 1 for c in nu])
+                out[key] = out.get(key, 0) + (-m if len(ascent) % 2 else m)
+    return {lam: m for lam, m in out.items() if m}
+
+
+def _times(rs: RootSystem, a: tuple, b: tuple) -> dict:
+    """ch V(a) ch V(b), read from the memo entry of the unordered pair."""
+    return _tensor(rs, a, b) if a <= b else _tensor(rs, b, a)
+
+
+@cache
+def _denominator(rs: RootSystem, N: int) -> list:
+    """The layers of Delta = prod_{n>=1} (1 - q^n)^rank prod_alpha (1 - q^n e^alpha)
+    up to q^N, the inverse of the character P of the symmetric algebra on
+    g tensor zC[z]. By the Macdonald identity (Kac, Ch. 10 and 12) Delta is
+    the alcove sweep of rho at level h^vee (lam = 0 at level 0): the sum of
+    (-1)^len(word) q^offset ch V(nu - rho). The memo hands every caller the
+    same list: read it, never change it."""
+    layers: list = [{} for _ in range(N + 1)]
+    for nu, offset, word in _alcove_sweep(rs, rs.rho, rs.dual_coxeter, N):
+        lam = tuple([c - 1 for c in nu.coeffs])
+        layers[offset][lam] = -1 if len(word) % 2 else 1
+    if layers[0] != {rs.zero().coeffs: 1}:
+        raise StructuralError("the Macdonald denominator does not start at V(0)")
+    return layers
+
+
+def _ratio(rs: RootSystem, lam: tuple, numerator: list, N: int) -> list:
+    """The layers of X = numerator / Delta up to q^N, solved degree by degree:
+    Delta_0 = V(0), so X_d = numerator_d - sum_{j>=1} Delta_j X_{d-j}. X_0
+    must be V(lam), the head of the module."""
+    delta = _denominator(rs, N)
+    out: list = []
+    for d in range(N + 1):
+        layer = dict(numerator[d])
+        for j in range(1, d + 1):
+            for a, ca in delta[j].items():
+                for b, cb in out[d - j].items():
+                    for c, m in _times(rs, a, b).items():
+                        layer[c] = layer.get(c, 0) - ca * cb * m
+        out.append({c: m for c, m in layer.items() if m})
+    if out and out[0] != {lam: 1}:
+        raise StructuralError(f"the Weyl-Kac ratio does not start at V({lam})")
+    return out
+
+
+def _weight_rows(rs: RootSystem, layers: list) -> dict:
+    """Irreducible-basis layers (layer d: {dominant coeffs: multiplicity of V
+    at q^d}) spread over the dominant weights of each V, as {dominant coeffs:
+    coefficients of q^0..q^N}."""
+    rows: dict = {}
+    for d, layer in enumerate(layers):
+        for lam, m in layer.items():
+            for mu, mult in _freudenthal_dominant(rs, lam).items():
+                row = rows.get(mu)
+                if row is None:
+                    row = rows[mu] = [0] * len(layers)
+                row[d] += m * mult
+    return rows
+
+
+def char_parabolic_verma(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter:
+    """Character of the module induced from V(lam) over the z-positive part,
+    truncated at q^N: ch V(lam) times the character of the symmetric algebra
+    on g tensor zC[z], which is 1/Delta (see _denominator)."""
+    if not rs.is_dominant(lam):
+        raise ValueError(f"{lam} is not dominant")
+    layers = _ratio(rs, lam.coeffs, [{lam.coeffs: 1}] + [{} for _ in range(N)], N)
+    terms = {}  # the character is W-invariant: each dominant row fills its orbit
+    for mu, row in _weight_rows(rs, layers).items():
+        for w in rs.orbit_coeffs(mu):
+            terms[weight_from_ints(w)] = dict(enumerate(row))
+    return GradedCharacter(terms, cutoff=N)
 
 
 @cache
 def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
-    """Dominant sector of ch L_k(lam) truncated at q^N, as Weight -> QPolynomial.
+    """Dominant sector of ch L_k(lam) truncated at q^N, as Weight -> QPolynomial,
+    in lexicographic order of the weights.
 
-    Truncated Weyl-Kac sum: each coset representative contributes
-    sign * q^offset * ch V(image) * (symmetric-algebra factor), evaluated
-    only at the dominant nu of the norm ball (see _dominant_in_ball). The
-    numerator is kept on the dominant chamber, num[mu] for dominant mu, and
-    the factor P is stored there too (see _pbw_raw). P is W-invariant, so the
-    orbit summed over can be swapped:
-    sum_{x in W mu} P[dom(nu - x)] = |W mu| / |W nu| sum_{z in W nu} P[dom(z - mu)],
-    and only the short orbits of the ball weights are walked. The stabiliser
-    W_mu fixes P[dom(z - mu)] on each of its orbits in W nu, so z runs over
-    the element of each that is dominant on the nodes where mu vanishes,
-    weighted by the orbit's size."""
+    Weyl-Kac as a ratio: ch L_k(lam) = Num / Delta, where the coset sweep gives
+    the numerator Num = sum sign q^offset ch V(image) and Delta is the
+    Macdonald denominator (see _denominator). The ratio is solved in the
+    irreducible basis, then each V is spread over its dominant weights."""
     if not in_level_dominant(rs, lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
-    numerator: dict = {}  # dominant coeffs -> {offset: coefficient}
-    for rep in cosets_up_to_shift(rs, lam, k, N):
-        for mu, m in _freudenthal_dominant(rs, rep.image.classical.coeffs).items():
-            tgt = numerator.setdefault(mu, {})
-            tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
-    terms = []  # [(offset, |W mu| * coefficient)] for each numerator weight mu
-    by_wall: dict = {}  # nodes where mu vanishes -> [(index in terms, mu)]
-    for mu, offsets in numerator.items():
-        size = _orbit_size(rs, mu)
-        offsets = [(off, size * m) for off, m in offsets.items() if m]
-        if offsets:
-            wall = tuple(i for i, c in enumerate(mu) if c == 0)
-            by_wall.setdefault(wall, []).append((len(terms), mu))
-            terms.append(offsets)
-    pbw = _pbw_raw(rs, N)
-    dominant: dict = {}  # weight -> dominant representative, for this call only
-    result = {}
-    for nu in _dominant_in_ball(rs, lam, k, N):
-        orbit = rs.orbit_coeffs(nu)
-        hits: dict = {}  # (PBW chamber, index in terms) -> weighted count of z
-        for wall, members in by_wall.items():
-            reps = [(z, _orbit_size(rs, z, wall)) for z in orbit if all(z[i] >= 0 for i in wall)]
-            for t, mu in members:
-                for z, weight in reps:
-                    x = tuple(map(sub, z, mu))
-                    kappa = dominant.get(x)
-                    if kappa is None:
-                        kappa = dominant[x] = rs.ascend(x)[0]
-                    if kappa in pbw:
-                        hits[kappa, t] = hits.get((kappa, t), 0) + weight
-        # numerator coefficients by offset, gathered per PBW chamber
-        gathered: dict = {}
-        for (kappa, t), count in hits.items():
-            by_offset = gathered.get(kappa)
-            if by_offset is None:
-                by_offset = gathered[kappa] = [0] * (N + 1)
-            for off, m in terms[t]:
-                by_offset[off] += count * m
-        acc = [0] * (N + 1)
-        for kappa, by_offset in gathered.items():
-            series = pbw[kappa]
-            for off, m in enumerate(by_offset):
-                if m:
-                    for e in range(N + 1 - off):
-                        acc[e + off] += m * series[e]
-        row = []
-        for c in acc:
-            c, rem = divmod(c, len(orbit))
-            if rem:
-                raise StructuralError(f"ball sum at {nu} is not divisible by its orbit size")
-            row.append(c)
-        poly = QPolynomial(dict(enumerate(row)))
-        if poly:
-            result[weight_from_ints(nu)] = poly
-    return result
+    numerator: list = [{} for _ in range(N + 1)]
+    for rep in cosets_up_to_shift(rs, lam, k, N):  # one image per coset
+        numerator[rep.offset][rep.image.classical.coeffs] = rep.sign
+    rows = _weight_rows(rs, _ratio(rs, lam.coeffs, numerator, N))
+    return {
+        weight_from_ints(mu): QPolynomial(dict(enumerate(row)))
+        for mu, row in sorted(rows.items())
+        if any(row)
+    }
 
 
 def char_integrable(rs: RootSystem, lam: Weight, k: int, N: int) -> GradedCharacter:
@@ -371,9 +327,6 @@ class AffineCharacter:
             and self.level == other.level
             and self.terms == other.terms
         )
-
-    def min_degree(self):
-        return min((d for (_, d) in self.terms), default=None)
 
     def items(self):
         return self.terms.items()
@@ -538,12 +491,20 @@ def _freudenthal_dominant(rs: RootSystem, lam: tuple) -> dict:
 
 
 # taken once: a rebound name (a tracer, say) still clears its memo
-_MEMOS = (_pbw_raw, char_integrable_dominant, _local_weyl, _freudenthal_dominant, _parabolic_order)
+_MEMOS = (
+    char_integrable_dominant,
+    _denominator,
+    _tensor,
+    _local_weyl,
+    _freudenthal_dominant,
+    _parabolic_order,
+)
 
 
 def clear_caches():
-    """Empty the in-process memos of this module (PBW, integrable, local Weyl,
-    Freudenthal, parabolic subgroup orders)."""
+    """Empty the in-process memos of this module (integrable, Macdonald
+    denominator, tensor products, local Weyl, Freudenthal, parabolic
+    subgroup orders)."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -561,12 +522,6 @@ def _hilbert_dense(coeffs, top: int, inverse: bool) -> list:
                 for e in range(top, j - 1, -1):
                     out[e] -= out[e - j]
     return out
-
-
-def hilbert_numerator(lam: Weight) -> QPolynomial:
-    """prod_i prod_{j=1}^{m_i} (1 - q^j) for the symmetric-function algebra on lam."""
-    top = sum(m * (m + 1) // 2 for m in lam.coeffs)
-    return QPolynomial(dict(enumerate(_hilbert_dense(lam.coeffs, top, False))))
 
 
 def hilbert_series(lam: Weight, N: int) -> QPolynomial:
@@ -605,35 +560,59 @@ def _rc_height(rs: RootSystem, coeffs) -> int:
     return sum(rs.scaled_root_coords(coeffs))
 
 
+def _window_rows(polys: dict, lo: int, hi: int) -> dict:
+    """{coeffs: coefficients of q^lo..q^hi} for the rows of {Weight:
+    QPolynomial} that are nonzero in that window."""
+    rows = {}
+    for w, p in polys.items():
+        row = [p.coeff(e) for e in range(lo, hi + 1)]
+        if any(row):
+            rows[w.coeffs] = row
+    return rows
+
+
+def _irreducible_rows(rs: RootSystem, rows: dict) -> dict:
+    """Rows {dominant coeffs: coefficients by degree} of a W-invariant
+    character rewritten in the irreducible basis, in decreasing (height,
+    coeffs) order: the highest weight left is the highest weight of a V, whose
+    dominant multiplicities are then subtracted (a triangular solve)."""
+    residual = dict(rows)
+    out = {}
+    while residual:
+        nu = max(residual, key=lambda c: (_rc_height(rs, c), c))
+        top = out[nu] = residual.pop(nu)
+        for mu, mult in _freudenthal_dominant(rs, nu).items():
+            if mu != nu:
+                row = [a - mult * b for a, b in zip(residual.get(mu, [0] * len(top)), top)]
+                if any(row):
+                    residual[mu] = row
+                else:
+                    residual.pop(mu, None)
+    return out
+
+
 def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
     """Expand a W-invariant truncated character in the global-Weyl basis.
 
-    Processes dominant weights in decreasing dominance order: the top residual
-    coefficient divided by the Hilbert series (implemented as multiplication by
-    the polynomial numerator, hence exact) is the multiplicity; the subtracted
-    residual must vanish identically within the window, else the input was not
-    a nonnegative combination and an ExpansionError is raised.
-
-    Only the dominant chamber is kept, as dense integer rows over the window
-    q^lo..q^N, lo the least exponent of the input. The basis element at nu is
-    the dominant part of the local Weyl character, read off its irreducible
-    table as sum_lam' c_lam'(q) mult_{V(lam')}(w), times the Hilbert series
-    of nu, cut at q^(N-lo): a multiplicity term at q^e with e < 0 moves basis
-    terms up to that degree into the window."""
+    The dominant part is read as dense integer rows over the window q^lo..q^N,
+    lo the least exponent of the input, and rewritten in the irreducible basis
+    (_irreducible_rows). Then the highest weights are processed in decreasing
+    (height, coeffs) order: the top residual row divided by the Hilbert series
+    (implemented as multiplication by the polynomial numerator, hence exact)
+    is the multiplicity, and the whole basis element, the local Weyl table
+    (_local_weyl) times the Hilbert series and the multiplicity, cut at
+    q^(N-lo), is subtracted. A multiplicity term at q^e with e < 0 moves basis
+    terms up to that degree into the window. The head must clear, else the
+    input was not a combination of the basis and an ExpansionError is raised."""
     if isinstance(char, GradedCharacter):
         if N is None:
             N = char.cutoff
         char = char.dominant_part(rs)
     if N is None:
         raise ValueError("expansion needs a truncation cutoff")
-    char = {w: p for w, p in char.items() if p}
-    lo = min((p.min_exponent() for p in char.values()), default=0)
+    lo = min((p.min_exponent() for p in char.values() if p), default=0)
     width = N + 1 - lo
-    residual = {}  # dominant coeffs -> coefficients of q^lo..q^N
-    for w, p in char.items():
-        row = [p.coeff(e) for e in range(lo, N + 1)]
-        if any(row):
-            residual[w.coeffs] = row
+    residual = _irreducible_rows(rs, _window_rows(char, lo, N))
     mults: dict = {}
     while residual:
         nu = max(residual, key=lambda c: (_rc_height(rs, c), c))
@@ -647,33 +626,21 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
             raise StructuralError("vanishing extraction from a nonzero residual")
         nu_w = weight_from_ints(nu)
         mults[nu_w] = QPolynomial({e + lo: c for e, c in enumerate(m) if c})
-        local: dict = {}  # dominant coeffs -> local Weyl coefficients in the window
-        for lam_prime, p in _local_weyl(rs, nu_w).items():
-            for w, mult in _freudenthal_dominant(rs, lam_prime).items():
-                row = local.get(w)
-                if row is None:
-                    row = local[w] = [0] * width
-                for e, c in p.items():
-                    if e < width:
-                        row[e] += c * mult
         series = _hilbert_dense(nu, width - 1, True)
-        for w, row in local.items():
-            basis = [0] * width  # local coefficient times the Hilbert series
-            for e, c in enumerate(row):
-                if c:
-                    for j in range(width - e):
-                        basis[e + j] += c * series[j]
-            tgt = residual.get(w)
-            if tgt is None:
-                tgt = [0] * width
+        for lam_prime, p in _local_weyl(rs, nu_w).items():
+            basis = [0] * width  # local multiplicity times the Hilbert series
+            for e, c in p.items():
+                for j in range(width - e):
+                    basis[e + j] += c * series[j]
+            tgt = residual.get(lam_prime) or [0] * width
             for i, mi in enumerate(m):
                 if mi:
                     for j in range(width - i):
                         tgt[i + j] -= mi * basis[j]
             if any(tgt):
-                residual[w] = tgt
-            elif w in residual:
-                del residual[w]
+                residual[lam_prime] = tgt
+            else:
+                residual.pop(lam_prime, None)
         if nu in residual:
             raise ExpansionError(f"expansion failed to clear weight {nu_w}")
     return Expansion(mults, N)
@@ -681,18 +648,10 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
 
 def expand_in_irreducibles(rs: RootSystem, char: GradedCharacter) -> dict:
     """Expand a finite W-invariant character in irreducible characters (exact)."""
-    residual = dict(char.dominant_part(rs).items())
-    out = {}
-    while residual:
-        nu = max(residual, key=lambda w: (_rc_height(rs, w.coeffs), w.coeffs))
-        m = residual[nu]
-        out[nu] = m
-        for w, mult in rs.freudenthal_dominant(nu).items():
-            upd = residual.get(w, QPolynomial.zero()) - m * mult
-            if upd:
-                residual[w] = upd
-            elif w in residual:
-                del residual[w]
-        if nu in residual:
-            raise ExpansionError(f"irreducible expansion failed at {nu}")
-    return out
+    polys = char.dominant_part(rs)
+    lo = min((p.min_exponent() for p in polys.values()), default=0)
+    hi = max((p.max_exponent() for p in polys.values()), default=0)
+    return {
+        weight_from_ints(lam): QPolynomial({e + lo: c for e, c in enumerate(row)})
+        for lam, row in _irreducible_rows(rs, _window_rows(polys, lo, hi)).items()
+    }

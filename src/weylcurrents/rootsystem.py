@@ -258,9 +258,6 @@ class RootSystem:
         """W-invariant form normalized by (theta, theta) = 2."""
         return Fraction(self.scaled_inner(lam.coeffs, mu.coeffs), self.det)
 
-    def norm2(self, lam: Weight) -> Fraction:
-        return self.inner(lam, lam)
-
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam.coeffs)
 
@@ -305,9 +302,6 @@ class RootSystem:
                     break
             else:
                 return cur, tuple(word)
-
-    def dominant_representative(self, lam: Weight) -> Weight:
-        return self.to_dominant(lam)[0]
 
     def orbit_coeffs(self, coeffs):
         """Full W-orbit of a coefficient tuple, as a list of tuples in

@@ -48,6 +48,7 @@ from .crystals import (
 from .errors import StructuralError, VerificationFailure
 from .kostka import (
     check_level_and_cutoff,
+    default_cutoff,
     kostka_alt_sum,
     kostka_characters,
     kostka_paths,
@@ -320,19 +321,21 @@ def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cac
     return results
 
 
-def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
-    """Route equality: paths = alternating sum = character expansion, exactly."""
-    results = []
+def _cross_route_points(types, max_mu, max_k):
+    """(rs, mu, k, lams) for each point of the cross-route grid, lams the
+    weights of P_+^k in mu + Q."""
     a1_levels = tuple(k for k in (1, 2, 3) if k <= max_k)
     a2_levels = tuple(k for k in (1, 2) if k <= max_k)
     for rs, mu, k in cross_route_grid(max_mu, 3, a1_levels, a2_levels):
-        if not _keep_type(rs, types):
-            continue
-        lams = [
-            lam
-            for lam in level_restricted_dominant(rs, k)
-            if rs.in_root_lattice(mu - lam)
-        ]
+        if _keep_type(rs, types):
+            lams = [lam for lam in level_restricted_dominant(rs, k) if rs.in_root_lattice(mu - lam)]
+            yield rs, mu, k, lams
+
+
+def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
+    """Route equality: paths = alternating sum = character expansion, exactly."""
+    results = []
+    for rs, mu, k, lams in _cross_route_points(types, max_mu, max_k):
         all_ok = True
         bad = ""
         for lam in lams:
@@ -629,6 +632,17 @@ def run_suite(name: str, **options):
     unread = sorted(set(options).difference(*reads))
     if unread:
         raise ValueError(f"suite {name} reads no option {', '.join(unread)}")
+    if suite_cross_route in suites:
+        # N must reach every whole chars answer of the grid before any check runs
+        params = inspect.signature(suite_cross_route).parameters
+        opts = {key: options.get(key, p.default) for key, p in params.items()}
+        points = _cross_route_points(opts["types"], opts["max_mu"], opts["max_k"])
+        need = max(
+            (default_cutoff(rs, mu, lam, k) for rs, mu, k, lams in points for lam in lams),
+            default=0,
+        )
+        if opts["N"] < need:
+            raise ValueError(f"cross-route needs N >= {need} on its grid, got N={opts['N']}")
     out = []
     for fn, names in zip(suites, reads):
         out.extend(fn(**{k: v for k, v in options.items() if k in names}))

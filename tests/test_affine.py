@@ -225,7 +225,7 @@ def test_cosets_match_a_brute_force_sweep():
         want = {}
         for rc in product(range(-box, box + 1), repeat=rs.rank):
             gamma = rs.from_root_coords(rc)
-            offset = rs.inner(lam_rho, gamma) + L * rs.norm2(gamma) / 2
+            offset = rs.inner(lam_rho, gamma) + L * rs.inner(gamma, gamma) / 2
             if offset <= N:
                 want[rc] = offset
         assert max(abs(c) for rc in want for c in rc) <= box - 2  # the box is generous
@@ -240,7 +240,7 @@ def gamma_box_cosets(rs, lam, k, N):
     L = k + rs.dual_coxeter
     lam_rho = lam + rs.rho
     # |(lam+rho, gamma)| <= |lam+rho| |gamma| bounds (gamma, gamma) by r2
-    a = float(rs.norm2(lam_rho))
+    a = float(rs.inner(lam_rho, lam_rho))
     r2 = int(((a**0.5 + (a + 2 * L * N) ** 0.5) / L) ** 2 + 1e-9)
     box = [int((r2 * rs.inverse_cartan[i][i]) ** 0.5) + 1 for i in range(rs.rank)]
     edges = [(i, j) for i in range(rs.rank) for j in range(i) if rs.cartan[i][j]]
@@ -249,7 +249,7 @@ def gamma_box_cosets(rs, lam, k, N):
         if 2 * sum(c * c for c in rc) - 2 * sum(rc[i] * rc[j] for i, j in edges) > r2:
             continue
         gamma = rs.from_root_coords(rc)
-        offset = rs.inner(lam_rho, gamma) + L * rs.norm2(gamma) / 2
+        offset = rs.inner(lam_rho, gamma) + L * rs.inner(gamma, gamma) / 2
         if offset > N:
             continue
         t = AffineWeylElement.translation_by(rs, rc)

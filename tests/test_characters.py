@@ -16,7 +16,7 @@ from weylcurrents.affine import (
 from weylcurrents.characters import (
     AffineCharacter,
     GradedCharacter,
-    _pbw_raw,
+    _hilbert_dense,
     char_global_weyl,
     char_integrable,
     char_irreducible,
@@ -25,7 +25,6 @@ from weylcurrents.characters import (
     demazure_step,
     expand_in_global_weyl,
     expand_in_irreducibles,
-    hilbert_numerator,
     hilbert_series,
 )
 from weylcurrents.errors import ExpansionError, StructuralError
@@ -79,21 +78,6 @@ def brute_force_pbw(rs, N):
     for (w, d), c in acc.items():
         table.setdefault(w, {})[d] = c
     return table
-
-
-def test_pbw_kernel_is_the_dominant_part_of_the_product():
-    for family, rank, N in (("A", 1, 10), ("A", 2, 8), ("A", 3, 5), ("D", 4, 4)):
-        rs = build_root_system(family, rank)
-        full = brute_force_pbw(rs, N)
-        dominant = {w: p for w, p in full.items() if min(w) >= 0}
-        got = {
-            kappa: {d: c for d, c in enumerate(series) if c}
-            for kappa, series in _pbw_raw(rs, N).items()
-        }
-        assert got == dominant, (family, rank, N)
-        # the product is W-invariant, so the dominant chamber determines it
-        for w, p in full.items():
-            assert p == dominant[rs.dominant_representative(Weight(w)).coeffs]
 
 
 def test_parabolic_verma_desk_values():
@@ -198,10 +182,11 @@ def test_global_weyl():
 
 def test_hilbert_helpers():
     lam = Weight([2, 1])
-    num = hilbert_numerator(lam)
+    num = QPolynomial(dict(enumerate(_hilbert_dense(lam.coeffs, 4, False))))
+    assert num == QPolynomial({0: 1, 1: -2, 3: 2, 4: -1})  # (1-q)^2 (1-q^2)
     ser = hilbert_series(lam, 8)
     assert (num * ser).truncated(hi=8) == one
-    assert hilbert_numerator(Weight([0, 0])) == one
+    assert _hilbert_dense((0, 0), 3, False) == [1, 0, 0, 0]
     # 1/((1-q)(1-q^2)) * extra (1-q) factor from m_2 = 1
     assert hilbert_series(Weight([2, 0]), 4) == (
         geometric_series(1, 4) * geometric_series(2, 4)
@@ -282,122 +267,6 @@ def test_local_weyl_dimension_multiplicative():
         assert total == prod
 
 
-# -- the chars kernel against test-local copies of the loops it replaced ------
-
-
-def rho_shifted_ball(rs, lam, k, N):
-    """Dominant mu in lam + Q with (mu+rho, mu+rho) <= (lam+rho, lam+rho) +
-    2(k+h)N: the wider ball the integrable sum used to run over."""
-    bound = rs.inner(lam + rs.rho, lam + rs.rho) + 2 * (k + rs.dual_coxeter) * N
-    out = []
-    coords = [0] * rs.rank
-
-    def rec(i):
-        if i == rs.rank:
-            mu = Weight(coords)
-            if rs.inner(mu + rs.rho, mu + rs.rho) <= bound:
-                if rs.in_root_lattice(mu - lam):
-                    out.append(mu.coeffs)
-            return
-        a = 0
-        while True:
-            coords[i] = a
-            partial = Weight(coords[: i + 1] + [0] * (rs.rank - i - 1))
-            if rs.inner(partial + rs.rho, partial + rs.rho) > bound:
-                coords[i] = 0
-                return
-            rec(i + 1)
-            a += 1
-
-    rec(0)
-    return out
-
-
-def test_kac_ball_keeps_every_nonzero_weight(monkeypatch):
-    import weylcurrents.characters as chars
-
-    cases = (("A", 1, 4, 12), ("A", 2, 3, 8), ("A", 3, 2, 5), ("D", 4, 1, 5), ("D", 4, 2, 3))
-    instances = [
-        (build_root_system(f, r), lam, k, N)
-        for f, r, k_max, N in cases
-        for k in range(1, k_max + 1)
-        for lam in level_restricted_dominant(build_root_system(f, r), k)
-    ]
-    chars.clear_caches()
-    kernel = [list(chars.char_integrable_dominant(*inst).items()) for inst in instances]
-    chars.clear_caches()
-    monkeypatch.setattr(chars, "_dominant_in_ball", rho_shifted_ball)
-    reference = [list(chars.char_integrable_dominant(*inst).items()) for inst in instances]
-    chars.clear_caches()
-    assert kernel == reference
-    d4 = build_root_system("D", 4)
-    w1 = d4.fundamental_weight(1)
-    assert len(rho_shifted_ball(d4, w1, 1, 7)) == 86
-    monkeypatch.undo()
-    assert len(chars._dominant_in_ball(d4, w1, 1, 7)) == 13
-
-
-@functools.cache
-def full_orbit_support(rs, N):
-    """Every weight of the PBW support mapped to its dominant representative."""
-    import weylcurrents.characters as chars
-
-    pbw = chars._pbw_raw(rs, N)
-    return {w.coeffs: kappa for kappa in pbw for w in rs.weyl_orbit(Weight(kappa))}
-
-
-def full_orbit_integrable(rs, lam, k, N):
-    """The integrable sum over full Weyl orbits: the numerator spread over the
-    orbit of each dominant weight, read through the full PBW support."""
-    import weylcurrents.characters as chars
-
-    numerator = {}
-    for rep in cosets_up_to_shift(rs, lam, k, N):
-        for mu, m in chars._freudenthal_dominant(rs, rep.image.classical.coeffs).items():
-            for w in rs.weyl_orbit(Weight(mu)):
-                tgt = numerator.setdefault(w.coeffs, {})
-                tgt[rep.offset] = tgt.get(rep.offset, 0) + rep.sign * m
-    pbw = chars._pbw_raw(rs, N)
-    support = full_orbit_support(rs, N)
-    result = {}
-    for nu in chars._dominant_in_ball(rs, lam, k, N):
-        gathered = {}  # PBW chamber -> numerator coefficients by offset
-        for w, offsets in numerator.items():
-            kappa = support.get(tuple(a - b for a, b in zip(nu, w)))
-            if kappa is not None:
-                by_offset = gathered.setdefault(kappa, [0] * (N + 1))
-                for off, m in offsets.items():
-                    by_offset[off] += m
-        acc = [0] * (N + 1)
-        for kappa, by_offset in gathered.items():
-            for off, m in enumerate(by_offset):
-                for e in range(N + 1 - off):
-                    acc[e + off] += m * pbw[kappa][e]
-        poly = QPolynomial(dict(enumerate(acc)))
-        if poly:
-            result[Weight(nu)] = poly
-    return result
-
-
-def test_ball_sum_matches_the_full_orbit_loop():
-    import weylcurrents.characters as chars
-
-    d4 = build_root_system("D", 4)
-    instances = [
-        (rs, lam, k, N)
-        for rs, k_max, N in ((A1, 3, 12), (A2, 2, 8))
-        for k in range(1, k_max + 1)
-        for lam in level_restricted_dominant(rs, k)
-    ]
-    instances += [(d4, lam, 1, 7) for lam in level_one_weights(d4)]
-    chars.clear_caches()
-    kernel = [list(chars.char_integrable_dominant(*inst).items()) for inst in instances]
-    # the reference reads the same PBW and Freudenthal tables, not the ball sum
-    reference = [list(full_orbit_integrable(*inst).items()) for inst in instances]
-    chars.clear_caches()
-    assert kernel == reference
-
-
 def test_orbit_size_is_the_length_of_the_orbit():
     import weylcurrents.characters as chars
 
@@ -429,8 +298,133 @@ def test_parabolic_orbit_size_is_the_length_of_the_parabolic_orbit():
             nodes = tuple(i for i in range(rs.rank) if mask[i])
             for z in product(range(-1, 2), repeat=rs.rank):
                 if all(z[i] >= 0 for i in nodes):
-                    size = len(parabolic_orbit(rs, z, nodes))
-                    assert chars._orbit_size(rs, z, nodes) == size, (rs, z, nodes)
+                    # the stabiliser of z in W_K is W_J, J the nodes of K where z vanishes
+                    wall = tuple(i for i in nodes if z[i] == 0)
+                    size = chars._parabolic_order(rs, nodes) // chars._parabolic_order(rs, wall)
+                    assert size == len(parabolic_orbit(rs, z, nodes)), (rs, z, nodes)
+
+
+# -- the Weyl-Kac ratio: denominator, tensor products, division -------------
+
+
+def spread(rs, layers):
+    """Irreducible-basis layers as full weight tables, {(coeffs, degree): coeff}."""
+    out = {}
+    for d, layer in enumerate(layers):
+        for lam, m in layer.items():
+            for w, mult in rs.freudenthal_weights(Weight(lam)).items():
+                key = (w.coeffs, d)
+                out[key] = out.get(key, 0) + m * mult
+    return {key: c for key, c in out.items() if c}
+
+
+def test_denominator_inverts_the_induced_factor():
+    import weylcurrents.characters as chars
+
+    for family, rank, N in (("A", 1, 8), ("A", 2, 4), ("A", 3, 3), ("D", 4, 3), ("E", 6, 2)):
+        rs = build_root_system(family, rank)
+        delta = spread(rs, chars._denominator(rs, N))
+        factor = {
+            (w.coeffs, d): c
+            for w, p in brute_force_induced_factor(rs, N).items()
+            for d, c in p.items()
+        }
+        by_degree = {}
+        for (w, d), c in factor.items():
+            by_degree.setdefault(d, []).append((w, c))
+        product_ = {}
+        for (w1, d1), c1 in delta.items():
+            for d2 in range(N + 1 - d1):
+                for w2, c2 in by_degree.get(d2, ()):
+                    key = (tuple(map(sum, zip(w1, w2))), d1 + d2)
+                    product_[key] = product_.get(key, 0) + c1 * c2
+        assert {key: c for key, c in product_.items() if c} == {(rs.zero().coeffs, 0): 1}, rs
+
+
+def test_ratio_matches_numerator_times_the_pbw_factor():
+    # the Weyl-Kac formula as a product: the coset numerator spread over full
+    # orbits times the brute-force PBW factor, on every dominant weight
+    import weylcurrents.characters as chars
+
+    d4 = build_root_system("D", 4)
+    instances = [
+        (rs, lam, k, N)
+        for rs, k_max, N in ((A1, 3, 10), (A2, 2, 6))
+        for k in range(1, k_max + 1)
+        for lam in level_restricted_dominant(rs, k)
+    ]
+    instances += [(d4, d4.zero(), 1, 3), (d4, d4.fundamental_weight(1), 1, 3)]
+    for rs, lam, k, N in instances:
+        numerator = [{} for _ in range(N + 1)]
+        for rep in cosets_up_to_shift(rs, lam, k, N):
+            layer = numerator[rep.offset]
+            image = rep.image.classical.coeffs
+            layer[image] = layer.get(image, 0) + rep.sign
+        pbw = brute_force_pbw(rs, N)
+        want = {}
+        for (w, d1), c in spread(rs, numerator).items():
+            for u, series in pbw.items():
+                nu = tuple(map(sum, zip(w, u)))
+                if min(nu) >= 0:
+                    row = want.setdefault(nu, {})
+                    for d2, c2 in series.items():
+                        if d1 + d2 <= N:
+                            row[d1 + d2] = row.get(d1 + d2, 0) + c * c2
+        want = {Weight(nu): QPolynomial(row) for nu, row in sorted(want.items())}
+        got = chars.char_integrable_dominant(rs, lam, k, N)
+        assert list(got.items()) == [(w, p) for w, p in want.items() if p], (rs, lam, k)
+
+
+def test_tensor_product_is_symmetric_and_multiplies_dimensions():
+    import weylcurrents.characters as chars
+
+    d4 = build_root_system("D", 4)
+    pairs = [
+        (A2, (1, 0), (0, 1)),
+        (A2, (1, 1), (1, 1)),
+        (A2, (2, 1), (1, 0)),  # the smaller factor comes second
+        (A2, (0, 0), (3, 0)),
+        (d4, (1, 0, 0, 0), (0, 0, 1, 0)),
+        (d4, (0, 1, 0, 0), (0, 0, 0, 1)),  # the smaller factor comes second
+        (d4, (1, 0, 1, 0), (0, 1, 0, 0)),
+    ]
+    for rs, a, b in pairs:
+        ab, ba = chars._tensor(rs, a, b), chars._tensor(rs, b, a)
+        assert ab == ba and chars._times(rs, b, a) == ab, (rs, a, b)
+        dims = {lam: rs.weyl_dimension(Weight(lam)) for lam in (a, b, *ab)}
+        assert sum(m * dims[lam] for lam, m in ab.items()) == dims[a] * dims[b]
+        weight_basis = char_irreducible(rs, Weight(a)) * char_irreducible(rs, Weight(b))
+        want = {w.coeffs: p.coeff(0) for w, p in expand_in_irreducibles(rs, weight_basis).items()}
+        assert ab == want, (rs, a, b)
+
+
+def test_ratio_checks_the_denominator_and_the_head(monkeypatch):
+    import weylcurrents.characters as chars
+
+    real_sweep = chars._alcove_sweep
+
+    def flipped(rs, lam_rho, L, N):
+        # one more reflection on every coset: each sign of Delta flips
+        for nu, offset, word in real_sweep(rs, lam_rho, L, N):
+            yield nu, offset, word + [0]
+
+    chars.clear_caches()
+    monkeypatch.setattr(chars, "_alcove_sweep", flipped)
+    with pytest.raises(StructuralError, match="denominator"):
+        chars.char_integrable_dominant(A1, Weight([0]), 1, 4)
+    monkeypatch.undo()
+
+    real_cosets = chars.cosets_up_to_shift
+
+    def headless(rs, lam, k, N):
+        return real_cosets(rs, lam, k, N)[1:]  # drop the identity coset
+
+    chars.clear_caches()
+    monkeypatch.setattr(chars, "cosets_up_to_shift", headless)
+    with pytest.raises(StructuralError, match="ratio"):
+        chars.char_integrable_dominant(A2, Weight([1, 0]), 1, 3)
+    monkeypatch.undo()
+    chars.clear_caches()
 
 
 def orbit_expansion(rs, char, N=None):
@@ -549,7 +543,7 @@ def full_word_local_weyl(rs, lam):
     ch = AffineCharacter.monomial(top)
     for i in reversed(word):
         ch = demazure_step(rs, i, ch)
-    assert ch.min_degree() == target.degree
+    assert min(d for _, d in ch.terms) == target.degree
     degrees = {}
     for (coeffs, deg), c in ch.items():
         degrees.setdefault(Weight(coeffs), {})[deg - target.degree] = c

@@ -377,3 +377,15 @@ def test_verify_demazure_limit_honours_type(capsys):
     code, out, _ = run_cli(capsys, "verify", "demazure-limit", "--type", "A1")
     assert code == 0
     assert "2/2 checks passed" in out
+
+
+@pytest.mark.parametrize("family, need", [("A1", 9), ("A2", 3)])
+def test_verify_cross_route_cutoff_too_small_exits_2(capsys, family, need):
+    # A1 used to exit 2 from the chars route mid-suite, A2 to exit 1 with
+    # four "degree beyond window" FAIL lines
+    for argv in (["cross-route", "--type", family], ["all"]):
+        code, out, err = run_cli(capsys, "verify", *argv, "--N", str(need - 1))
+        assert code == 2
+        assert out == "" and "cross-route needs N >= " in err
+    code, out, _ = run_cli(capsys, "verify", "cross-route", "--type", family, "--N", str(need))
+    assert code == 0 and "FAIL" not in out
