@@ -18,7 +18,6 @@ from .affine import (
     _alcove_sweep,
     act_affine,
     chamber_ascent,
-    cosets_up_to_shift,
     in_level_dominant,
     level_one_weights,
 )
@@ -93,7 +92,7 @@ class GradedCharacter:
         old cutoff, which were never kept."""
         if cutoff is None:
             return None
-        return cutoff + min(0, *(p.min_exponent() for p in factor_polys if p))
+        return cutoff + min([0, *(p.min_exponent() for p in factor_polys if p)])
 
     def scaled(self, poly: QPolynomial):
         """Multiply by a Laurent polynomial (see _lowered_cutoff)."""
@@ -153,27 +152,16 @@ def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
 
 
 @cache
-def _parabolic_order(rs: RootSystem, nodes: tuple) -> int:
-    """|W_K| for the parabolic subgroup W_K generated by the s_i with i in
-    nodes (0-based): the product of (ht alpha + 1) / ht alpha over the positive
-    roots supported on those nodes (Macdonald 1972)."""
+def _dimension(rs: RootSystem, lam: tuple) -> int:
+    """dim V(lam) for a dominant coefficient tuple, by Weyl's formula: the
+    product over the positive roots alpha = sum_i c_i alpha_i of (lam + rho,
+    alpha) / (rho, alpha). Simply laced, so (lam + rho, alpha) = sum_i c_i
+    (lam_i + 1) and (rho, alpha) = ht alpha."""
     num = den = 1
     for rc in rs.positive_root_coords:
-        if all(c == 0 or i in nodes for i, c in enumerate(rc)):
-            h = sum(rc)
-            num *= h + 1
-            den *= h
-    order, rem = divmod(num, den)
-    if rem:
-        raise StructuralError(f"parabolic subgroup order at {nodes} is not an integer")
-    return order
-
-
-def _orbit_size(rs: RootSystem, coeffs: tuple) -> int:
-    """|W coeffs| for a dominant coefficient tuple: |W| / |W_J|, J the nodes
-    where coeffs vanishes, since the stabiliser is the parabolic subgroup W_J."""
-    wall = tuple(i for i, c in enumerate(coeffs) if c == 0)
-    return _parabolic_order(rs, tuple(range(rs.rank))) // _parabolic_order(rs, wall)
+        num *= sum(c * (m + 1) for c, m in zip(rc, lam))
+        den *= sum(rc)
+    return num // den
 
 
 @cache
@@ -182,14 +170,10 @@ def _tensor(rs: RootSystem, a: tuple, b: tuple) -> dict:
     multiplicity}, for a <= b (one memo entry per unordered pair; see _times).
 
     Brauer-Klimyk: with x over the weights of the smaller factor (by
-    dimension, sum m |W mu| over its dominant weights) and c the other highest
-    weight, each e^{c + x} straightens to +-ch V(dom(c + rho + x) - rho), with
-    the sign of the ascent's parity, or to 0 when c + rho + x lies on a wall."""
-
-    def dim(lam):
-        return sum(m * _orbit_size(rs, mu) for mu, m in _freudenthal_dominant(rs, lam).items())
-
-    if dim(a) > dim(b):
+    _dimension) and c the other highest weight, each e^{c + x} straightens to
+    +-ch V(dom(c + rho + x) - rho), with the sign of the ascent's parity, or
+    to 0 when c + rho + x lies on a wall."""
+    if _dimension(rs, a) > _dimension(rs, b):
         a, b = b, a
     shifted = [c + 1 for c in b]
     out: dict = {}
@@ -207,54 +191,81 @@ def _times(rs: RootSystem, a: tuple, b: tuple) -> dict:
     return _tensor(rs, a, b) if a <= b else _tensor(rs, b, a)
 
 
+def _sweep_layers(sweep, N: int) -> list:
+    """The layers up to q^N of sum (-1)^len(word) q^offset ch V(nu - rho)
+    over the terms (nu, offset, word) of an alcove sweep (affine._alcove_sweep)."""
+    layers: list = [{} for _ in range(N + 1)]
+    for nu, offset, word in sweep:
+        layers[offset][tuple([c - 1 for c in nu.coeffs])] = -1 if len(word) % 2 else 1
+    return layers
+
+
 @cache
 def _denominator(rs: RootSystem, N: int) -> list:
     """The layers of Delta = prod_{n>=1} (1 - q^n)^rank prod_alpha (1 - q^n e^alpha)
     up to q^N, the inverse of the character P of the symmetric algebra on
     g tensor zC[z]. By the Macdonald identity (Kac, Ch. 10 and 12) Delta is
-    the alcove sweep of rho at level h^vee (lam = 0 at level 0): the sum of
-    (-1)^len(word) q^offset ch V(nu - rho). The memo hands every caller the
-    same list: read it, never change it."""
-    layers: list = [{} for _ in range(N + 1)]
-    for nu, offset, word in _alcove_sweep(rs, rs.rho, rs.dual_coxeter, N):
-        lam = tuple([c - 1 for c in nu.coeffs])
-        layers[offset][lam] = -1 if len(word) % 2 else 1
+    the alcove sweep of rho at level h^vee (lam = 0 at level 0). The memo
+    hands every caller the same list: read it, never change it."""
+    layers = _sweep_layers(_alcove_sweep(rs, rs.rho, rs.dual_coxeter, N), N)
     if layers[0] != {rs.zero().coeffs: 1}:
         raise StructuralError("the Macdonald denominator does not start at V(0)")
     return layers
 
 
-def _ratio(rs: RootSystem, lam: tuple, numerator: list, N: int) -> list:
-    """The layers of X = numerator / Delta up to q^N, solved degree by degree:
-    Delta_0 = V(0), so X_d = numerator_d - sum_{j>=1} Delta_j X_{d-j}. X_0
-    must be V(lam), the head of the module."""
+def _ratio(rs: RootSystem, lam: tuple, sweep, N: int) -> list:
+    """The layers of X = Num / Delta up to q^N, Num the terms of sweep (see
+    _sweep_layers), solved degree by degree: Delta_0 = V(0), so X_d = Num_d -
+    sum_{j>=1} Delta_j X_{d-j}. X_0 must be V(lam), the head of the module."""
+    if N < 0:
+        raise ValueError(f"cutoff N must be >= 0, got {N}")
+    numerator = _sweep_layers(sweep, N)
     delta = _denominator(rs, N)
     out: list = []
     for d in range(N + 1):
-        layer = dict(numerator[d])
+        layer = numerator[d]
         for j in range(1, d + 1):
             for a, ca in delta[j].items():
                 for b, cb in out[d - j].items():
                     for c, m in _times(rs, a, b).items():
                         layer[c] = layer.get(c, 0) - ca * cb * m
         out.append({c: m for c, m in layer.items() if m})
-    if out and out[0] != {lam: 1}:
+    if out[0] != {lam: 1}:
         raise StructuralError(f"the Weyl-Kac ratio does not start at V({lam})")
     return out
 
 
-def _weight_rows(rs: RootSystem, layers: list) -> dict:
-    """Irreducible-basis layers (layer d: {dominant coeffs: multiplicity of V
-    at q^d}) spread over the dominant weights of each V, as {dominant coeffs:
-    coefficients of q^0..q^N}."""
+@cache
+def _integrable_layers(rs: RootSystem, lam: Weight, k: int, N: int) -> list:
+    """The layers of ch L_k(lam) up to q^N by Weyl-Kac as a ratio, Num / Delta
+    (see _ratio), Num the alcove sweep of lam + rho at level k + h^vee. The
+    memo hands every caller the same list: read it, never change it."""
+    if not in_level_dominant(rs, lam, k):
+        raise ValueError(f"{lam} is not in P_+^{k}")
+    if k < 1:
+        raise ValueError("level k must be >= 1")
+    sweep = _alcove_sweep(rs, lam + rs.rho, k + rs.dual_coxeter, N)
+    return _ratio(rs, lam.coeffs, sweep, N)
+
+
+def _layer_rows(layers: list) -> dict:
+    """Irreducible-basis layers as rows {dominant coeffs: coefficients of
+    q^0..q^N}, one row per V."""
     rows: dict = {}
     for d, layer in enumerate(layers):
         for lam, m in layer.items():
-            for mu, mult in _freudenthal_dominant(rs, lam).items():
-                row = rows.get(mu)
-                if row is None:
-                    row = rows[mu] = [0] * len(layers)
-                row[d] += m * mult
+            rows.setdefault(lam, [0] * len(layers))[d] = m
+    return rows
+
+
+def _weight_rows(rs: RootSystem, layers: list) -> dict:
+    """Irreducible-basis layers spread over the dominant weights of each V, as
+    rows {dominant coeffs: coefficients of q^0..q^N}."""
+    rows: dict = {}
+    for lam, row in _layer_rows(layers).items():
+        for mu, mult in _freudenthal_dominant(rs, lam).items():
+            tgt = rows.get(mu) or [0] * len(row)
+            rows[mu] = [a + mult * b for a, b in zip(tgt, row)]
     return rows
 
 
@@ -264,7 +275,7 @@ def char_parabolic_verma(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter
     on g tensor zC[z], which is 1/Delta (see _denominator)."""
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    layers = _ratio(rs, lam.coeffs, [{lam.coeffs: 1}] + [{} for _ in range(N)], N)
+    layers = _ratio(rs, lam.coeffs, [(lam + rs.rho, 0, ())], N)  # Num = V(lam)
     terms = {}  # the character is W-invariant: each dominant row fills its orbit
     for mu, row in _weight_rows(rs, layers).items():
         for w in rs.orbit_coeffs(mu):
@@ -275,18 +286,9 @@ def char_parabolic_verma(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter
 @cache
 def char_integrable_dominant(rs: RootSystem, lam: Weight, k: int, N: int):
     """Dominant sector of ch L_k(lam) truncated at q^N, as Weight -> QPolynomial,
-    in lexicographic order of the weights.
-
-    Weyl-Kac as a ratio: ch L_k(lam) = Num / Delta, where the coset sweep gives
-    the numerator Num = sum sign q^offset ch V(image) and Delta is the
-    Macdonald denominator (see _denominator). The ratio is solved in the
-    irreducible basis, then each V is spread over its dominant weights."""
-    if not in_level_dominant(rs, lam, k):
-        raise ValueError(f"{lam} is not in P_+^{k}")
-    numerator: list = [{} for _ in range(N + 1)]
-    for rep in cosets_up_to_shift(rs, lam, k, N):  # one image per coset
-        numerator[rep.offset][rep.image.classical.coeffs] = rep.sign
-    rows = _weight_rows(rs, _ratio(rs, lam.coeffs, numerator, N))
+    in lexicographic order of the weights: the irreducible layers of
+    _integrable_layers, each V spread over its dominant weights."""
+    rows = _weight_rows(rs, _integrable_layers(rs, lam, k, N))
     return {
         weight_from_ints(mu): QPolynomial(dict(enumerate(row)))
         for mu, row in sorted(rows.items())
@@ -493,18 +495,19 @@ def _freudenthal_dominant(rs: RootSystem, lam: tuple) -> dict:
 # taken once: a rebound name (a tracer, say) still clears its memo
 _MEMOS = (
     char_integrable_dominant,
+    _integrable_layers,
     _denominator,
     _tensor,
+    _dimension,
     _local_weyl,
     _freudenthal_dominant,
-    _parabolic_order,
 )
 
 
 def clear_caches():
-    """Empty the in-process memos of this module (integrable, Macdonald
-    denominator, tensor products, local Weyl, Freudenthal, parabolic
-    subgroup orders)."""
+    """Empty the in-process memos of this module (integrable characters and
+    their layers, Macdonald denominator, tensor products, dimensions, local
+    Weyl, Freudenthal)."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -595,15 +598,8 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
     """Expand a W-invariant truncated character in the global-Weyl basis.
 
     The dominant part is read as dense integer rows over the window q^lo..q^N,
-    lo the least exponent of the input, and rewritten in the irreducible basis
-    (_irreducible_rows). Then the highest weights are processed in decreasing
-    (height, coeffs) order: the top residual row divided by the Hilbert series
-    (implemented as multiplication by the polynomial numerator, hence exact)
-    is the multiplicity, and the whole basis element, the local Weyl table
-    (_local_weyl) times the Hilbert series and the multiplicity, cut at
-    q^(N-lo), is subtracted. A multiplicity term at q^e with e < 0 moves basis
-    terms up to that degree into the window. The head must clear, else the
-    input was not a combination of the basis and an ExpansionError is raised."""
+    lo the least exponent of the input, rewritten in the irreducible basis
+    (_irreducible_rows) and peeled (_peel_global_weyl)."""
     if isinstance(char, GradedCharacter):
         if N is None:
             N = char.cutoff
@@ -611,8 +607,22 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
     if N is None:
         raise ValueError("expansion needs a truncation cutoff")
     lo = min((p.min_exponent() for p in char.values() if p), default=0)
+    return _peel_global_weyl(rs, _irreducible_rows(rs, _window_rows(char, lo, N)), lo, N)
+
+
+def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int) -> Expansion:
+    """The global-Weyl expansion of rows {dominant coeffs: coefficients of
+    q^lo..q^N} in the irreducible basis; the rows are used up.
+
+    The highest weights are processed in decreasing (height, coeffs) order:
+    the top residual row divided by the Hilbert series (implemented as
+    multiplication by the polynomial numerator, hence exact) is the
+    multiplicity, and the whole basis element, the local Weyl table
+    (_local_weyl) times the Hilbert series and the multiplicity, cut at
+    q^(N-lo), is subtracted. A multiplicity term at q^e with e < 0 moves basis
+    terms up to that degree into the window. The head must clear, else the
+    input was not a combination of the basis and an ExpansionError is raised."""
     width = N + 1 - lo
-    residual = _irreducible_rows(rs, _window_rows(char, lo, N))
     mults: dict = {}
     while residual:
         nu = max(residual, key=lambda c: (_rc_height(rs, c), c))

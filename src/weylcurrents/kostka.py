@@ -15,9 +15,10 @@ from . import characters, crystals
 from .affine import cosets_up_to_shift, in_level_dominant, level_one_weights
 from .characters import (
     Expansion,
+    _integrable_layers,
+    _layer_rows,
     _local_weyl,
-    char_integrable_dominant,
-    expand_in_global_weyl,
+    _peel_global_weyl,
 )
 from .crystals import restricted_paths
 from .qseries import QPolynomial
@@ -121,10 +122,10 @@ def check_level_and_cutoff(k, N):
 
 @cache
 def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Expansion:
-    """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters."""
+    """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters,
+    peeled from the irreducible layers of the Weyl-Kac ratio (head at q^0)."""
     check_level_and_cutoff(k, N)
-    dom = char_integrable_dominant(rs, lam, k, N)
-    return expand_in_global_weyl(rs, dom, N)
+    return _peel_global_weyl(rs, _layer_rows(_integrable_layers(rs, lam, k, N)), 0, N)
 
 
 _MEMOS = (integrable_weyl_expansion,)  # taken once: a rebound name still clears its memo

@@ -19,6 +19,7 @@ from weylcurrents.characters import (
     _hilbert_dense,
     char_global_weyl,
     char_integrable,
+    char_integrable_dominant,
     char_irreducible,
     char_local_weyl,
     char_parabolic_verma,
@@ -267,41 +268,17 @@ def test_local_weyl_dimension_multiplicative():
         assert total == prod
 
 
-def test_orbit_size_is_the_length_of_the_orbit():
+def test_dimension_is_the_number_of_weights():
     import weylcurrents.characters as chars
 
     cases = [(build_root_system("A", n), 2) for n in range(1, 5)]
-    cases += [(build_root_system("D", 4), 2), (build_root_system("E", 6), 1)]
+    cases += [(build_root_system("D", 4), 2), (build_root_system("D", 5), 2)]
+    cases += [(build_root_system("E", 6), 1)]
     for rs, top in cases:
-        for mu in product(range(top + 1), repeat=rs.rank):
-            assert chars._orbit_size(rs, mu) == len(rs.weyl_orbit(Weight(mu))), (rs, mu)
-
-
-def test_parabolic_orbit_size_is_the_length_of_the_parabolic_orbit():
-    import weylcurrents.characters as chars
-
-    def parabolic_orbit(rs, z, nodes):
-        seen, frontier = {z}, [z]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in nodes:
-                    r = tuple(x - w[i] * c for x, c in zip(w, rs.cartan[i]))
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        return seen
-
-    for rs in (A2, build_root_system("A", 3), build_root_system("D", 4)):
-        for mask in product((False, True), repeat=rs.rank):
-            nodes = tuple(i for i in range(rs.rank) if mask[i])
-            for z in product(range(-1, 2), repeat=rs.rank):
-                if all(z[i] >= 0 for i in nodes):
-                    # the stabiliser of z in W_K is W_J, J the nodes of K where z vanishes
-                    wall = tuple(i for i in nodes if z[i] == 0)
-                    size = chars._parabolic_order(rs, nodes) // chars._parabolic_order(rs, wall)
-                    assert size == len(parabolic_orbit(rs, z, nodes)), (rs, z, nodes)
+        for lam in product(range(top + 1), repeat=rs.rank):
+            if sum(lam) <= top:
+                want = sum(rs.freudenthal_weights(Weight(lam)).values())
+                assert chars._dimension(rs, lam) == want, (rs, lam)
 
 
 # -- the Weyl-Kac ratio: denominator, tensor products, division -------------
@@ -414,13 +391,14 @@ def test_ratio_checks_the_denominator_and_the_head(monkeypatch):
         chars.char_integrable_dominant(A1, Weight([0]), 1, 4)
     monkeypatch.undo()
 
-    real_cosets = chars.cosets_up_to_shift
-
-    def headless(rs, lam, k, N):
-        return real_cosets(rs, lam, k, N)[1:]  # drop the identity coset
+    def headless(rs, lam_rho, L, N):
+        # drop the identity coset of the numerator; Delta (lam_rho = rho) keeps it
+        for nu, offset, word in real_sweep(rs, lam_rho, L, N):
+            if offset or lam_rho == rs.rho:
+                yield nu, offset, word
 
     chars.clear_caches()
-    monkeypatch.setattr(chars, "cosets_up_to_shift", headless)
+    monkeypatch.setattr(chars, "_alcove_sweep", headless)
     with pytest.raises(StructuralError, match="ratio"):
         chars.char_integrable_dominant(A2, Weight([1, 0]), 1, 3)
     monkeypatch.undo()
@@ -528,6 +506,30 @@ def test_product_with_a_negative_power_lowers_the_cutoff():
             Weight([3]): QPolynomial.monomial(-1)
         }
     assert (gw * GradedCharacter({Weight([0]): q})).cutoff == 6
+
+
+def test_multiplying_by_zero_gives_the_zero_character():
+    # a factor with no nonzero term made the lowered cutoff min(0) of nothing,
+    # a TypeError
+    gw = char_global_weyl(A1, Weight([1]), 3)
+    for prod in (
+        gw * GradedCharacter({}, cutoff=3),
+        GradedCharacter({}, cutoff=3) * gw,
+        gw.scaled(QPolynomial.zero()),
+    ):
+        assert prod.is_zero() and prod.cutoff == 3
+    assert char_global_weyl(A1, Weight([1]), -1).is_zero()
+
+
+def test_negative_cutoff_is_rejected_by_every_ratio():
+    # N = -1 reached the denominator's empty layer list, an IndexError
+    for call in (
+        lambda: char_integrable_dominant(A1, Weight([0]), 1, -1),
+        lambda: char_integrable(A2, Weight([1, 0]), 1, -1),
+        lambda: char_parabolic_verma(A1, Weight([1]), -1),
+    ):
+        with pytest.raises(ValueError, match="cutoff N must be >= 0"):
+            call()
 
 
 def full_word_local_weyl(rs, lam):

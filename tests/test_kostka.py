@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from weylcurrents.affine import level_restricted_dominant
+from weylcurrents.characters import char_integrable_dominant, expand_in_global_weyl
 from weylcurrents.kostka import (
     integrable_weyl_expansion,
     kostka_alt_sum,
@@ -192,6 +193,26 @@ def test_level_and_cutoff_checked_at_the_boundary():
         integrable_weyl_expansion(A1, Weight([0]), 0, 4)
 
 
+def test_expansion_from_the_layers_matches_the_weight_round_trip():
+    # the old path: the ratio spread over dominant weights, then expanded by
+    # the triangular solve back to irreducibles and the same peel
+    instances = [
+        (rs, lam, k, N)
+        for rs, k_max, N in ((A1, 3, 10), (A2, 2, 6))
+        for k in range(1, k_max + 1)
+        for lam in level_restricted_dominant(rs, k)
+    ]
+    A3, D4, E6 = (build_root_system(*t) for t in (("A", 3), ("D", 4), ("E", 6)))
+    instances += [(A3, lam, 1, 5) for lam in level_restricted_dominant(A3, 1)]
+    instances += [(D4, lam, 1, 5) for lam in level_restricted_dominant(D4, 1)]
+    instances += [(E6, E6.zero(), 1, 4)]
+    for rs, lam, k, N in instances:
+        got = integrable_weyl_expansion(rs, lam, k, N)
+        want = expand_in_global_weyl(rs, char_integrable_dominant(rs, lam, k, N), N)
+        assert list(got.multiplicities.items()) == list(want.multiplicities.items())
+        assert got.trusted_degree == want.trusted_degree == N
+
+
 def test_clear_caches_empties_every_route_memo():
     from weylcurrents import characters, crystals, kostka
 
@@ -205,11 +226,12 @@ def test_clear_caches_empties_every_route_memo():
     ]
     assert {m.__name__ for m in memos} >= {
         "char_integrable_dominant",
+        "_integrable_layers",
         "_denominator",
         "_tensor",
+        "_dimension",
         "_local_weyl",
         "_freudenthal_dominant",
-        "_parabolic_order",
         "integrable_weyl_expansion",
         "_build_R",
         "_build_H",
@@ -217,6 +239,7 @@ def test_clear_caches_empties_every_route_memo():
     for route in ("paths", "chars"):
         kostka_by_route(A1, Weight([2]), Weight([0]), 1, route)
     kostka_by_route(A2, Weight([1, 1]), Weight([0, 0]), 1, "paths")  # R on unequal heights
+    characters.char_integrable_dominant(A1, Weight([0]), 1, 2)  # a view the routes skip
     assert crystals._GRAPH_CACHE
     assert all(m.cache_info().currsize for m in memos)
     kostka.clear_caches()
