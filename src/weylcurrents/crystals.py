@@ -13,9 +13,9 @@ import json
 import os
 import tempfile
 from functools import cache
-from itertools import combinations, compress, product, repeat
+from itertools import combinations, compress, product
 from math import comb, prod
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import StructuralError
 from .qseries import QPolynomial
@@ -143,8 +143,9 @@ def _zero_action_side(n: int, b2) -> str:
 def _pair_highest(n: int, r: int, s: int):
     """The classical-highest elements of B^{r,1} x B^{s,1}."""
     vertices, _, eps, _, f_arrows, _ = _fold(n, (r, s), energy=False)
-    component = _classical_components(n, f_arrows, _e_arrows(f_arrows))
-    return [vertices[t] for t in _component_tops(eps, component).values()]
+    arrows = _arrows(f_arrows)
+    _, highest = _classical_components(n, eps, arrows, _e_arrows(len(eps), arrows))
+    return [vertices[t] for t in highest]
 
 
 def combinatorial_R(n: int, pair):
@@ -297,8 +298,11 @@ def _fold(n: int, heights, energy: bool):
     Factor l extends every prefix state s by every column c, giving state
     s * m + c. The statistics follow the two-factor rules of `tensor_stats`.
     f_i follows the signature rule of `apply_op`: it acts on the prefix when
-    phi_i(prefix) > eps_i(c), else on c. D adds, with x = c, H(b_i, x) and
-    then x = R(b_i, x)[0] for i = l-1, ..., 0, as in `energy_of_element`."""
+    phi_i(prefix) > eps_i(c), else on c. D is `energy_of_element` by transport
+    tables: for each height r still to come, T[r][s * m_r + x] is the energy a
+    height-r column x collects moving left through prefix s. Then D(s * m + c)
+    = D(s) + T[r][s * m + c], and the new factor p extends each table by
+    T[r](s ⊗ p, x) = H(p, x) + T[r](s, R(p, x)[0])."""
     tables = {r: _column_tables(n, r) for r in set(heights)}
     pairs = {}
     if energy:
@@ -310,7 +314,8 @@ def _fold(n: int, heights, energy: bool):
     E = [[0] for _ in ops]
     P = [[0] for _ in ops]
     F = [[-1] for _ in ops]
-    D, POS = [0], []  # POS[i][s]: column position of factor i in state s
+    D = [0]
+    T = {r: [0] * len(tables[r][0]) for r in set(heights)}
     for level, r in enumerate(heights):
         _, cwts, ceps, cphi, cf = tables[r]
         m = len(cf[0])
@@ -333,16 +338,13 @@ def _fold(n: int, heights, energy: bool):
             for Pi, ce, cp in zip(P, ceps, cphi)
         ]
         if energy:
-            own = list(cs) * len(D)
-            POS = [[p for p in Pi for _ in cs] for Pi in POS]
-            D = [d for d in D for _ in cs]
-            X = own
-            for i in range(level - 1, -1, -1):
-                H, R = pairs[heights[i], r]
-                K = [p * m + x for p, x in zip(POS[i], X)]
-                D = [d + H[k] for d, k in zip(D, K)]
-                X = [R[k] for k in K]
-            POS.append(own)
+            D = list(map(add, [d for d in D for _ in cs], T[r]))
+            extended = {}
+            for later in set(heights[level + 1 :]):
+                H, R = pairs[r, later]
+                rows = zip(*[iter(T[later])] * (len(R) // m))
+                extended[later] = [h + row[x] for row in rows for h, x in zip(H, R)]
+            T = extended
     vertices = list(product(*(tables[r][0] for r in heights)))
     distinct = {w: weight_from_ints(w) for w in set(zip(*W))}
     weights = [distinct[w] for w in zip(*W)]
@@ -356,45 +358,52 @@ CACHE_FORMAT = 2  # the disk cache document
 EXPORT_FORMAT = 1  # the `export --format json` document
 
 
-def _e_arrows(f_arrows):
-    """e_i as tables: the source of the f_i arrow into each vertex, else -1."""
+def _arrows(f_arrows):
+    """The sources and the targets of the f_i arrows, for each i."""
     V = range(len(f_arrows[0]))
-    return [list(map(dict(zip(row, V)).get, V, repeat(-1))) for row in f_arrows]
+    out = []
+    for row in f_arrows:
+        has = [d >= 0 for d in row]
+        out.append((list(compress(V, has)), list(compress(row, has))))
+    return out
 
 
-def _classical_components(n: int, f_arrows, e_arrows):
-    """Component id per vertex under the classical arrows (i >= 1)."""
-    V = len(f_arrows[0])
-    comp = [-1] * V
-    cid = 0
-    for t in range(V):
-        if comp[t] >= 0:
-            continue
-        stack = [t]
-        comp[t] = cid
-        while stack:
-            u = stack.pop()
-            for i in range(1, n + 1):
-                for nb in (f_arrows[i][u], e_arrows[i][u]):
-                    if nb >= 0 and comp[nb] < 0:
-                        comp[nb] = cid
-                        stack.append(nb)
-        cid += 1
-    return comp
+def _e_arrows(size, arrows):
+    """e_i as tables: the source of the f_i arrow into each vertex, else -1."""
+    tables = []
+    for src, dst in arrows:
+        e = [-1] * size
+        for s, d in zip(src, dst):
+            e[d] = s
+        tables.append(e)
+    return tables
 
 
-def _component_tops(eps, component):
-    """The classical-highest vertex (eps_i = 0 for i >= 1) of each component."""
-    tops = {}
-    for t, e in enumerate(eps):
-        if not any(e[1:]):
-            c = component[t]
-            if c in tops:
-                raise StructuralError("component with two classical-highest elements")
-            tops[c] = t
-    if len(tops) != len(set(component)):
+def _classical_components(n: int, eps, arrows, e_arrows):
+    """(label, highest): each vertex labelled by the classical-highest vertex
+    (eps_i = 0 for i >= 1) of its classical component, and those vertices in
+    index order.
+
+    One raising pass: vertices are in lexicographic order and a classical e_i
+    turns one letter i + 1 into i, so e_i(t) < t and its label is already set.
+    A classical-highest vertex labels itself; any other vertex takes the label
+    of e_i(t) for its first i >= 1 with eps_i(t) > 0, and has none when that
+    arrow is missing. Every classical f_i arrow must then keep its label, so no
+    component has two such vertices. (A raising cycle, the one way a label
+    could name a vertex that is not classical-highest, breaks the weight shift
+    that the axiom check tests on every arrow.)"""
+    V = range(len(eps))
+    label = list(V)
+    for i in range(n, 0, -1):
+        label = [s if e[i] else u for u, e, s in zip(label, eps, e_arrows[i])]
+    if -1 in label:
         raise StructuralError("component without a classical-highest element")
-    return tops
+    for t, s in enumerate(label):
+        label[t] = label[s]
+    for src, dst in arrows[1:]:
+        if list(map(label.__getitem__, src)) != list(map(label.__getitem__, dst)):
+            raise StructuralError("component with two classical-highest elements")
+    return label, sorted(set(label))
 
 
 class CrystalGraph:
@@ -424,26 +433,26 @@ class CrystalGraph:
         self.phi = phi
         self.f_arrows = f_arrows
         self.D = D
-        self.e_arrows = _e_arrows(f_arrows)
-        self.component = _classical_components(n, f_arrows, self.e_arrows)
-        self.component_highest = _component_tops(eps, self.component)
-        self._verify_axioms()
+        arrows = _arrows(f_arrows)
+        self.e_arrows = _e_arrows(len(vertices), arrows)
+        self.component, self.component_highest = _classical_components(
+            n, eps, arrows, self.e_arrows
+        )
+        self._verify_axioms(arrows)
 
-    def _verify_axioms(self):
+    def _verify_axioms(self, arrows):
         """Check the crystal and degree-function axioms, one pass over the
-        column tables per operator."""
+        column tables per operator; `arrows` holds the sources and the targets
+        of the f_i arrows."""
         n = self.n
         rs = build_root_system("A", n)
         ops = range(n + 1)
         V = range(len(self.vertices))
         D = self.D
-        # the sources and the targets of the f_i arrows, for each i
-        has = [[d >= 0 for d in row] for row in self.f_arrows]
-        arrows = [(list(compress(V, h)), list(compress(F, h))) for h, F in zip(has, self.f_arrows)]
         # affine connectivity: every classical component is connected, so it
         # suffices that the 0-arrows join the components into one
         comp = self.component
-        links = {c: set() for c in set(comp)}
+        links = {c: set() for c in self.component_highest}
         for a, b in set(zip(*(map(comp.__getitem__, ends) for ends in arrows[0]))):
             links[a].add(b)
             links[b].add(a)
@@ -466,19 +475,22 @@ class CrystalGraph:
         coroots += [tuple(int(j == i) for j in range(n)) for i in range(n)]
         shifts = [tuple(-c for c in rs.highest_root.coeffs)]
         shifts += [a.coeffs for a in rs.simple_roots]
-        distinct = set(coeffs)
+        # the weights by their positions in `distinct`, compared as ints
+        distinct = list(set(coeffs))
+        position = {w: k for k, w in enumerate(distinct)}
+        wid = list(map(position.__getitem__, coeffs))
         E = [list(map(itemgetter(i), self.eps)) for i in ops]
         P = [list(map(itemgetter(i), self.phi)) for i in ops]
         for p, e, coroot in zip(P, E, coroots):
-            pairing = {w: sum(map(mul, coroot, w)) for w in distinct}
-            if list(map(sub, p, e)) != list(map(pairing.__getitem__, coeffs)):
+            pairing = [sum(map(mul, coroot, w)) for w in distinct]
+            if list(map(sub, p, e)) != list(map(pairing.__getitem__, wid)):
                 raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
-        for i, ((src, dst), h, p, shift) in enumerate(zip(arrows, has, P, shifts)):
-            if h != [x > 0 for x in p]:
+        for i, ((src, dst), p, shift) in enumerate(zip(arrows, P, shifts)):
+            if src != list(compress(V, [x > 0 for x in p])):
                 raise StructuralError("f_i arrow existence disagrees with phi")
-            image = {w: tuple(map(sub, w, shift)) for w in distinct}
-            moved = map(image.__getitem__, map(coeffs.__getitem__, src))
-            if list(moved) != list(map(coeffs.__getitem__, dst)):
+            image = [position.get(tuple(map(sub, w, shift)), -1) for w in distinct]
+            moved = map(image.__getitem__, map(wid.__getitem__, src))
+            if list(moved) != list(map(wid.__getitem__, dst)):
                 raise StructuralError("arrow does not shift the weight by alpha_i")
             if i >= 1 and list(map(D.__getitem__, src)) != list(map(D.__getitem__, dst)):
                 raise StructuralError("degree changes along a classical arrow")
@@ -493,7 +505,7 @@ class CrystalGraph:
     # queries
 
     def classical_highest(self):
-        return sorted(self.component_highest.values())
+        return list(self.component_highest)
 
     def restricted_paths(self, k=None):
         """Vertices with eps_i = 0 for all classical i, and eps_0 <= k if k finite;

@@ -282,6 +282,22 @@ def test_kostka_cache_invalid_json_exits_1(tmp_path, capsys):
     _corrupt_cache_exits_1(tmp_path, capsys, lambda text: text[: len(text) // 2])
 
 
+def test_cache_content_faults_exit_1_and_io_faults_exit_2(tmp_path, capsys):
+    # a file that opens but holds no valid cache is a consistency failure; a
+    # cache path that cannot be read is an I/O error: one line, no traceback
+    _corrupt_cache_exits_1(tmp_path / "content", capsys, lambda text: "[]")
+    cache = tmp_path / "io"
+    blocked = cache / "crystal_v2_n1_h1-1-1.json"
+    blocked.mkdir(parents=True)
+    clear_caches()
+    code, out, err = _kostka_a1_mu3(capsys, str(cache))
+    clear_caches()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(blocked) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_kostka_non_dominant_mu_exits_2_on_every_route(capsys):
     for route in ("paths", "altsum", "chars"):
         code, out, err = run_cli(

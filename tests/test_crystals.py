@@ -405,6 +405,13 @@ def test_cache_rejects_malformed_tables(tmp_path, tamper):
     _tampered_cache_is_rejected(tmp_path, tamper, "crystal cache")
 
 
+def _set_classical_eps(t, classical):
+    def tamper(tables):
+        tables["eps"][t] = tables["eps"][t][:1] + classical
+
+    return tamper
+
+
 def _raise_eps0_and_phi0(t, by):
     # phi_0 - eps_0 stays the pairing
     def tamper(tables):
@@ -417,7 +424,11 @@ def _raise_eps0_and_phi0(t, by):
 
 # One tamper per failure branch of the axiom check, on the fold of A2 (1, 2)
 # (see SINGLETON): vertex 4 has no 0-arrow in or out, vertex 5 none in, and
-# f_0 maps 5 to 3, whose weight differs from that of 4.
+# f_0 maps 5 to 3, whose weight differs from that of 4. Then one per branch of
+# the component check: vertex 0 tops the component of V(w1 + w2), and e_1
+# raises vertex 4 (eps = (0, 1, 0)) to vertex 1 in it. With its classical eps
+# zeroed, vertex 4 reads as a second top; with eps_1 = 1, vertex 0 reads as
+# non-highest but has no raising arrow.
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -436,9 +447,12 @@ def _raise_eps0_and_phi0(t, by):
         (_raise_eps0_and_phi0(5, 2), "eps_0 >= 2 but no raising 0-arrow"),
         (lambda tab: tab["D"].__setitem__(SINGLETON, tab["D"][SINGLETON] + 5),
          "D(e_0 b) != D(b) - 1 at eps_0 >= 2"),
+        (_set_classical_eps(4, (0, 0)), "component with two classical-highest elements"),
+        (_set_classical_eps(0, (1, 0)), "component without a classical-highest element"),
     ],
     ids=["connected", "top-unique", "top-degree", "pairing", "arrow-exists", "arrow-shift",
-         "classical-degree", "eps0-arrow", "eps0-degree"],
+         "classical-degree", "eps0-arrow", "eps0-degree", "component-second-top",
+         "component-no-top"],
 )
 def test_axiom_check_rejects_each_tampered_table(tamper, message):
     keys = ("vertices", "weights", "eps", "phi", "f", "D")
@@ -448,3 +462,14 @@ def test_axiom_check_rejects_each_tampered_table(tamper, message):
     with pytest.raises(StructuralError) as err:
         CrystalGraph(2, (1, 2), *tables.values())
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, heights", [(2, (2, 1, 2, 1, 1)), (2, (1, 2, 1, 2, 2, 1)), (3, (1, 3, 2, 1, 3))]
+)
+def test_degree_function_on_interleaved_heights(n, heights):
+    # two transport tables are live at once while the heights alternate
+    clear_caches()
+    g = build_crystal(n, heights)
+    assert g.D == [energy_of_element(n, b) for b in g.vertices]
+    clear_caches()
