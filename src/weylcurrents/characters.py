@@ -152,28 +152,15 @@ def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
 
 
 @cache
-def _dimension(rs: RootSystem, lam: tuple) -> int:
-    """dim V(lam) for a dominant coefficient tuple, by Weyl's formula: the
-    product over the positive roots alpha = sum_i c_i alpha_i of (lam + rho,
-    alpha) / (rho, alpha). Simply laced, so (lam + rho, alpha) = sum_i c_i
-    (lam_i + 1) and (rho, alpha) = ht alpha."""
-    num = den = 1
-    for rc in rs.positive_root_coords:
-        num *= sum(c * (m + 1) for c, m in zip(rc, lam))
-        den *= sum(rc)
-    return num // den
-
-
-@cache
 def _tensor(rs: RootSystem, a: tuple, b: tuple) -> dict:
     """ch V(a) ch V(b) in the irreducible basis, {dominant coeffs:
     multiplicity}, for a <= b (one memo entry per unordered pair; see _times).
 
-    Brauer-Klimyk: with x over the weights of the smaller factor (by
-    _dimension) and c the other highest weight, each e^{c + x} straightens to
-    +-ch V(dom(c + rho + x) - rho), with the sign of the ascent's parity, or
-    to 0 when c + rho + x lies on a wall."""
-    if _dimension(rs, a) > _dimension(rs, b):
+    Brauer-Klimyk: with x over the weights of the smaller factor (by Weyl's
+    dimension formula) and c the other highest weight, each e^{c + x}
+    straightens to +-ch V(dom(c + rho + x) - rho), with the sign of the
+    ascent's parity, or to 0 when c + rho + x lies on a wall."""
+    if rs.weyl_dimension(weight_from_ints(a)) > rs.weyl_dimension(weight_from_ints(b)):
         a, b = b, a
     shifted = [c + 1 for c in b]
     out: dict = {}
@@ -498,7 +485,6 @@ _MEMOS = (
     _integrable_layers,
     _denominator,
     _tensor,
-    _dimension,
     _local_weyl,
     _freudenthal_dominant,
 )
@@ -506,8 +492,8 @@ _MEMOS = (
 
 def clear_caches():
     """Empty the in-process memos of this module (integrable characters and
-    their layers, Macdonald denominator, tensor products, dimensions, local
-    Weyl, Freudenthal)."""
+    their layers, Macdonald denominator, tensor products, local Weyl,
+    Freudenthal)."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -617,16 +603,17 @@ def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int) -> Expans
     The highest weights are processed in decreasing (height, coeffs) order:
     the top residual row divided by the Hilbert series (implemented as
     multiplication by the polynomial numerator, hence exact) is the
-    multiplicity, and the whole basis element, the local Weyl table
-    (_local_weyl) times the Hilbert series and the multiplicity, cut at
-    q^(N-lo), is subtracted. A multiplicity term at q^e with e < 0 moves basis
-    terms up to that degree into the window. The head must clear, else the
-    input was not a combination of the basis and an ExpansionError is raised."""
+    multiplicity m, and the whole basis element, the local Weyl table
+    (_local_weyl) times the Hilbert series and m, cut at q^(N-lo), is
+    subtracted. As m = top times the numerator, that element is the local
+    Weyl table times the top row itself within the window. The head must
+    clear, else the input was not a combination of the basis and an
+    ExpansionError is raised."""
     width = N + 1 - lo
     mults: dict = {}
     while residual:
         nu = max(residual, key=lambda c: (_rc_height(rs, c), c))
-        top = residual[nu]
+        top = residual[nu][:]  # the subtraction below writes into residual[nu]
         numerator = _hilbert_dense(nu, width - 1, False)
         m = [
             sum(top[e - j] * numerator[j] for j in range(e + 1) if numerator[j])
@@ -636,17 +623,11 @@ def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int) -> Expans
             raise StructuralError("vanishing extraction from a nonzero residual")
         nu_w = weight_from_ints(nu)
         mults[nu_w] = QPolynomial({e + lo: c for e, c in enumerate(m) if c})
-        series = _hilbert_dense(nu, width - 1, True)
         for lam_prime, p in _local_weyl(rs, nu_w).items():
-            basis = [0] * width  # local multiplicity times the Hilbert series
+            tgt = residual.get(lam_prime) or [0] * width
             for e, c in p.items():
                 for j in range(width - e):
-                    basis[e + j] += c * series[j]
-            tgt = residual.get(lam_prime) or [0] * width
-            for i, mi in enumerate(m):
-                if mi:
-                    for j in range(width - i):
-                        tgt[i + j] -= mi * basis[j]
+                    tgt[e + j] -= c * top[j]
             if any(tgt):
                 residual[lam_prime] = tgt
             else:

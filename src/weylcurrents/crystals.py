@@ -130,112 +130,117 @@ def apply_op(n: int, direction: str, i: int, b):
     return None if col is None else prefix + (col,)
 
 
-def _zero_action_side(n: int, b2) -> str:
-    """Which factor e_0 acts on in a two-factor element ('L' or 'R')."""
-    p1 = column_phi(n, 0, b2[0])
-    e2 = column_eps(n, 0, b2[1])
-    return "L" if p1 >= e2 else "R"
-
-
 # -- combinatorial R and local energy (memoized per (n, r, s)) -------------
+#
+# Both are flat tables over the two-factor fold _fold(n, (r, s)), whose vertex
+# p * m_s + q is the pair of the columns at positions p and q (m_s the number
+# of height-s columns); the per-pair functions look them up. The memos hand
+# every caller the same lists: read them, never change them.
 
 
-def _pair_highest(n: int, r: int, s: int):
-    """The classical-highest elements of B^{r,1} x B^{s,1}."""
-    vertices, _, eps, _, f_arrows, _ = _fold(n, (r, s), energy=False)
+def _pair_index(n: int, pair) -> int:
+    """The vertex of the two-factor fold that is the pair of columns."""
+    b, c = pair
+    right = _column_tables(n, len(c))
+    return _column_tables(n, len(b))[1][b] * len(right[0]) + right[1][c]
+
+
+def _two_factor(n: int, r: int, s: int):
+    """(weights, f_arrows, label, highest) of the fold of (r, s), with the
+    classical components of `_classical_components`."""
+    _, weights, eps, _, f_arrows, _ = _fold(n, (r, s), energy=False)
     arrows = _arrows(f_arrows)
-    _, highest = _classical_components(n, eps, arrows, _e_arrows(len(eps), arrows))
-    return [vertices[t] for t in highest]
+    label, highest = _classical_components(n, eps, arrows, _e_arrows(len(eps), arrows))
+    return weights, f_arrows, label, highest
 
 
 def combinatorial_R(n: int, pair):
     """The unique classical isomorphism B^{r,1} x B^{s,1} -> B^{s,1} x B^{r,1},
-    computed by matching classical-highest elements of equal weight and
-    propagating along lowering arrows."""
+    read from the table of `_build_R`."""
     b, c = pair
     r, s = len(b), len(c)
     if r == s:
         return pair
-    return _build_R(n, r, s)[pair]
+    left, right = _column_tables(n, s)[0], _column_tables(n, r)[0]
+    p, q = divmod(_build_R(n, r, s)[_pair_index(n, pair)], len(right))
+    return left[p], right[q]
 
 
 @cache
 def _build_R(n: int, r: int, s: int):
+    """R as a table: the vertex of the (s, r) fold that each vertex of the
+    (r, s) fold maps to. Classical-highest vertices of equal weight are
+    matched, then R is carried along the classical f_i arrows of both folds."""
+    weights, f_arrows, _, highest = _two_factor(n, r, s)
+    back_weights, back_f_arrows, _, back_highest = _two_factor(n, s, r)
     by_weight = {}
-    for h in _pair_highest(n, s, r):
-        w = tensor_weight(n, h).coeffs
-        if w in by_weight:
+    for h in back_highest:
+        if back_weights[h] in by_weight:
             raise StructuralError("classical decomposition is not multiplicity-free")
-        by_weight[w] = h
-    mapping = {}
-    for h in _pair_highest(n, r, s):
-        w = tensor_weight(n, h).coeffs
-        if w not in by_weight:
+        by_weight[back_weights[h]] = h
+    R = [-1] * len(weights)
+    classical = list(zip(f_arrows[1:], back_f_arrows[1:]))
+    for h in highest:
+        if weights[h] not in by_weight:
             raise StructuralError("no weight-matched component for the R isomorphism")
-        mapping[h] = by_weight[w]
+        R[h] = by_weight[weights[h]]
         stack = [h]
         while stack:
             u = stack.pop()
-            for i in range(1, n + 1):
-                img = apply_op(n, "f", i, u)
-                if img is not None and img not in mapping:
-                    tgt = apply_op(n, "f", i, mapping[u])
-                    if tgt is None:
+            for f, back_f in classical:
+                t = f[u]
+                if t >= 0 and R[t] < 0:
+                    R[t] = back_f[R[u]]
+                    if R[t] < 0:
                         raise StructuralError("R propagation lost a lowering arrow")
-                    mapping[img] = tgt
-                    stack.append(img)
-    if len(mapping) != comb(n + 1, r) * comb(n + 1, s):
+                    stack.append(t)
+    if -1 in R:
         raise StructuralError("R isomorphism does not cover the crystal")
-    return mapping
+    return R
 
 
 def local_energy(n: int, pair) -> int:
-    """H on B^{r,1} x B^{s,1}: constant on classical components, 0 on the top one,
-    steps by the orientation rule across 0-arrows; propagation must be consistent."""
+    """H on B^{r,1} x B^{s,1}, read from the table of `_build_H`."""
     b, c = pair
-    return _build_H(n, len(b), len(c))[pair]
+    return _build_H(n, len(b), len(c))[_pair_index(n, pair)]
+
+
+def _acts_left(n: int, r: int, s: int):
+    """For each vertex (p, q) of the fold of (r, s): whether e_0 acts on its
+    left factor, phi_0(p) >= eps_0(q)."""
+    return [a >= b for a in _column_tables(n, r)[4][0] for b in _column_tables(n, s)[3][0]]
 
 
 @cache
 def _build_H(n: int, r: int, s: int):
-    pairs = [(x, y) for x in column_vertices(n, r) for y in column_vertices(n, s)]
-    top = (tuple(range(1, r + 1)), tuple(range(1, s + 1)))
-    H = {top: 0}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            hu = H[u]
-            moves = []
-            for i in range(0, n + 1):
-                for d in ("e", "f"):
-                    img = apply_op(n, d, i, u)
-                    if img is None:
-                        continue
-                    if i != 0:
-                        moves.append((img, hu))
-                        continue
-                    fwd = u if d == "e" else img  # orient the step along e_0
-                    side1 = _zero_action_side(n, fwd)
-                    side2 = _zero_action_side(n, combinatorial_R(n, fwd))
-                    if side1 == side2 == "L":
-                        dh = 1
-                    elif side1 == side2 == "R":
-                        dh = -1
-                    else:
-                        dh = 0
-                    moves.append((img, hu + dh if d == "e" else hu - dh))
-            for img, h in moves:
-                if img in H:
-                    if H[img] != h:
-                        raise StructuralError("local energy propagation is inconsistent")
-                else:
-                    H[img] = h
-                    nxt.append(img)
-        frontier = nxt
-    if len(H) != len(pairs):
+    """H as a table over the (r, s) fold: constant on classical components, 0
+    on the component of vertex 0 (the two top columns), and stepping across
+    every f_0 arrow u -> v by ENERGY_ORIENTATION: H(v) - H(u) is -1 when e_0
+    acts on the left factor of both v and R(v), +1 when on the right factor
+    of both, else 0. Every 0-arrow must agree and every component be reached."""
+    _, f_arrows, label, highest = _two_factor(n, r, s)
+    R = _build_R(n, r, s)
+    here, there = _acts_left(n, r, s), _acts_left(n, s, r)
+    links = {c: [] for c in highest}
+    for u, v in enumerate(f_arrows[0]):
+        if v < 0:
+            continue
+        step = 1 - here[v] - there[R[v]]
+        links[label[u]].append((label[v], step))
+        links[label[v]].append((label[u], -step))
+    H = {label[0]: 0}
+    stack = [label[0]]
+    while stack:
+        c = stack.pop()
+        for d, step in links[c]:
+            if d not in H:
+                H[d] = H[c] + step
+                stack.append(d)
+            elif H[d] != H[c] + step:
+                raise StructuralError("local energy propagation is inconsistent")
+    if len(H) != len(highest):
         raise StructuralError("two-factor crystal is not connected")
-    return H
+    return [H[c] for c in label]
 
 
 def energy_of_element(n: int, b) -> int:
@@ -262,10 +267,13 @@ def energy_of_element(n: int, b) -> int:
 # column-major: one list per coordinate, indexed by column or by state.
 
 
+@cache
 def _column_tables(n: int, r: int):
-    """The height-r columns and their int tables (columns, weight, eps, phi,
-    f): the weight coefficients j = 1..n, and eps, phi and f for i = 0..n,
-    where f_i is the position of the image column (-1 when f_i vanishes)."""
+    """The height-r columns and their tables (columns, positions, weight, eps,
+    phi, f): positions maps each column to its index, then the int tables of
+    the weight coefficients j = 1..n, and of eps, phi and f for i = 0..n, where
+    f_i is the position of the image column (-1 when f_i vanishes). The memo
+    hands every caller the same tables: read them, never change them."""
     cols = column_vertices(n, r)
     pos = {c: p for p, c in enumerate(cols)}
     ops = range(n + 1)
@@ -273,21 +281,7 @@ def _column_tables(n: int, r: int):
     eps = [[column_eps(n, i, c) for c in cols] for i in ops]
     phi = [[column_phi(n, i, c) for c in cols] for i in ops]
     f = [[pos.get(column_apply(n, "f", i, c), -1) for c in cols] for i in ops]
-    return cols, wts, eps, phi, f
-
-
-def _pair_tables(n: int, r: int, s: int):
-    """H(b, x) and the position of R(b, x)[0] on B^{r,1} x B^{s,1}, both as
-    flat lists indexed by p * (number of height-s columns) + q, where p and q
-    are the column positions of b and x."""
-    right = column_vertices(n, s)
-    pos = {c: q for q, c in enumerate(right)}
-    H, R = [], []
-    for b in column_vertices(n, r):
-        for x in right:
-            H.append(local_energy(n, (b, x)))
-            R.append(pos[combinatorial_R(n, (b, x))[0]])
-    return H, R
+    return cols, pos, wts, eps, phi, f
 
 
 def _fold(n: int, heights, energy: bool):
@@ -306,8 +300,9 @@ def _fold(n: int, heights, energy: bool):
     tables = {r: _column_tables(n, r) for r in set(heights)}
     pairs = {}
     if energy:
-        for key in {(a, b) for j, b in enumerate(heights) for a in heights[:j]}:
-            pairs[key] = _pair_tables(n, *key)
+        for a, b in {(a, b) for j, b in enumerate(heights) for a in heights[:j]}:
+            m_a = len(tables[a][0])
+            pairs[a, b] = _build_H(n, a, b), [t // m_a for t in _build_R(n, a, b)]
     ops = range(n + 1)
     # the empty prefix is state 0
     W = [[0] for _ in range(n)]
@@ -317,7 +312,7 @@ def _fold(n: int, heights, energy: bool):
     D = [0]
     T = {r: [0] * len(tables[r][0]) for r in set(heights)}
     for level, r in enumerate(heights):
-        _, cwts, ceps, cphi, cf = tables[r]
+        _, _, cwts, ceps, cphi, cf = tables[r]
         m = len(cf[0])
         cs = range(m)
         W = [[x + y for x in Wj for y in cw] for Wj, cw in zip(W, cwts)]
@@ -605,11 +600,11 @@ def heights_for_weight(mu: Weight):
 # loaded from the disk cache or built, and a hit still writes the disk cache
 # when its file is missing.
 _GRAPH_CACHE: dict = {}
-_MEMOS = (_build_R, _build_H)  # taken once: a rebound name still clears its memo
+_MEMOS = (_column_tables, _build_R, _build_H)  # taken once: a rebound name still clears its memo
 
 
 def clear_caches():
-    """Empty the in-process memo tables: sealed graphs, R and H."""
+    """Empty the in-process memo tables: sealed graphs, column tables, R and H."""
     _GRAPH_CACHE.clear()
     for memo in _MEMOS:
         memo.cache_clear()

@@ -446,12 +446,19 @@ class RootSystem:
         return table
 
     def weyl_dimension(self, lam: Weight) -> int:
-        num = Fraction(1)
-        for alpha in self.positive_roots:
-            num *= self.inner(lam + self.rho, alpha) / self.inner(self.rho, alpha)
-        if num.denominator != 1:
+        """dim V(lam) by Weyl's formula: the product over the positive roots
+        alpha = sum_i c_i alpha_i of (lam + rho, alpha) / (rho, alpha). Simply
+        laced, so (lam + rho, alpha) = sum_i c_i (lam_i + 1) and (rho, alpha)
+        = ht alpha."""
+        shifted = [m + 1 for m in lam.coeffs]
+        num = den = 1
+        for rc in self.positive_root_coords:
+            num *= sum(map(mul, rc, shifted))
+            den *= sum(rc)
+        dim, rem = divmod(num, den)
+        if rem:
             raise AssertionError("Weyl dimension is not an integer")
-        return int(num)
+        return dim
 
     # -- identity --------------------------------------------------------
 

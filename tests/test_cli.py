@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -114,6 +115,23 @@ def test_export_trivial_crystal(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["heights"] == [] and data["vertices"] == [[]] and data["D"] == [0]
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "a07b54b909bbf476c30ea3d9bff65b3527b9f142092e81f5530c17499eb7d016"),
+        ("dot", "34359950b9488d783bcfc47b847da5a1fa5495a15094f6d8be744923c4d0904b"),
+    ],
+    ids=["json", "dot"],
+)
+def test_export_bytes_are_pinned(capsys, fmt, digest):
+    # heights (1, 2, 3) differ pairwise, so D reads every R and H table of A3
+    clear_caches()
+    code, out, _ = run_cli(capsys, "export", "--type", "A3", "--mu", "1,1,1", "--format", fmt)
+    clear_caches()
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_kostka_trivial_crystal_through_the_cache(tmp_path, capsys):

@@ -130,9 +130,13 @@ def test_combinatorial_R_highest_to_highest():
     assert out == ((1, 2), (1,))
 
 
-def test_combinatorial_R_commutes_with_all_operators():
-    n = 2
-    for r, s in ((1, 2), (2, 1)):
+def _height_pairs(n):
+    return list(product(range(1, n + 1), repeat=2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_combinatorial_R_commutes_with_all_operators(n):
+    for r, s in _height_pairs(n):
         for b in product(column_vertices(n, r), column_vertices(n, s)):
             for i in range(n + 1):
                 for d in ("e", "f"):
@@ -142,10 +146,11 @@ def test_combinatorial_R_commutes_with_all_operators():
                     assert lhs == rhs
 
 
-def test_combinatorial_R_involutive():
-    n = 2
-    for b in product(column_vertices(n, 1), column_vertices(n, 2)):
-        assert combinatorial_R(n, combinatorial_R(n, b)) == b
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_combinatorial_R_involutive(n):
+    for r, s in _height_pairs(n):
+        for b in product(column_vertices(n, r), column_vertices(n, s)):
+            assert combinatorial_R(n, combinatorial_R(n, b)) == b
 
 
 def test_local_energy_values_a1():
@@ -155,9 +160,9 @@ def test_local_energy_values_a1():
     assert local_energy(1, ((2,), (1,))) == 0
 
 
-def test_local_energy_constant_on_components():
-    n = 2
-    for r, s in ((1, 1), (1, 2), (2, 2)):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_local_energy_constant_on_components(n):
+    for r, s in _height_pairs(n):
         for b in product(column_vertices(n, r), column_vertices(n, s)):
             for i in range(1, n + 1):
                 img = apply_op(n, "f", i, b)

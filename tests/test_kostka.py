@@ -229,10 +229,10 @@ def test_clear_caches_empties_every_route_memo():
         "_integrable_layers",
         "_denominator",
         "_tensor",
-        "_dimension",
         "_local_weyl",
         "_freudenthal_dominant",
         "integrable_weyl_expansion",
+        "_column_tables",
         "_build_R",
         "_build_H",
     }
