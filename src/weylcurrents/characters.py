@@ -14,9 +14,7 @@ from operator import add, mul, sub
 
 from .affine import (
     AffineWeight,
-    AffineWeylElement,
     _alcove_sweep,
-    act_affine,
     chamber_ascent,
     in_level_dominant,
     level_one_weights,
@@ -435,8 +433,9 @@ def _local_weyl(rs: RootSystem, lam: Weight) -> dict:
     {dominant coeffs: graded multiplicity}, head at q^0.
 
     The module is the level-one Demazure module of the extremal weight
-    t_{w_0 lam - class}(class + Lambda0) (class = level-one representative of
-    lam mod Q), whose character is the divided differences along the
+    t_{w_0 lam - class}(class + Lambda0) = w_0 lam + Lambda0
+    - ((lam,lam) - (class,class))/2 delta (class = level-one representative
+    of lam mod Q), whose character is the divided differences along the
     chamber-ascent word from that weight up to class + Lambda0, applied to
     e^{class + Lambda0}. The character is W-invariant and D_{w0} D_i = D_{w0}
     for finite i, so the finite prefix of the word, up to its first 0, is
@@ -446,8 +445,8 @@ def _local_weyl(rs: RootSystem, lam: Weight) -> dict:
     The memo hands every caller the same dict: read it, never change it."""
     cls_w = _level_one_class(rs, lam)
     top = AffineWeight(cls_w, 1, 0)
-    gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
-    target = act_affine(rs, AffineWeylElement.translation_by(rs, gamma_rc), top)
+    drop = rs.inner(lam, lam) - rs.inner(cls_w, cls_w)
+    target = AffineWeight(rs.longest_element_image(lam), 1, -int(drop / 2))
     reached, word = chamber_ascent(rs, target)
     if reached != top:
         raise StructuralError("ascent to the dominant extremal weight failed")

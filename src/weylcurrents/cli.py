@@ -51,7 +51,7 @@ def cmd_kostka(args) -> int:
         routes = [args.route]
     values = {}
     for r in routes:
-        res = kostka_by_route(rs, mu, lam, k, r, N=args.N, cache_dir=args.cache_dir)
+        res = kostka_by_route(rs, mu, lam, k, r, cache_dir=args.cache_dir)
         values[r] = res.value
     agree = len({tuple(sorted(v.items())) for v in values.values()}) == 1
     if args.format == "csv":
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", required=True, help=weight_help)
     sp.add_argument("--lambda", dest="lam", required=True, help=weight_help)
     sp.add_argument("--k", type=int, default=None, help="level (omit for the unrestricted limit)")
-    sp.add_argument("--N", type=int, default=None, help="q-truncation cutoff of the chars route")
     sp.add_argument("--cache-dir", default=None, help=cache_help)
     sp.add_argument("--route", choices=list(ROUTES) + ["all"], default="paths")
     sp.add_argument("--format", choices=["json", "csv"], default="json")

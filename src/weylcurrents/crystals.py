@@ -628,9 +628,13 @@ def build_crystal(n: int, heights, cache_dir=None) -> CrystalGraph:
             _write_cache(hit, cache_dir, path)
         return hit
     if path and os.path.exists(path):
-        graph = CrystalGraph.from_json(_read_cache(path))
+        data = _read_cache(path)
+        try:
+            graph = CrystalGraph.from_json(data)
+        except StructuralError as exc:
+            raise StructuralError(f"crystal cache {path}: {exc}") from exc
         if graph.n != n or graph.heights != heights:
-            raise StructuralError("crystal cache key mismatch")
+            raise StructuralError(f"crystal cache {path}: key mismatch")
         _GRAPH_CACHE[key] = graph
         return graph
     graph = CrystalGraph(n, heights, *_fold(n, heights, energy=True))

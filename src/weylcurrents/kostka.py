@@ -89,16 +89,26 @@ def required_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
 
 
 def kostka_characters(
-    rs: RootSystem, mu: Weight, lam: Weight, k: int, N: int
+    rs: RootSystem, mu: Weight, lam: Weight, k: int, N=None
 ) -> QPolynomial:
     """Coefficient of the global Weyl character of mu in the expansion of the
-    truncated integrable character ch L_k(lam); exact up to q^N."""
+    truncated integrable character ch L_k(lam), computed up to q^N (None:
+    default_cutoff). An N that would cut the answer short is an error."""
     if not in_level_dominant(rs, lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
+    if not rs.is_dominant(mu):  # default_cutoff reads the local Weyl table of mu
+        raise ValueError(f"{mu} is not dominant")
     need = required_cutoff(rs, mu, lam, k)
-    if N < need:
+    if N is not None and N < need:
         raise ValueError(
             f"cutoff N={N} cannot reach mu={mu}; need at least N={need}"
+        )
+    whole = default_cutoff(rs, mu, lam, k)
+    if N is None:
+        N = whole
+    elif N < whole:
+        raise ValueError(
+            f"cutoff N={N} truncates the answer at mu={mu}; need at least N={whole}"
         )
     expansion = integrable_weyl_expansion(rs, lam, k, N)
     return expansion.coeff(mu)
@@ -184,7 +194,5 @@ def kostka_by_route(
         elif route == "altsum":
             val = kostka_alt_sum(rs, mu, lam, k, cache_dir=cache_dir)
         else:
-            if N is None:
-                N = default_cutoff(rs, mu, lam, k)
             val = kostka_characters(rs, mu, lam, k, N)
     return KostkaResult(mu, lam, k, val, route)

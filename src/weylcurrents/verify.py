@@ -45,7 +45,7 @@ from .crystals import (
     local_crystal,
     restricted_paths,
 )
-from .errors import StructuralError, VerificationFailure
+from .errors import ExpansionError, StructuralError, VerificationFailure
 from .kostka import (
     check_level_and_cutoff,
     default_cutoff,
@@ -65,11 +65,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _check(results, suite, name, ok, detail=""):
-    results.append(CheckResult(suite, name, bool(ok), detail))
-    return ok
 
 
 # -- grids ------------------------------------------------------------------
@@ -201,13 +196,11 @@ def frenkel_kac_character(rs, class_weight: Weight, N: int) -> GradedCharacter:
 
 def suite_length_oracle(types=None, radius=6):
     types = types or ("A1", "A2")
-    results = []
     for t in types:
         rs = parse_type(t)
         dist = bfs_lengths(rs, radius)
         bad = [g for g, d in dist.items() if length(rs, g) != d]
-        _check(
-            results,
+        yield CheckResult(
             "length-oracle",
             f"{t}: closed formula vs BFS (l <= {radius}, {len(dist)} elements)",
             not bad,
@@ -217,7 +210,7 @@ def suite_length_oracle(types=None, radius=6):
         for g in (g for g, d in dist.items() if d >= radius - 2):
             w = reduced_word(rs, g)
             ok = ok and len(w) == length(rs, g) and element_from_word(rs, w) == g
-        _check(results, "length-oracle", f"{t}: reduced-word roundtrip", ok)
+        yield CheckResult("length-oracle", f"{t}: reduced-word roundtrip", ok)
         t_minus = AffineWeylElement.translation_by(rs, tuple(-c for c in rs.highest_root_coords))
         lhs = act_affine(rs, t_minus, AffineWeight(rs.fundamental_weight(1), 1, 0))
         s_theta_word = rs.to_dominant(-rs.highest_root)[1]
@@ -227,16 +220,14 @@ def suite_length_oracle(types=None, radius=6):
             compose(rs, s_theta, simple_element(rs, 0)),
             AffineWeight(rs.fundamental_weight(1), 1, 0),
         )
-        _check(
-            results,
+        yield CheckResult(
             "length-oracle",
             f"{t}: normalization t_-theta = s_theta s_0",
             lhs == rhs and t_minus == compose(rs, s_theta, simple_element(rs, 0)),
         )
-    return results
 
 
-def _yang_baxter(results, n, heights):
+def _yang_baxter(n, heights):
     triples = list(_iproduct(*(column_vertices(n, r) for r in heights)))
 
     def swap(t, pos):
@@ -252,15 +243,14 @@ def _yang_baxter(results, n, heights):
         if lhs != rhs:
             ok = False
             break
-    _check(
-        results,
+    yield CheckResult(
         "energy-axioms",
         f"A{n}: Yang-Baxter braid relation on heights {heights} ({len(triples)} triples)",
         ok,
     )
 
 
-def _promotion(results, n):
+def _promotion(n):
     ok = True
     for r in range(1, n + 1):
         for col in column_vertices(n, r):
@@ -273,13 +263,12 @@ def _promotion(results, n):
                 )
                 if want != img_shift:
                     ok = False
-    _check(results, "energy-axioms", f"A{n}: promotion conjugates f_i to f_(i+1)", ok)
+    yield CheckResult("energy-axioms", f"A{n}: promotion conjugates f_i to f_(i+1)", ok)
 
 
 def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cache_dir=None):
     """Degree-function axioms on every tensor crystal in the grid, plus the
     structural crystal oracles (Yang-Baxter, promotion, specialization count)."""
-    results = []
     grid = a1_mu_grid(max_mu) + a2_mu_grid(max_total)
     grid = [(rs, mu) for rs, mu in grid if _keep_type(rs, types)]
     if max_factors is not None:
@@ -287,38 +276,30 @@ def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cac
             (rs, mu) for rs, mu in grid if sum(mu.coeffs) <= max_factors
         ]
     for rs, mu in grid:
-        try:
-            graph = local_crystal(mu, cache_dir=cache_dir)
-            size = len(graph.vertices)
-            expected = 1
-            for i, m in enumerate(mu.coeffs, start=1):
-                expected *= math.comb(rs.rank + 1, i) ** m
-            ok = size == expected
-            detail = "" if ok else f"size {size} != {expected}"
-            spec_sum = sum(
-                kostka_paths(rs.rank, mu, lam, cache_dir=cache_dir).evaluate(1)
-                * rs.weyl_dimension(lam)
-                for lam in {
-                    w for _, w, _ in restricted_paths(rs.rank, mu, None, cache_dir=cache_dir)
-                }
-            )
-            ok = ok and spec_sum == expected
-            _check(
-                results,
-                "energy-axioms",
-                f"{rs.family}{rs.rank} mu={mu.coeffs}: axioms + specialization ({size} vertices)",
-                ok,
-                detail,
-            )
-        except StructuralError as exc:
-            _check(results, "energy-axioms", f"{rs.family}{rs.rank} mu={mu.coeffs}", False, str(exc))
+        graph = local_crystal(mu, cache_dir=cache_dir)
+        size = len(graph.vertices)
+        expected = 1
+        for i, m in enumerate(mu.coeffs, start=1):
+            expected *= math.comb(rs.rank + 1, i) ** m
+        ok = size == expected
+        detail = "" if ok else f"size {size} != {expected}"
+        spec_sum = sum(
+            kostka_paths(rs.rank, mu, lam, cache_dir=cache_dir).evaluate(1)
+            * rs.weyl_dimension(lam)
+            for lam in {w for _, w, _ in restricted_paths(rs.rank, mu, None, cache_dir=cache_dir)}
+        )
+        yield CheckResult(
+            "energy-axioms",
+            f"{rs.family}{rs.rank} mu={mu.coeffs}: axioms + specialization ({size} vertices)",
+            ok and spec_sum == expected,
+            detail,
+        )
     for n in (1, 2):
         if types is not None and f"A{n}" not in types:
             continue
         for heights in _iproduct(*([range(1, n + 1)] * 3)):
-            _yang_baxter(results, n, heights)
-        _promotion(results, n)
-    return results
+            yield from _yang_baxter(n, heights)
+        yield from _promotion(n)
 
 
 def _cross_route_points(types, max_mu, max_k):
@@ -333,9 +314,17 @@ def _cross_route_points(types, max_mu, max_k):
 
 
 def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
-    """Route equality: paths = alternating sum = character expansion, exactly."""
-    results = []
-    for rs, mu, k, lams in _cross_route_points(types, max_mu, max_k):
+    """Route equality: paths = alternating sum = character expansion, exactly.
+    N must reach every whole chars answer of the grid, checked before any check
+    runs."""
+    points = list(_cross_route_points(types, max_mu, max_k))
+    need = max(
+        (default_cutoff(rs, mu, lam, k) for rs, mu, k, lams in points for lam in lams),
+        default=0,
+    )
+    if N < need:
+        raise ValueError(f"cross-route needs N >= {need} on its grid, got N={N}")
+    for rs, mu, k, lams in points:
         all_ok = True
         bad = ""
         for lam in lams:
@@ -354,15 +343,14 @@ def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
                 all_ok = False
                 bad = f"lam={lam.coeffs}: negative coefficient"
                 break
-        _check(
-            results,
+        yield CheckResult(
             "cross-route",
             f"{rs.family}{rs.rank} mu={mu.coeffs} k={k} ({len(lams)} weights)",
             all_ok,
             bad,
         )
     if types is not None and "A1" not in types:
-        return results
+        return
     a1 = build_root_system("A", 1)
     desk = (
         kostka_paths_restricted(1, Weight([2]), Weight([0]), 1) == QPolynomial.monomial(1)
@@ -371,8 +359,7 @@ def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
         and kostka_characters(a1, Weight([0]), Weight([0]), 1, 4) == QPolynomial.one()
         and kostka_characters(a1, Weight([0]), Weight([0]), 3, 4) == QPolynomial.one()
     )
-    _check(results, "cross-route", "desk values (A1)", desk)
-    return results
+    yield CheckResult("cross-route", "desk values (A1)", desk)
 
 
 def suite_level_one(types=None, N=10):
@@ -380,18 +367,13 @@ def suite_level_one(types=None, N=10):
     q^{((lam,lam)-(w,w))/2}, the support is exactly the dominant classes of the
     coset within the window, and positivity holds. Each type checks all of its
     level-one classes; the default grid is A1-A3 and the D4 vacuum."""
-    results = []
     systems = [parse_type(t) for t in types or ("A1", "A2", "A3")]
     jobs = [(rs, w) for rs in systems for w in level_one_weights(rs)]
     if types is None:
         d4 = build_root_system("D", 4)
         jobs.append((d4, d4.zero()))
     for rs, w in jobs:
-        try:
-            ex = level_one_multiplicities(rs, w, N)
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            _check(results, "level-one", f"{rs.family}{rs.rank} class={w.coeffs}", False, str(exc))
-            continue
+        ex = level_one_multiplicities(rs, w, N)
         ok = True
         detail = ""
         expected_support = set()
@@ -422,38 +404,30 @@ def suite_level_one(types=None, N=10):
         if ok and set(ex.multiplicities) != expected_support:
             ok = False
             detail = "support differs from the extremal-class prediction"
-        _check(
-            results,
+        yield CheckResult(
             "level-one",
             f"{rs.family}{rs.rank} class={w.coeffs} ({len(ex.multiplicities)} classes, N={N})",
             ok,
             detail,
         )
-    return results
 
 
 def suite_frenkel_kac(types=None, N=10):
     """Alternating-sum integrable characters against the lattice realization."""
     types = types or ("A1", "A2", "A3")
-    results = []
     for t in types:
         rs = parse_type(t)
         for w in level_one_weights(rs):
             lhs = char_integrable(rs, w, 1, N)
             rhs = frenkel_kac_character(rs, w, N)
-            _check(
-                results,
-                "frenkel-kac",
-                f"{t} class={w.coeffs} (N={N}, {len(lhs.terms)} weights)",
-                lhs == rhs,
+            yield CheckResult(
+                "frenkel-kac", f"{t} class={w.coeffs} (N={N}, {len(lhs.terms)} weights)", lhs == rhs
             )
-    return results
 
 
 def suite_demazure_vs_crystal(types=None, max_mu=4, max_total=2, N=8, cache_dir=None):
     """Divided-difference local Weyl characters against the crystal graded
     character (q-inverted), plus the dimension multiplicativity oracle."""
-    results = []
     grid = a1_mu_grid(max_mu) + a2_mu_grid(max_total)
     grid = [(rs, mu) for rs, mu in grid if _keep_type(rs, types)]
     for rs, mu in grid:
@@ -472,24 +446,19 @@ def suite_demazure_vs_crystal(types=None, max_mu=4, max_total=2, N=8, cache_dir=
         for i, m in enumerate(mu.coeffs, start=1):
             factor_dim *= char_local_weyl(rs, rs.fundamental_weight(i)).dimension_at_q1() ** m
         ok = ok and dim == factor_dim
-        _check(
-            results,
-            "demazure-vs-crystal",
-            f"{rs.family}{rs.rank} mu={mu.coeffs} (dim {dim})",
-            ok,
+        yield CheckResult(
+            "demazure-vs-crystal", f"{rs.family}{rs.rank} mu={mu.coeffs} (dim {dim})", ok
         )
         irr = expand_in_irreducibles(rs, dem)
         path_ok = all(
             irr.get(lam, QPolynomial.zero()) == kostka_paths(rs.rank, mu, lam)
             for lam in irr
         )
-        _check(
-            results,
+        yield CheckResult(
             "demazure-vs-crystal",
             f"{rs.family}{rs.rank} mu={mu.coeffs}: irreducible multiplicities = path polynomials",
             path_ok,
         )
-    return results
 
 
 def demazure_limit_character(rs, lam: Weight, k: int, N: int, margin=None):
@@ -528,20 +497,13 @@ def demazure_limit_character(rs, lam: Weight, k: int, N: int, margin=None):
 def suite_weyl_kac_demazure(types=None, N=6):
     """Criterion: iterated Demazure operators stabilize to the alternating-sum
     integrable character (A1, k=1, lam in {0, w1})."""
-    results = []
     if types is not None and "A1" not in types:
-        return results
+        return
     rs = build_root_system("A", 1)
     for lam in (Weight([0]), Weight([1])):
         target = char_integrable(rs, lam, 1, N)
         limit = demazure_limit_character(rs, lam, 1, N)
-        _check(
-            results,
-            "demazure-limit",
-            f"A1 lam={lam.coeffs} k=1 N={N}",
-            limit == target,
-        )
-    return results
+        yield CheckResult("demazure-limit", f"A1 lam={lam.coeffs} k=1 N={N}", limit == target)
 
 
 def vertex_identity_sides(rs, mu: Weight, k: int, cache_dir=None):
@@ -567,19 +529,15 @@ def vertex_identity_sides(rs, mu: Weight, k: int, cache_dir=None):
 def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8, cache_dir=None):
     """Exact symbolic form of the tensor-decomposition character identity over
     the cross-route grid, plus one instantiated truncated comparison on A1."""
-    results = []
     for rs, mu, k in cross_route_grid(max_mu, max_total):
         if not _keep_type(rs, types):
             continue
         lhs, rhs = vertex_identity_sides(rs, mu, k, cache_dir=cache_dir)
-        _check(
-            results,
-            "vertex-identity",
-            f"{rs.family}{rs.rank} mu={mu.coeffs} k={k}",
-            lhs == rhs,
+        yield CheckResult(
+            "vertex-identity", f"{rs.family}{rs.rank} mu={mu.coeffs} k={k}", lhs == rhs
         )
     if types is not None and "A1" not in types:
-        return results
+        return
     rs = build_root_system("A", 1)
     mu, k = Weight([2]), 1
     lhs, rhs = vertex_identity_sides(rs, mu, k)
@@ -593,13 +551,11 @@ def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8, cache_dir=None
             ).truncated(N)
         return total
 
-    _check(
-        results,
+    yield CheckResult(
         "vertex-identity",
         f"A1 mu={mu.coeffs} k=1: instantiated at N={N}",
         instantiate(lhs) == instantiate(rhs),
     )
-    return results
 
 
 SUITES = {
@@ -617,33 +573,28 @@ SUITES = {
 def run_suite(name: str, **options):
     """Run one suite (or 'all'); returns the list of CheckResults. A suite
     gets exactly the options its signature names; an option that no suite
-    to run names is an error, as is an empty grid bound."""
+    to run names is an error, as is an empty grid bound. A consistency fault
+    inside a suite keeps the checks it has yielded, adds one failed `stopped`
+    check with the fault's message, and the next suite runs; a ValueError or
+    OSError propagates."""
     check_level_and_cutoff(None, options.get("N"))
     for bound in ("max_mu", "max_total", "max_factors", "max_k"):
         if options.get(bound) is not None and options[bound] < 1:
             raise ValueError(f"{bound} must be >= 1")
     if name == "all":
-        suites = list(SUITES.values())
+        suites = list(SUITES.items())
     elif name in SUITES:
-        suites = [SUITES[name]]
+        suites = [(name, SUITES[name])]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    reads = [inspect.signature(fn).parameters for fn in suites]
+    reads = [inspect.signature(fn).parameters for _, fn in suites]
     unread = sorted(set(options).difference(*reads))
     if unread:
         raise ValueError(f"suite {name} reads no option {', '.join(unread)}")
-    if suite_cross_route in suites:
-        # N must reach every whole chars answer of the grid before any check runs
-        params = inspect.signature(suite_cross_route).parameters
-        opts = {key: options.get(key, p.default) for key, p in params.items()}
-        points = _cross_route_points(opts["types"], opts["max_mu"], opts["max_k"])
-        need = max(
-            (default_cutoff(rs, mu, lam, k) for rs, mu, k, lams in points for lam in lams),
-            default=0,
-        )
-        if opts["N"] < need:
-            raise ValueError(f"cross-route needs N >= {need} on its grid, got N={opts['N']}")
     out = []
-    for fn, names in zip(suites, reads):
-        out.extend(fn(**{k: v for k, v in options.items() if k in names}))
+    for (suite, fn), names in zip(suites, reads):
+        try:  # extend appends as the suite yields, so a fault keeps the lines before it
+            out.extend(fn(**{k: v for k, v in options.items() if k in names}))
+        except (StructuralError, ExpansionError, VerificationFailure) as exc:
+            out.append(CheckResult(suite, "stopped", False, str(exc)))
     return out

@@ -115,7 +115,7 @@ def test_criterion_4_frenkel_kac_oracle():
 
 
 def test_criterion_5_energy_axioms():
-    results = suite_energy_axioms(max_mu=6, max_total=3)
+    results = list(suite_energy_axioms(max_mu=6, max_total=3))
     bad = [r for r in results if not r.ok]
     _report(
         "criterion 5 (degree-function axioms)",
@@ -125,7 +125,7 @@ def test_criterion_5_energy_axioms():
 
 
 def test_criterion_6_demazure_vs_crystal():
-    results = suite_demazure_vs_crystal(max_mu=4, max_total=2, N=8)
+    results = list(suite_demazure_vs_crystal(max_mu=4, max_total=2, N=8))
     bad = [r for r in results if not r.ok]
     _report(
         "criterion 6 (divided-difference vs crystal local Weyl characters)",

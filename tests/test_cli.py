@@ -194,6 +194,30 @@ def test_verify_detects_corrupted_cache(tmp_path, capsys):
     clear_caches()
 
 
+def test_verify_all_reports_each_crystal_suite_stopped_by_a_corrupt_cache(tmp_path, capsys):
+    cache = str(tmp_path)
+    argv = ["verify", "all", "--type", "A1", "--max-mu", "2", "--cache-dir", cache]
+    clear_caches()
+    assert run_cli(capsys, *argv)[0] == 0
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name), "w", encoding="utf-8") as fh:
+            fh.write("[")
+    clear_caches()
+    code, out, _ = run_cli(capsys, *argv)
+    clear_caches()
+    assert code == 1
+    lines = out.splitlines()
+    crystal_suites = ("energy-axioms", "cross-route", "demazure-vs-crystal", "vertex-identity")
+    for suite in crystal_suites:
+        (line,) = [line for line in lines if f"[{suite}]" in line]
+        assert line.startswith(f"FAIL [{suite}] stopped -- crystal cache {cache}")
+        assert "is not valid JSON" in line
+    for suite in ("length-oracle", "level-one", "frenkel-kac", "demazure-limit"):
+        mine = [line for line in lines if f"[{suite}]" in line]
+        assert mine and all(line.startswith("PASS") for line in mine), suite
+    assert lines[-1] == f"{len(lines) - 5}/{len(lines) - 1} checks passed"
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus"])
@@ -284,7 +308,8 @@ def _corrupt_cache_exits_1(tmp_path, capsys, corrupt):
     clear_caches()
     assert code == 1
     assert out == ""
-    assert "consistency failure" in err and "crystal cache" in err
+    assert "consistency failure" in err and "crystal cache" in err and path in err
+    assert err.count("\n") == 1
 
 
 def test_kostka_cache_missing_last_vertex_exits_1(tmp_path, capsys):
@@ -349,6 +374,7 @@ def test_export_into_missing_directory_exits_2(tmp_path, capsys):
         ["kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "-v"],
         ["kostka", "--type", "A1", "--mu", "2", "--lambda", "0", "--k", "1", "--all-routes"],
         ["kostka", "--type", "A1", "--rank", "3", "--mu", "2", "--lambda", "0"],
+        ["kostka", "--type", "A2", "--mu", "2,2", "--lambda", "0,0", "--k", "2", "--N", "3"],
         ["decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--cache-dir", "X"],
         ["decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--format", "json"],
         ["export", "--type", "A1", "--mu", "2", "--N", "3"],

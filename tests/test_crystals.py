@@ -363,8 +363,9 @@ def _tampered_cache_is_rejected(cache_dir, tamper, match=None):
     tamper(data)
     path.write_text(json.dumps(data))
     clear_caches()
-    with pytest.raises(StructuralError, match=match):
+    with pytest.raises(StructuralError, match=match) as err:
         build_crystal(2, (1, 2), cache_dir=str(cache_dir))
+    assert str(path) in str(err.value)
     with pytest.raises(StructuralError, match=match):
         CrystalGraph.from_json(data)
     clear_caches()

@@ -70,6 +70,16 @@ def test_character_route_examples():
     assert str(need) in str(err.value)
 
 
+def test_character_route_refuses_a_truncating_cutoff():
+    # N=3 reaches mu=(2,2) but cuts q^2 + q^4 down to q^2
+    assert kostka_characters(A2, Weight([2, 2]), Weight([0, 0]), 2) == QPolynomial({2: 1, 4: 1})
+    with pytest.raises(ValueError, match="truncates") as err:
+        kostka_characters(A2, Weight([2, 2]), Weight([0, 0]), 2, 3)
+    assert "4" in str(err.value)
+    with pytest.raises(ValueError, match="not dominant"):
+        kostka_characters(A1, Weight([-2]), Weight([0]), 1)
+
+
 def test_unrestricted_character_route():
     assert kostka_characters_unrestricted(A1, Weight([2]), Weight([0])) == q
     assert kostka_characters_unrestricted(A2, Weight([1, 1]), Weight([1, 1])) == one

@@ -11,6 +11,7 @@ from weylcurrents.errors import VerificationFailure
 from weylcurrents.qseries import QPolynomial
 from weylcurrents.rootsystem import Weight, build_root_system, parse_type
 from weylcurrents.verify import (
+    CheckResult,
     bfs_lengths,
     brute_force_induced_factor,
     demazure_limit_character,
@@ -46,6 +47,25 @@ def test_all_suite_aggregates():
     suites = {r.suite for r in results}
     assert {"length-oracle", "cross-route", "energy-axioms"} <= suites
     assert all(r.ok for r in results)
+
+
+def test_run_suite_keeps_the_checks_before_a_fault_and_goes_on(monkeypatch):
+    def faulty(types=None):
+        yield CheckResult("energy-axioms", "first", True)
+        raise VerificationFailure("forced fault")
+
+    monkeypatch.setitem(SUITES, "energy-axioms", faulty)
+    results = run_suite("all", types=("A1",), max_mu=2, max_k=1, radius=4)
+    assert results[:2] == [
+        CheckResult("energy-axioms", "first", True),
+        CheckResult("energy-axioms", "stopped", False, "forced fault"),
+    ]
+    assert results[2].suite == "cross-route"
+    assert all(r.ok for r in results[2:])
+
+
+def test_suites_are_generators():
+    assert all(inspect.isgeneratorfunction(fn) for fn in SUITES.values())
 
 
 def test_frenkel_kac_discriminates_classes():
