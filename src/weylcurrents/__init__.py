@@ -41,6 +41,7 @@ from .kostka import (
     kostka_by_route,
     kostka_characters,
     kostka_characters_unrestricted,
+    kostka_fermionic,
     kostka_paths,
     kostka_paths_restricted,
     level_one_multiplicities,
@@ -81,6 +82,7 @@ __all__ = [
     "kostka_by_route",
     "kostka_characters",
     "kostka_characters_unrestricted",
+    "kostka_fermionic",
     "kostka_paths",
     "kostka_paths_restricted",
     "length",

@@ -9,7 +9,7 @@ normalized so its head sits at q-degree 0, so all stored exponents lie in [0, N]
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from operator import add, mul, sub
 
 from .affine import (
@@ -372,6 +372,15 @@ def _level_one_class(rs: RootSystem, lam: Weight) -> Weight:
     raise StructuralError("no level-one representative found")
 
 
+def _local_weyl_top(rs: RootSystem, lam: Weight) -> int:
+    """Top q-degree of the local Weyl module with top V(lam):
+    ((lam,lam) - (c,c))/2, c the level-one class of lam. It is the depth of
+    the extremal weight _local_weyl starts from, so it bounds every row of
+    that table; the rows reach it, as the weight c stays at that depth."""
+    cls_w = _level_one_class(rs, lam)
+    return int((rs.inner(lam, lam) - rs.inner(cls_w, cls_w)) / 2)
+
+
 def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
     """Graded character of the local Weyl module with top V(lam), head at q^0,
     truncated at q^N when N is given: the irreducible table of _local_weyl
@@ -445,8 +454,7 @@ def _local_weyl(rs: RootSystem, lam: Weight) -> dict:
     The memo hands every caller the same dict: read it, never change it."""
     cls_w = _level_one_class(rs, lam)
     top = AffineWeight(cls_w, 1, 0)
-    drop = rs.inner(lam, lam) - rs.inner(cls_w, cls_w)
-    target = AffineWeight(rs.longest_element_image(lam), 1, -int(drop / 2))
+    target = AffineWeight(rs.longest_element_image(lam), 1, -_local_weyl_top(rs, lam))
     reached, word = chamber_ascent(rs, target)
     if reached != top:
         raise StructuralError("ascent to the dominant extremal weight failed")
@@ -592,22 +600,28 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
     if N is None:
         raise ValueError("expansion needs a truncation cutoff")
     lo = min((p.min_exponent() for p in char.values() if p), default=0)
-    return _peel_global_weyl(rs, _irreducible_rows(rs, _window_rows(char, lo, N)), lo, N)
+    rows = _irreducible_rows(rs, _window_rows(char, lo, N))
+    return _peel_global_weyl(rs, rows, lo, N, partial(_local_weyl, rs))
 
 
-def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int) -> Expansion:
+def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int, table) -> Expansion:
     """The global-Weyl expansion of rows {dominant coeffs: coefficients of
     q^lo..q^N} in the irreducible basis; the rows are used up.
 
     The highest weights are processed in decreasing (height, coeffs) order:
     the top residual row divided by the Hilbert series (implemented as
     multiplication by the polynomial numerator, hence exact) is the
-    multiplicity m, and the whole basis element, the local Weyl table
-    (_local_weyl) times the Hilbert series and m, cut at q^(N-lo), is
+    multiplicity m, and the whole basis element, the local Weyl table of nu,
+    table(nu), times the Hilbert series and m, cut at q^(N-lo), is
     subtracted. As m = top times the numerator, that element is the local
     Weyl table times the top row itself within the window. The head must
     clear, else the input was not a combination of the basis and an
-    ExpansionError is raised."""
+    ExpansionError is raised.
+
+    table(nu) is {dominant coeffs: graded multiplicity}: the whole local
+    Weyl table (_local_weyl) for the whole expansion, or only its rows in an
+    up-set of weights closed under the peel, to expand only that up-set (as
+    kostka_characters does)."""
     width = N + 1 - lo
     mults: dict = {}
     while residual:
@@ -622,7 +636,7 @@ def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int) -> Expans
             raise StructuralError("vanishing extraction from a nonzero residual")
         nu_w = weight_from_ints(nu)
         mults[nu_w] = QPolynomial({e + lo: c for e, c in enumerate(m) if c})
-        for lam_prime, p in _local_weyl(rs, nu_w).items():
+        for lam_prime, p in table(nu_w).items():
             tgt = residual.get(lam_prime) or [0] * width
             for e, c in p.items():
                 for j in range(width - e):

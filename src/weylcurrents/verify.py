@@ -33,6 +33,7 @@ from .affine import (
 from .characters import (
     AffineCharacter,
     GradedCharacter,
+    _local_weyl,
     char_integrable,
     char_local_weyl,
     demazure_step,
@@ -51,6 +52,7 @@ from .kostka import (
     default_cutoff,
     kostka_alt_sum,
     kostka_characters,
+    kostka_fermionic,
     kostka_paths,
     kostka_paths_restricted,
     level_one_multiplicities,
@@ -558,6 +560,45 @@ def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8, cache_dir=None
     )
 
 
+# (family, rank, largest coordinate sum of mu) for the fermionic suite
+FERMIONIC_GRID = (("A", 2, 6), ("A", 3, 3), ("A", 4, 2), ("D", 4, 2), ("D", 5, 2), ("E", 6, 1))
+
+
+def suite_fermionic(types=None):
+    """The fermionic sum M(mu, lam) (kostka_fermionic), from which the chars
+    route reads its tables, equals the local Weyl table of the Demazure
+    strings (_local_weyl) at every dominant lam <= mu, zero entries included,
+    for every mu != 0 with coordinates summing to at most a bound per type."""
+    for family, rank, most in FERMIONIC_GRID:
+        rs = build_root_system(family, rank)
+        if not _keep_type(rs, types):
+            continue
+        weights = entries = 0
+        bad = ""
+        for coeffs in _iproduct(range(most + 1), repeat=rank):
+            if not 1 <= sum(coeffs) <= most:
+                continue
+            mu = Weight(coeffs)
+            table = _local_weyl(rs, mu)
+            below = sorted(lam.coeffs for lam in rs.dominant_weights_below(mu))
+            weights, entries = weights + 1, entries + len(below)
+            stray = sorted(set(table).difference(below))
+            wrong = [
+                lam
+                for lam in below
+                if kostka_fermionic(rs, mu, Weight(lam)) != table.get(lam, QPolynomial.zero())
+            ]
+            if (stray or wrong) and not bad:
+                bad = f"mu={coeffs} lam={(wrong or stray)[0]}"
+        yield CheckResult(
+            "fermionic",
+            f"{family}{rank} |mu| <= {most}: M = local Weyl table "
+            f"({weights} weights, {entries} entries)",
+            not bad,
+            bad,
+        )
+
+
 SUITES = {
     "energy-axioms": suite_energy_axioms,
     "cross-route": suite_cross_route,
@@ -567,6 +608,7 @@ SUITES = {
     "length-oracle": suite_length_oracle,
     "vertex-identity": suite_vertex_identity,
     "demazure-limit": suite_weyl_kac_demazure,
+    "fermionic": suite_fermionic,
 }
 
 

@@ -5,13 +5,21 @@ from itertools import product
 import pytest
 
 from weylcurrents.affine import level_restricted_dominant
-from weylcurrents.characters import char_integrable_dominant, expand_in_global_weyl
+from weylcurrents.characters import (
+    _integrable_layers,
+    _local_weyl,
+    _local_weyl_top,
+    char_integrable_dominant,
+    expand_in_global_weyl,
+)
 from weylcurrents.kostka import (
+    default_cutoff,
     integrable_weyl_expansion,
     kostka_alt_sum,
     kostka_by_route,
     kostka_characters,
     kostka_characters_unrestricted,
+    kostka_fermionic,
     kostka_paths,
     kostka_paths_restricted,
     level_one_multiplicities,
@@ -192,6 +200,86 @@ def test_chars_default_cutoff_returns_the_whole_polynomial():
     assert chars.max_exponent() == 25
 
 
+def test_chars_answer_is_the_whole_expansion_coefficient_at_any_cutoff_passed():
+    # the cross-route grid: the up-set peel at default_cutoff against the
+    # whole expansion at the N the caller passed
+    from weylcurrents.verify import _cross_route_points
+
+    points = [
+        (rs, mu, lam, k) for rs, mu, k, lams in _cross_route_points(None, 6, 3) for lam in lams
+    ]
+    assert len(points) == 54
+    for rs, mu, lam, k in points:
+        whole = default_cutoff(rs, mu, lam, k)
+        assert whole <= 12
+        for N in (whole, whole + 5, 12):
+            got = kostka_characters(rs, mu, lam, k, N)
+            assert got == integrable_weyl_expansion(rs, lam, k, N).coeff(mu), (mu, lam, k, N)
+
+
+def test_a_large_cutoff_does_not_widen_the_chars_work():
+    from weylcurrents import kostka
+
+    kostka.clear_caches()
+    mu, lam, k = Weight([3, 3]), Weight([0, 0]), 2
+    whole = default_cutoff(A2, mu, lam, k)
+    assert kostka_characters(A2, mu, lam, k, 40) == kostka_characters(A2, mu, lam, k)
+    info = _integrable_layers.cache_info()
+    assert info.currsize == 1  # one ratio, computed at one cutoff ...
+    _integrable_layers(A2, lam, k, whole)
+    assert _integrable_layers.cache_info().hits == info.hits + 1  # ... the answer's own
+
+
+def test_local_weyl_top_degree_is_the_top_of_the_table():
+    boxes = [(("A", 1), 9), (("A", 2), 4), (("A", 3), 3), (("A", 4), 2)]
+    sums = [(("D", 4), 2), (("D", 5), 2), (("E", 6), 2)]
+    cases = [
+        (build_root_system(*t), c) for t, side in boxes for c in product(range(side + 1), repeat=t[1])
+    ]
+    cases += [
+        (build_root_system(*t), c)
+        for t, most in sums
+        for c in product(range(most + 1), repeat=t[1])
+        if sum(c) <= most
+    ]
+    assert len(cases) == 244
+    for rs, c in cases:
+        table = _local_weyl(rs, Weight(c))
+        assert _local_weyl_top(rs, Weight(c)) == max(p.max_exponent() for p in table.values()), (
+            rs,
+            c,
+        )
+
+
+def test_up_set_peel_matches_the_whole_expansion_on_d_and_e():
+    D4, D5, E6 = (build_root_system(*t) for t in (("D", 4), ("D", 5), ("E", 6)))
+    points = [(D4, mu, k) for mu in ((1, 0, 1, 1), (0, 1, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0)) for k in (1, 2)]
+    points += [(D5, mu, 1) for mu in ((0, 1, 0, 0, 0), (1, 0, 0, 1, 1), (0, 0, 1, 0, 0))]
+    points += [(E6, mu, 1) for mu in ((0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0))]
+    checked = 0
+    for rs, coeffs, k in points:
+        mu = Weight(coeffs)
+        for lam in level_restricted_dominant(rs, k):
+            if not rs.dominance_leq(lam, mu):
+                continue
+            whole = default_cutoff(rs, mu, lam, k)
+            got = kostka_characters(rs, mu, lam, k)
+            assert got == integrable_weyl_expansion(rs, lam, k, whole).coeff(mu), (rs, mu, lam, k)
+            checked += bool(got)
+    assert checked >= len(points)
+
+
+def test_fermionic_sum_desk_values():
+    # A1: [W(n w1) : V((n - 2) w1)] = q [n-1]_q from the one family m_1 = 1
+    assert kostka_fermionic(A1, Weight([2]), Weight([0])) == q
+    assert kostka_fermionic(A1, Weight([4]), Weight([2])) == QPolynomial({1: 1, 2: 1, 3: 1})
+    assert kostka_fermionic(A2, Weight([1, 1]), Weight([0, 0])) == QPolynomial({1: 1})
+    assert kostka_fermionic(A2, Weight([1, 0]), Weight([0, 1])).is_zero()
+    assert kostka_fermionic(A2, Weight([2, 2]), Weight([2, 2])) == one
+    with pytest.raises(ValueError, match="dominant"):
+        kostka_fermionic(A2, Weight([1, 1]), Weight([2, -1]))
+
+
 def test_level_and_cutoff_checked_at_the_boundary():
     with pytest.raises(ValueError, match="level"):
         kostka_by_route(A1, Weight([2]), Weight([0]), 0, "paths")
@@ -242,14 +330,19 @@ def test_clear_caches_empties_every_route_memo():
         "_local_weyl",
         "_freudenthal_dominant",
         "integrable_weyl_expansion",
+        "kostka_fermionic",
+        "_q_binomial",
         "_column_tables",
         "_build_R",
         "_build_H",
     }
+    kostka.clear_caches()  # what other tests left must not fill a memo for this one
     for route in ("paths", "chars"):
         kostka_by_route(A1, Weight([2]), Weight([0]), 1, route)
     kostka_by_route(A2, Weight([1, 1]), Weight([0, 0]), 1, "paths")  # R on unequal heights
+    kostka_by_route(A1, Weight([2]), Weight([0]), None, "chars")  # a q-binomial of M
     characters.char_integrable_dominant(A1, Weight([0]), 1, 2)  # a view the routes skip
+    kostka.integrable_weyl_expansion(A1, Weight([0]), 1, 2)  # decompose's whole expansion
     assert crystals._GRAPH_CACHE
     assert all(m.cache_info().currsize for m in memos)
     kostka.clear_caches()

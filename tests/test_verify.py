@@ -153,3 +153,30 @@ def test_level_one_suite_covers_every_d_class(type_, N):
     assert len(classes) == 4
     assert [r.name.split(" (")[0] for r in results] == classes
     assert all(r.ok for r in results), [r for r in results if not r.ok]
+
+
+def test_fermionic_suite_passes_and_covers_d_and_e():
+    results = run_suite("fermionic")
+    assert results and all(r.ok for r in results)
+    assert {r.name.split()[0] for r in results} == {"A2", "A3", "A4", "D4", "D5", "E6"}
+
+
+def test_fermionic_suite_detects_a_wrong_entry_and_a_missing_row(monkeypatch):
+    import weylcurrents.verify as verify
+
+    real = verify.kostka_fermionic
+
+    def shifted(rs, mu, lam):  # one degree off where lam = 0
+        value = real(rs, mu, lam)
+        return value.shifted(1) if lam.is_zero() else value
+
+    monkeypatch.setattr(verify, "kostka_fermionic", shifted)
+    (line,) = run_suite("fermionic", types=("D4",))
+    assert not line.ok and line.detail == "mu=(0, 0, 0, 2) lam=(0, 0, 0, 0)"
+
+    def dropped(rs, mu, lam):  # a zero where the table has a row
+        return QPolynomial.zero() if lam.is_zero() else real(rs, mu, lam)
+
+    monkeypatch.setattr(verify, "kostka_fermionic", dropped)
+    (line,) = run_suite("fermionic", types=("E6",))
+    assert not line.ok and "lam=(0, 0, 0, 0, 0, 0)" in line.detail
