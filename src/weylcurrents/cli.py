@@ -46,7 +46,11 @@ def cmd_kostka(args) -> int:
     lam = _parse_weight(args.lam, rs.rank, "lambda")
     k = args.k
     if args.route == "all":
-        routes = ["paths", "chars"] if k is None else list(ROUTES)
+        # paths needs the type-A crystal model, altsum a finite level
+        routes = [
+            r for r in ROUTES
+            if not ((r == "paths" and rs.family != "A") or (r == "altsum" and k is None))
+        ]
     else:
         routes = [args.route]
     values = {}

@@ -60,14 +60,12 @@ def kostka_paths_restricted(
     return kostka_paths(n, mu, lam, k, cache_dir=cache_dir)
 
 
-def kostka_alt_sum(
-    rs: RootSystem, mu: Weight, lam: Weight, k: int, cache_dir=None
-) -> QPolynomial:
+def kostka_alt_sum(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> QPolynomial:
     """Affine alternating sum over dot-dominant images: terms
-    sign * q^offset * (unrestricted value at the image weight); the sweep is
-    complete because images with norm beyond mu's contribute zero."""
-    if rs.family != "A":
-        raise ValueError("the path side of the alternating sum needs type A")
+    sign * q^offset * (unrestricted value at the image weight), each value the
+    fermionic sum kostka_fermionic, so no crystal is built and every type
+    runs; the sweep is complete because images with norm beyond mu's
+    contribute zero."""
     if not in_level_dominant(rs, lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
     L = k + rs.dual_coxeter
@@ -75,7 +73,7 @@ def kostka_alt_sum(
     max_offset = int(Fraction(gap, 2 * L)) if gap >= 0 else -1
     total = QPolynomial.zero()
     for rep in cosets_up_to_shift(rs, lam, k, max_offset):
-        inner_val = kostka_paths(rs.rank, mu, rep.image.classical, cache_dir=cache_dir)
+        inner_val = kostka_fermionic(rs, mu, rep.image.classical)
         if inner_val:
             total = total + rep.sign * inner_val.shifted(rep.offset)
     return total
@@ -297,7 +295,7 @@ def kostka_by_route(
     """Dispatch a single route; k None means the unrestricted limit."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    if route in ("paths", "altsum") and rs.family != "A":
+    if route == "paths" and rs.family != "A":
         raise ValueError(f"route {route!r} uses the column-crystal model (type A only)")
     check_level_and_cutoff(k, N)
     for w in (mu, lam):
@@ -314,7 +312,7 @@ def kostka_by_route(
         if route == "paths":
             val = kostka_paths_restricted(rs.rank, mu, lam, k, cache_dir=cache_dir)
         elif route == "altsum":
-            val = kostka_alt_sum(rs, mu, lam, k, cache_dir=cache_dir)
+            val = kostka_alt_sum(rs, mu, lam, k)
         else:
             val = kostka_characters(rs, mu, lam, k, N)
     return KostkaResult(mu, lam, k, val, route)

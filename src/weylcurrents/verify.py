@@ -72,27 +72,23 @@ class CheckResult:
 # -- grids ------------------------------------------------------------------
 
 
-def a1_mu_grid(max_mu=6):
-    rs = build_root_system("A", 1)
-    return [(rs, Weight([m])) for m in range(1, max_mu + 1)]
+def coordinate_sum_grid(family, rank, most):
+    """(rs, mu) for every mu != 0 whose coordinates sum to at most `most`, in
+    lexicographic order."""
+    rs = build_root_system(family, rank)
+    return [
+        (rs, Weight(c)) for c in _iproduct(range(most + 1), repeat=rank) if 1 <= sum(c) <= most
+    ]
 
 
-def a2_mu_grid(max_total=3):
-    rs = build_root_system("A", 2)
-    out = []
-    for m1 in range(max_total + 1):
-        for m2 in range(max_total + 1 - m1):
-            if m1 + m2 >= 1:
-                out.append((rs, Weight([m1, m2])))
-    return out
+def a1_a2_grid(max_mu=6, max_total=3):
+    """A1 with mu <= max_mu, then A2 with coordinate sum at most max_total."""
+    return coordinate_sum_grid("A", 1, max_mu) + coordinate_sum_grid("A", 2, max_total)
 
 
-def cross_route_grid(max_mu=6, max_total=3, a1_levels=(1, 2, 3), a2_levels=(1, 2)):
-    for rs, mu in a1_mu_grid(max_mu):
-        for k in a1_levels:
-            yield rs, mu, k
-    for rs, mu in a2_mu_grid(max_total):
-        for k in a2_levels:
+def cross_route_grid(max_mu=6, max_total=3):
+    for rs, mu in a1_a2_grid(max_mu, max_total):
+        for k in (1, 2, 3) if rs.rank == 1 else (1, 2):
             yield rs, mu, k
 
 
@@ -271,7 +267,7 @@ def _promotion(n):
 def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cache_dir=None):
     """Degree-function axioms on every tensor crystal in the grid, plus the
     structural crystal oracles (Yang-Baxter, promotion, specialization count)."""
-    grid = a1_mu_grid(max_mu) + a2_mu_grid(max_total)
+    grid = a1_a2_grid(max_mu, max_total)
     grid = [(rs, mu) for rs, mu in grid if _keep_type(rs, types)]
     if max_factors is not None:
         grid = [
@@ -306,19 +302,21 @@ def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cac
 
 def _cross_route_points(types, max_mu, max_k):
     """(rs, mu, k, lams) for each point of the cross-route grid, lams the
-    weights of P_+^k in mu + Q."""
-    a1_levels = tuple(k for k in (1, 2, 3) if k <= max_k)
-    a2_levels = tuple(k for k in (1, 2) if k <= max_k)
-    for rs, mu, k in cross_route_grid(max_mu, 3, a1_levels, a2_levels):
-        if _keep_type(rs, types):
+    weights of P_+^k in mu + Q: cross_route_grid, then D4 with coordinate sum
+    at most 2 and E6 with at most 1, at k = 1, 2; no level above max_k."""
+    de_grid = coordinate_sum_grid("D", 4, 2) + coordinate_sum_grid("E", 6, 1)
+    de_points = [(rs, mu, k) for rs, mu in de_grid for k in (1, 2)]
+    for rs, mu, k in [*cross_route_grid(max_mu), *de_points]:
+        if k <= max_k and _keep_type(rs, types):
             lams = [lam for lam in level_restricted_dominant(rs, k) if rs.in_root_lattice(mu - lam)]
             yield rs, mu, k, lams
 
 
 def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
-    """Route equality: paths = alternating sum = character expansion, exactly.
-    N must reach every whole chars answer of the grid, checked before any check
-    runs."""
+    """Route equality: paths = alternating sum = character expansion, exactly;
+    off type A, where paths has no crystal model, alternating sum = character
+    expansion. N must reach every whole chars answer of the grid, checked
+    before any check runs."""
     points = list(_cross_route_points(types, max_mu, max_k))
     need = max(
         (default_cutoff(rs, mu, lam, k) for rs, mu, k, lams in points for lam in lams),
@@ -330,9 +328,11 @@ def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
         all_ok = True
         bad = ""
         for lam in lams:
-            x = kostka_paths_restricted(rs.rank, mu, lam, k, cache_dir=cache_dir)
-            a = kostka_alt_sum(rs, mu, lam, k, cache_dir=cache_dir)
+            a = kostka_alt_sum(rs, mu, lam, k)
             p = kostka_characters(rs, mu, lam, k, N)
+            x = a  # paths has its column-crystal model on type A only
+            if rs.family == "A":
+                x = kostka_paths_restricted(rs.rank, mu, lam, k, cache_dir=cache_dir)
             if x.max_exponent() is not None and x.max_exponent() > N:
                 all_ok = False
                 bad = f"lam={lam.coeffs}: degree beyond window"
@@ -430,7 +430,7 @@ def suite_frenkel_kac(types=None, N=10):
 def suite_demazure_vs_crystal(types=None, max_mu=4, max_total=2, N=8, cache_dir=None):
     """Divided-difference local Weyl characters against the crystal graded
     character (q-inverted), plus the dimension multiplicativity oracle."""
-    grid = a1_mu_grid(max_mu) + a2_mu_grid(max_total)
+    grid = a1_a2_grid(max_mu, max_total)
     grid = [(rs, mu) for rs, mu in grid if _keep_type(rs, types)]
     for rs, mu in grid:
         dem = char_local_weyl(rs, mu)
@@ -575,10 +575,7 @@ def suite_fermionic(types=None):
             continue
         weights = entries = 0
         bad = ""
-        for coeffs in _iproduct(range(most + 1), repeat=rank):
-            if not 1 <= sum(coeffs) <= most:
-                continue
-            mu = Weight(coeffs)
+        for _, mu in coordinate_sum_grid(family, rank, most):
             table = _local_weyl(rs, mu)
             below = sorted(lam.coeffs for lam in rs.dominant_weights_below(mu))
             weights, entries = weights + 1, entries + len(below)
@@ -589,7 +586,7 @@ def suite_fermionic(types=None):
                 if kostka_fermionic(rs, mu, Weight(lam)) != table.get(lam, QPolynomial.zero())
             ]
             if (stray or wrong) and not bad:
-                bad = f"mu={coeffs} lam={(wrong or stray)[0]}"
+                bad = f"mu={mu.coeffs} lam={(wrong or stray)[0]}"
         yield CheckResult(
             "fermionic",
             f"{family}{rank} |mu| <= {most}: M = local Weyl table "

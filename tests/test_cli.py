@@ -155,6 +155,25 @@ def test_export_rejects_non_type_a(capsys):
     assert "type A" in err
 
 
+@pytest.mark.parametrize(
+    "type_, mu, lam",
+    [("D4", "0,2,0,0", "0,0,0,0"), ("E6", "0,1,0,0,0,0", "0,0,0,0,0,0")],
+)
+def test_kostka_all_routes_off_type_a_runs_the_routes_that_exist(capsys, type_, mu, lam):
+    weights = ("--type", type_, "--mu", mu, "--lambda", lam)
+    code, out, _ = run_cli(capsys, "kostka", *weights, "--k", "2", "--route", "all")
+    assert code == 0
+    data = json.loads(out)
+    assert list(data["routes"]) == ["altsum", "chars"] and data["agree"] is True
+    assert data["routes"]["altsum"] and data["routes"]["altsum"] == data["routes"]["chars"]
+    code, out, _ = run_cli(capsys, "kostka", *weights, "--route", "all")
+    assert code == 0
+    assert list(json.loads(out)["routes"]) == ["chars"]
+    code, out, err = run_cli(capsys, "kostka", *weights, "--k", "2", "--route", "paths")
+    assert code == 2 and out == ""
+    assert "column-crystal model (type A only)" in err
+
+
 def test_verify_suite_runs(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "length-oracle", "--type", "A1", "--format", "json"

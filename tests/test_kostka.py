@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from weylcurrents import crystals
 from weylcurrents.affine import level_restricted_dominant
 from weylcurrents.characters import (
     _integrable_layers,
@@ -13,6 +14,7 @@ from weylcurrents.characters import (
     expand_in_global_weyl,
 )
 from weylcurrents.kostka import (
+    clear_caches,
     default_cutoff,
     integrable_weyl_expansion,
     kostka_alt_sum,
@@ -27,6 +29,7 @@ from weylcurrents.kostka import (
 )
 from weylcurrents.qseries import QPolynomial
 from weylcurrents.rootsystem import Weight, build_root_system
+from weylcurrents.verify import coordinate_sum_grid
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -66,6 +69,42 @@ def test_alt_sum_examples():
             assert kostka_alt_sum(A1, mu, Weight([lam]), m + 1) == kostka_paths(
                 1, mu, Weight([lam])
             )
+
+
+def _points_below(family, rank, most, levels):
+    """(rs, mu, lam, k) for every mu != 0 with coordinates summing to at most
+    `most`, k in levels and lam in P_+^k with lam <= mu."""
+    for rs, mu in coordinate_sum_grid(family, rank, most):
+        for k in levels:
+            for lam in level_restricted_dominant(rs, k):
+                if rs.dominance_leq(lam, mu):
+                    yield rs, mu, lam, k
+
+
+def test_alt_sum_equals_paths_on_a_wide_type_a_grid():
+    grids = (("A", 1, 12), ("A", 2, 5), ("A", 3, 3))
+    points = [p for grid in grids for p in _points_below(*grid, (1, 2, 3))]
+    assert len(points) == 279
+    for rs, mu, lam, k in points:
+        paths = kostka_paths_restricted(rs.rank, mu, lam, k)
+        assert kostka_alt_sum(rs, mu, lam, k) == paths, (mu.coeffs, lam.coeffs, k)
+
+
+def test_alt_sum_equals_chars_on_d_and_e():
+    grids = (("D", 4, 2), ("D", 5, 1), ("E", 6, 1))
+    points = [p for grid in grids for p in _points_below(*grid, (1, 2))]
+    assert len(points) == 74
+    for rs, mu, lam, k in points:
+        chars = kostka_characters(rs, mu, lam, k)
+        assert kostka_alt_sum(rs, mu, lam, k) == chars, (rs.family, mu.coeffs, lam.coeffs, k)
+
+
+def test_alt_sum_builds_no_crystal():
+    clear_caches()
+    value = kostka_alt_sum(A2, Weight([6, 6]), Weight([0, 0]), 3)
+    assert value.evaluate(1) > 0
+    assert crystals._GRAPH_CACHE == {}
+    assert crystals._column_tables.cache_info().currsize == 0
 
 
 def test_character_route_examples():
@@ -201,12 +240,14 @@ def test_chars_default_cutoff_returns_the_whole_polynomial():
 
 
 def test_chars_answer_is_the_whole_expansion_coefficient_at_any_cutoff_passed():
-    # the cross-route grid: the up-set peel at default_cutoff against the
-    # whole expansion at the N the caller passed
+    # the type-A cross-route grid: the up-set peel at default_cutoff against
+    # the whole expansion at the N the caller passed
     from weylcurrents.verify import _cross_route_points
 
     points = [
-        (rs, mu, lam, k) for rs, mu, k, lams in _cross_route_points(None, 6, 3) for lam in lams
+        (rs, mu, lam, k)
+        for rs, mu, k, lams in _cross_route_points(("A1", "A2"), 6, 3)
+        for lam in lams
     ]
     assert len(points) == 54
     for rs, mu, lam, k in points:

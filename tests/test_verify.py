@@ -64,6 +64,24 @@ def test_run_suite_keeps_the_checks_before_a_fault_and_goes_on(monkeypatch):
     assert all(r.ok for r in results[2:])
 
 
+def test_cross_route_compares_altsum_with_chars_on_d4_and_e6(monkeypatch):
+    import weylcurrents.verify as verify
+
+    results = run_suite("cross-route", types=("D4", "E6"))
+    assert [r.name.split()[0] for r in results] == ["D4"] * 28 + ["E6"] * 12
+    assert all(r.ok for r in results)
+    assert len(run_suite("cross-route", types=("D4",), max_k=1)) == 14
+
+    real = verify.kostka_alt_sum
+
+    def shifted(rs, mu, lam, k):  # one degree off, where paths is not there to catch it
+        return real(rs, mu, lam, k).shifted(1)
+
+    monkeypatch.setattr(verify, "kostka_alt_sum", shifted)
+    results = run_suite("cross-route", types=("E6",))
+    assert results and not any(r.ok for r in results)
+
+
 def test_suites_are_generators():
     assert all(inspect.isgeneratorfunction(fn) for fn in SUITES.values())
 
