@@ -198,16 +198,17 @@ def _denominator(rs: RootSystem, N: int) -> list:
     return layers
 
 
-def _ratio(rs: RootSystem, lam: tuple, sweep, N: int) -> list:
+def _ratio(rs: RootSystem, lam: tuple, sweep, N: int, solved=()) -> list:
     """The layers of X = Num / Delta up to q^N, Num the terms of sweep (see
-    _sweep_layers), solved degree by degree: Delta_0 = V(0), so X_d = Num_d -
-    sum_{j>=1} Delta_j X_{d-j}. X_0 must be V(lam), the head of the module."""
+    _sweep_layers), solved degree by degree after the layers `solved`, a
+    prefix of X: Delta_0 = V(0), so X_d = Num_d - sum_{j>=1} Delta_j X_{d-j}.
+    X_0 must be V(lam), the head of the module."""
     if N < 0:
         raise ValueError(f"cutoff N must be >= 0, got {N}")
     numerator = _sweep_layers(sweep, N)
     delta = _denominator(rs, N)
-    out: list = []
-    for d in range(N + 1):
+    out = list(solved)
+    for d in range(len(out), N + 1):
         layer = numerator[d]
         for j in range(1, d + 1):
             for a, ca in delta[j].items():
@@ -221,16 +222,29 @@ def _ratio(rs: RootSystem, lam: tuple, sweep, N: int) -> list:
 
 
 @cache
+def _solved_layers(rs: RootSystem, lam: Weight, k: int) -> list:
+    """The layers of ch L_k(lam) solved so far, one list per (lam, k) that
+    _integrable_layers extends; layer d does not depend on the cutoff."""
+    return []
+
+
+@cache
 def _integrable_layers(rs: RootSystem, lam: Weight, k: int, N: int) -> list:
     """The layers of ch L_k(lam) up to q^N by Weyl-Kac as a ratio, Num / Delta
     (see _ratio), Num the alcove sweep of lam + rho at level k + h^vee. The
-    memo hands every caller the same list: read it, never change it."""
+    ratio goes on from the last layer solved at an earlier cutoff. The memo
+    hands every caller the same list: read it, never change it."""
     if not in_level_dominant(rs, lam, k):
         raise ValueError(f"{lam} is not in P_+^{k}")
     if k < 1:
         raise ValueError("level k must be >= 1")
-    sweep = _alcove_sweep(rs, lam + rs.rho, k + rs.dual_coxeter, N)
-    return _ratio(rs, lam.coeffs, sweep, N)
+    if N < 0:
+        raise ValueError(f"cutoff N must be >= 0, got {N}")
+    solved = _solved_layers(rs, lam, k)
+    if len(solved) <= N:
+        sweep = _alcove_sweep(rs, lam + rs.rho, k + rs.dual_coxeter, N)
+        solved[:] = _ratio(rs, lam.coeffs, sweep, N, solved)
+    return solved[: N + 1]
 
 
 def _layer_rows(layers: list) -> dict:
@@ -490,6 +504,7 @@ def _freudenthal_dominant(rs: RootSystem, lam: tuple) -> dict:
 _MEMOS = (
     char_integrable_dominant,
     _integrable_layers,
+    _solved_layers,
     _denominator,
     _tensor,
     _local_weyl,
@@ -499,8 +514,8 @@ _MEMOS = (
 
 def clear_caches():
     """Empty the in-process memos of this module (integrable characters and
-    their layers, Macdonald denominator, tensor products, local Weyl,
-    Freudenthal)."""
+    their layers, solved and per cutoff, Macdonald denominator, tensor
+    products, local Weyl, Freudenthal)."""
     for memo in _MEMOS:
         memo.cache_clear()
 

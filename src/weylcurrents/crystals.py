@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from functools import cache
 from itertools import combinations, compress, product
 from math import comb, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 
 from .errors import StructuralError
 from .qseries import QPolynomial
@@ -150,7 +151,7 @@ def _two_factor(n: int, r: int, s: int):
     classical components of `_classical_components`."""
     _, weights, eps, _, f_arrows, _ = _fold(n, (r, s), energy=False)
     arrows = _arrows(f_arrows)
-    label, highest = _classical_components(n, eps, arrows, _e_arrows(len(eps), arrows))
+    label, highest = _classical_components(n, eps, arrows, _e_arrows(len(weights), arrows))
     return weights, f_arrows, label, highest
 
 
@@ -267,6 +268,34 @@ def energy_of_element(n: int, b) -> int:
 # column-major: one list per coordinate, indexed by column or by state.
 
 
+class TensorVertices(Sequence):
+    """The vertices product(*columns) of a tensor crystal, read-only: vertex t
+    is the tuple of the columns at the mixed-radix digits of t, computed when
+    asked, so no vertex tuple is stored. No columns (mu = 0) give the one
+    vertex ()."""
+
+    __slots__ = ("columns", "size")
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        self.size = prod(map(len, self.columns))
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, t):
+        if not -self.size <= t < self.size:
+            raise IndexError("vertex index out of range")
+        digits = []  # floor division reads a negative t as t + size
+        for cols in reversed(self.columns):
+            t, p = divmod(t, len(cols))
+            digits.append(cols[p])
+        return tuple(reversed(digits))
+
+    def __iter__(self):
+        return product(*self.columns)
+
+
 @cache
 def _column_tables(n: int, r: int):
     """The height-r columns and their tables (columns, positions, weight, eps,
@@ -286,7 +315,8 @@ def _column_tables(n: int, r: int):
 
 def _fold(n: int, heights, energy: bool):
     """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
-    the given column heights, vertices in lexicographic order; D is None
+    the given column heights, vertices in lexicographic order (a
+    `TensorVertices`); eps, phi and f_arrows are indexed [i][t], and D is None
     unless `energy`.
 
     Factor l extends every prefix state s by every column c, giving state
@@ -340,10 +370,10 @@ def _fold(n: int, heights, energy: bool):
                 rows = zip(*[iter(T[later])] * (len(R) // m))
                 extended[later] = [h + row[x] for row in rows for h, x in zip(H, R)]
             T = extended
-    vertices = list(product(*(tables[r][0] for r in heights)))
     distinct = {w: weight_from_ints(w) for w in set(zip(*W))}
     weights = [distinct[w] for w in zip(*W)]
-    return vertices, weights, list(zip(*E)), list(zip(*P)), F, D if energy else None
+    vertices = TensorVertices([tables[r][0] for r in heights])
+    return vertices, weights, E, P, F, D if energy else None
 
 
 # -- sealed crystal graphs -------------------------------------------------
@@ -387,10 +417,9 @@ def _classical_components(n: int, eps, arrows, e_arrows):
     component has two such vertices. (A raising cycle, the one way a label
     could name a vertex that is not classical-highest, breaks the weight shift
     that the axiom check tests on every arrow.)"""
-    V = range(len(eps))
-    label = list(V)
+    label = list(range(len(eps[0])))
     for i in range(n, 0, -1):
-        label = [s if e[i] else u for u, e, s in zip(label, eps, e_arrows[i])]
+        label = [s if e else u for u, e, s in zip(label, eps[i], e_arrows[i])]
     if -1 in label:
         raise StructuralError("component without a classical-highest element")
     for t, s in enumerate(label):
@@ -403,7 +432,9 @@ def _classical_components(n: int, eps, arrows, e_arrows):
 
 class CrystalGraph:
     """Sealed tensor-product crystal with cached statistics, arrows, classical
-    components and the degree function; immutable after construction."""
+    components and the degree function; immutable after construction. The
+    tables are those of `_fold`: eps, phi, f_arrows and e_arrows indexed
+    [i][t], weights, D and component indexed by vertex."""
 
     __slots__ = (
         "n",
@@ -441,7 +472,6 @@ class CrystalGraph:
         of the f_i arrows."""
         n = self.n
         rs = build_root_system("A", n)
-        ops = range(n + 1)
         V = range(len(self.vertices))
         D = self.D
         # affine connectivity: every classical component is connected, so it
@@ -474,8 +504,7 @@ class CrystalGraph:
         distinct = list(set(coeffs))
         position = {w: k for k, w in enumerate(distinct)}
         wid = list(map(position.__getitem__, coeffs))
-        E = [list(map(itemgetter(i), self.eps)) for i in ops]
-        P = [list(map(itemgetter(i), self.phi)) for i in ops]
+        E, P = self.eps, self.phi
         for p, e, coroot in zip(P, E, coroots):
             pairing = [sum(map(mul, coroot, w)) for w in distinct]
             if list(map(sub, p, e)) != list(map(pairing.__getitem__, wid)):
@@ -507,7 +536,7 @@ class CrystalGraph:
         returns (element, weight, D) triples."""
         out = []
         for t in self.classical_highest():
-            if k is not None and self.eps[t][0] > k:
+            if k is not None and self.eps[0][t] > k:
                 continue
             out.append((self.vertices[t], self.weights[t], self.D[t]))
         return out
@@ -538,18 +567,18 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        """The `export --format json` document, every table of the graph; the
-        stored tuples go to json as they are, which writes a tuple as an
+        """The `export --format json` document, every table of the graph, with
+        one eps and one phi row per vertex; json writes a tuple as an
         array."""
         return {
             "format": EXPORT_FORMAT,
             "n": self.n,
             "heights": self.heights,
             "orientation": ENERGY_ORIENTATION,
-            "vertices": self.vertices,
+            "vertices": list(self.vertices),
             "weights": [w.coeffs for w in self.weights],
-            "eps": self.eps,
-            "phi": self.phi,
+            "eps": list(zip(*self.eps)),
+            "phi": list(zip(*self.phi)),
             "f": {str(i): self.f_arrows[i] for i in range(self.n + 1)},
             "D": self.D,
         }

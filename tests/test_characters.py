@@ -519,6 +519,38 @@ def test_multiplying_by_zero_gives_the_zero_character():
     assert char_global_weyl(A1, Weight([1]), -1).is_zero()
 
 
+def test_integrable_layers_extend_one_solved_prefix(monkeypatch):
+    import weylcurrents.characters as chars
+
+    real_ratio = chars._ratio
+    solves = []
+
+    def counted(rs, lam, sweep, N, solved=()):
+        solves.append((len(solved), N))
+        return real_ratio(rs, lam, sweep, N, solved)
+
+    D4 = build_root_system("D", 4)
+    for rs, lam, k in ((A2, Weight([1, 0]), 2), (D4, Weight([0, 0, 0, 0]), 1)):
+        chars.clear_caches()
+        fresh = {N: chars._integrable_layers(rs, lam, k, N) for N in (6, 2)}
+        chars.clear_caches()
+        # one solved prefix per (lam, k), extended from its last degree
+        solves.clear()
+        monkeypatch.setattr(chars, "_ratio", counted)
+        for N in (2, 4, 6, 3):
+            layers = chars._integrable_layers(rs, lam, k, N)
+            assert len(layers) == N + 1
+            assert layers == fresh[6][: N + 1]
+        monkeypatch.undo()
+        assert solves == [(0, 2), (3, 4), (5, 6)]
+        assert fresh[2] == fresh[6][:3]
+        assert chars._solved_layers.cache_info().currsize == 1
+        assert len(chars._solved_layers(rs, lam, k)) == 7
+        with pytest.raises(ValueError, match="cutoff N must be >= 0"):
+            chars._integrable_layers(rs, lam, k, -1)
+    chars.clear_caches()
+
+
 def test_negative_cutoff_is_rejected_by_every_ratio():
     # N = -1 reached the denominator's empty layer list, an IndexError
     for call in (

@@ -118,17 +118,21 @@ def test_export_trivial_crystal(capsys):
 
 
 @pytest.mark.parametrize(
-    "fmt, digest",
+    "type_, mu, fmt, digest",
     [
-        ("json", "a07b54b909bbf476c30ea3d9bff65b3527b9f142092e81f5530c17499eb7d016"),
-        ("dot", "34359950b9488d783bcfc47b847da5a1fa5495a15094f6d8be744923c4d0904b"),
+        ("A3", "1,1,1", "json", "a07b54b909bbf476c30ea3d9bff65b3527b9f142092e81f5530c17499eb7d016"),
+        ("A3", "1,1,1", "dot", "34359950b9488d783bcfc47b847da5a1fa5495a15094f6d8be744923c4d0904b"),
+        ("A2", "5,4", "json", "b0f73afe0ee083ef5cd15e574bf42b907d19425d9d6c275ae2716c0dd71b6f67"),
+        ("A2", "5,4", "dot", "f07f2acc4cdbe061c30eeaa364e1902515ee38d526a70fa7c5b1db70d9c29eea"),
     ],
-    ids=["json", "dot"],
+    ids=["json", "dot", "a2-5-4-json", "a2-5-4-dot"],
 )
-def test_export_bytes_are_pinned(capsys, fmt, digest):
-    # heights (1, 2, 3) differ pairwise, so D reads every R and H table of A3
+def test_export_bytes_are_pinned(capsys, type_, mu, fmt, digest):
+    # A3: heights (1, 2, 3) differ pairwise, so D reads every R and H table.
+    # A2 (5, 4): the 19,683 vertices of the benchmark's crystal, every one
+    # read back from its index for the export
     clear_caches()
-    code, out, _ = run_cli(capsys, "export", "--type", "A3", "--mu", "1,1,1", "--format", fmt)
+    code, out, _ = run_cli(capsys, "export", "--type", type_, "--mu", mu, "--format", fmt)
     clear_caches()
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -234,7 +234,8 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert len(files) == 1
     clear_caches()
     g2 = build_crystal(1, (1, 1), cache_dir=cache)
-    assert g2.vertices == g.vertices and g2.D == g.D
+    assert list(g2.vertices) == list(g.vertices) and g2.D == g.D
+    assert g2.eps == g.eps and g2.phi == g.phi
     path = os.path.join(cache, files[0])
     data = json.load(open(path))
     data["D"][1] = 7
@@ -293,10 +294,17 @@ def test_kernel_tables_match_per_element_references(n):
             if factors == 4 and list(heights) != sorted(heights):
                 continue
             g = build_crystal(n, heights)
-            assert g.vertices == sorted(product(*(column_vertices(n, r) for r in heights)))
-            index = {b: t for t, b in enumerate(g.vertices)}
-            for t, b in enumerate(g.vertices):
-                assert (g.weights[t], g.eps[t], g.phi[t]) == tensor_stats(n, b)
+            vertices = sorted(product(*(column_vertices(n, r) for r in heights)))
+            assert list(g.vertices) == vertices and len(g.vertices) == len(vertices)
+            # eps and phi are column-major: one row per operator i = 0..n
+            assert len(g.eps) == len(g.phi) == n + 1
+            assert {len(row) for row in g.eps + g.phi} == {len(vertices)}
+            index = {b: t for t, b in enumerate(vertices)}
+            for t, b in enumerate(vertices):
+                assert g.vertices[t] == b
+                eps = tuple(row[t] for row in g.eps)
+                phi = tuple(row[t] for row in g.phi)
+                assert (g.weights[t], eps, phi) == tensor_stats(n, b)
                 for i in range(n + 1):
                     img = apply_op(n, "f", i, b)
                     assert g.f_arrows[i][t] == (-1 if img is None else index[img])
@@ -342,7 +350,10 @@ def test_cache_load_equals_the_build(tmp_path, capsys):
     loaded = build_crystal(2, (1, 1, 2, 2), cache_dir=cache)
     assert loaded is not built
     for slot in CrystalGraph.__slots__:
-        assert getattr(loaded, slot) == getattr(built, slot), slot
+        if slot == "vertices":
+            assert list(loaded.vertices) == list(built.vertices)
+        else:
+            assert getattr(loaded, slot) == getattr(built, slot), slot
     # export gives the same bytes with no cache, a cold one and a warm one
     for fmt in ("json", "dot"):
         outputs = []
@@ -353,6 +364,29 @@ def test_cache_load_equals_the_build(tmp_path, capsys):
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2], fmt
     clear_caches()
+
+
+def test_vertex_sequence_reads_every_index():
+    # the vertices are not stored: vertex t is read from the mixed-radix
+    # digits of t, in the lexicographic order of product(*columns)
+    for g in (local_crystal(Weight([2, 1])), build_crystal(3, (1, 2))):
+        want = list(product(*(column_vertices(g.n, r) for r in g.heights)))
+        assert want == sorted(want) and len(g.vertices) == len(want)
+        assert list(g.vertices) == want
+        assert [g.vertices[t] for t in range(len(want))] == want
+        assert [g.vertices[-t] for t in range(1, len(want) + 1)] == want[::-1]
+        for t in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                g.vertices[t]
+        with pytest.raises(TypeError):
+            g.vertices[0] = want[0]
+    # mu = 0: the empty tensor product has the one vertex ()
+    g = local_crystal(Weight([0, 0]))
+    assert len(g.vertices) == 1 and list(g.vertices) == [()]
+    assert g.vertices[0] == g.vertices[-1] == ()
+    for t in (1, -2):
+        with pytest.raises(IndexError):
+            g.vertices[t]
 
 
 def _tampered_cache_is_rejected(cache_dir, tamper, match=None):
@@ -412,8 +446,10 @@ def test_cache_rejects_malformed_tables(tmp_path, tamper):
 
 
 def _set_classical_eps(t, classical):
+    # the tables are column-major: eps_i of vertex t is tables["eps"][i][t]
     def tamper(tables):
-        tables["eps"][t] = tables["eps"][t][:1] + classical
+        for i, e in enumerate(classical, start=1):
+            tables["eps"][i][t] = e
 
     return tamper
 
@@ -422,8 +458,7 @@ def _raise_eps0_and_phi0(t, by):
     # phi_0 - eps_0 stays the pairing
     def tamper(tables):
         for key in ("eps", "phi"):
-            row = tables[key][t]
-            tables[key][t] = (row[0] + by,) + row[1:]
+            tables[key][0][t] += by
 
     return tamper
 
