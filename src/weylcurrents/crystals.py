@@ -14,7 +14,7 @@ import os
 import tempfile
 from collections.abc import Sequence
 from functools import cache
-from itertools import combinations, compress, product
+from itertools import combinations, compress, product, repeat
 from math import comb, prod
 from operator import add, mul, sub
 
@@ -146,9 +146,11 @@ def _pair_index(n: int, pair) -> int:
     return _column_tables(n, len(b))[1][b] * len(right[0]) + right[1][c]
 
 
+@cache
 def _two_factor(n: int, r: int, s: int):
     """(weights, f_arrows, label, highest) of the fold of (r, s), with the
-    classical components of `_classical_components`."""
+    classical components of `_classical_components`; `_build_R` reads it
+    for both orders of the heights and `_build_H` once more."""
     _, weights, eps, _, f_arrows, _ = _fold(n, (r, s), energy=False)
     arrows = _arrows(f_arrows)
     label, highest = _classical_components(n, eps, arrows, _e_arrows(len(weights), arrows))
@@ -271,8 +273,8 @@ def energy_of_element(n: int, b) -> int:
 class TensorVertices(Sequence):
     """The vertices product(*columns) of a tensor crystal, read-only: vertex t
     is the tuple of the columns at the mixed-radix digits of t, computed when
-    asked, so no vertex tuple is stored. No columns (mu = 0) give the one
-    vertex ()."""
+    asked, so no vertex tuple is stored; a slice gives the list of its
+    vertices. No columns (mu = 0) give the one vertex ()."""
 
     __slots__ = ("columns", "size")
 
@@ -284,6 +286,8 @@ class TensorVertices(Sequence):
         return self.size
 
     def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[u] for u in range(self.size)[t]]
         if not -self.size <= t < self.size:
             raise IndexError("vertex index out of range")
         digits = []  # floor division reads a negative t as t + size
@@ -313,6 +317,40 @@ def _column_tables(n: int, r: int):
     return cols, pos, wts, eps, phi, f
 
 
+def _groups(keys):
+    """The distinct keys of the columns, each with the columns that have it."""
+    groups = {}
+    for c, key in enumerate(keys):
+        groups.setdefault(key, []).append(c)
+    return list(groups.items())
+
+
+@cache
+def _column_groups(n: int, r: int):
+    """The height-r columns grouped by the values `_fold` writes per slice:
+    by each weight coefficient, then for i = 0..n by (c, eps_i, f_i), one
+    column each, by eps_i and by (eps_i, phi_i). The memo hands every caller
+    the same lists: read them, never change them."""
+    _, _, wts, eps, phi, f = _column_tables(n, r)
+    return (
+        [_groups(zip(w)) for w in wts],
+        [_groups(zip(range(len(g)), e, g)) for e, g in zip(eps, f)],
+        [_groups(zip(e)) for e in eps],
+        [_groups(zip(e, p)) for e, p in zip(eps, phi)],
+    )
+
+
+def _by_column(m: int, size: int, groups, make):
+    """A table of `size` entries whose slice c::m, the states that end in
+    column c, is the list make(*key) for the key of c in `groups`."""
+    out = [0] * size
+    for key, cs in groups:
+        values = make(*key)
+        for c in cs:
+            out[c::m] = values
+    return out
+
+
 def _fold(n: int, heights, energy: bool):
     """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
     the given column heights, vertices in lexicographic order (a
@@ -320,55 +358,87 @@ def _fold(n: int, heights, energy: bool):
     unless `energy`.
 
     Factor l extends every prefix state s by every column c, giving state
-    s * m + c. The statistics follow the two-factor rules of `tensor_stats`.
-    f_i follows the signature rule of `apply_op`: it acts on the prefix when
-    phi_i(prefix) > eps_i(c), else on c. D is `energy_of_element` by transport
-    tables: for each height r still to come, T[r][s * m_r + x] is the energy a
-    height-r column x collects moving left through prefix s. Then D(s * m + c)
-    = D(s) + T[r][s * m + c], and the new factor p extends each table by
-    T[r](s ⊗ p, x) = H(p, x) + T[r](s, R(p, x)[0])."""
+    s * m + c, so the states that end in c are the slice c::m of the new
+    table. A column's statistics take few values, and each table is written
+    one slice at a time from one list over the prefix states per distinct
+    value (`_by_column`); a value that leaves the prefix's entry as it is
+    writes the prefix table itself. The statistics follow the two-factor
+    rules of `tensor_stats`. f_i follows the signature rule of `apply_op`: it
+    acts on the prefix when phi_i(prefix) > eps_i(c), else on c; its slice
+    carries c and the column's image, so each column makes its own. D is
+    `energy_of_element` by transport tables: for each height r still to come,
+    T[r][s * m_r + x] is the energy a height-r column x collects moving left
+    through prefix s. Then D(s * m + c) = D(s) + T[r][s * m + c], and the new
+    factor p extends each table by T[r](s ⊗ p, x) = H(p, x) + T[r](s, R(p,
+    x)[0])."""
     tables = {r: _column_tables(n, r) for r in set(heights)}
     pairs = {}
     if energy:
         for a, b in {(a, b) for j, b in enumerate(heights) for a in heights[:j]}:
             m_a = len(tables[a][0])
-            pairs[a, b] = _build_H(n, a, b), [t // m_a for t in _build_R(n, a, b)]
-    ops = range(n + 1)
-    # the empty prefix is state 0
-    W = [[0] for _ in range(n)]
-    E = [[0] for _ in ops]
-    P = [[0] for _ in ops]
-    F = [[-1] for _ in ops]
-    D = [0]
-    T = {r: [0] * len(tables[r][0]) for r in set(heights)}
-    for level, r in enumerate(heights):
-        _, _, cwts, ceps, cphi, cf = tables[r]
-        m = len(cf[0])
-        cs = range(m)
-        W = [[x + y for x in Wj for y in cw] for Wj, cw in zip(W, cwts)]
+            R = [t // m_a for t in _build_R(n, a, b)]
+            pairs[a, b] = len(R), _groups(zip(_build_H(n, a, b), R))
+    if heights:
+        # the states of the first factor are its columns, and each transport
+        # table starts as H of that column and the later one
+        r = heights[0]
+        W, E, P, F = ([list(row) for row in table] for table in tables[r][2:])
+        D = [0] * len(F[0])
+        T = {later: list(_build_H(n, r, later)) for later in set(heights[1:])} if energy else {}
+    else:  # the empty prefix is the one state
+        W, E, P = ([[0] for _ in range(rows)] for rows in (n, n + 1, n + 1))
+        F = [[-1] for _ in range(n + 1)]
+        D = [0]
+    for level, r in enumerate(heights[1:], start=1):
+        gw, gf, ge, gp = _column_groups(n, r)
+        m = len(tables[r][0])
+        size = len(E[0]) * m
+        W = [
+            _by_column(m, size, groups, lambda v: [x + v for x in Wj] if v else Wj)
+            for Wj, groups in zip(W, gw)
+        ]
         F = [
-            [
-                t * m + c if q > a else (s * m + g if g >= 0 else -1)
-                for s, (t, q) in enumerate(zip(Fi, Pi))
-                for c, a, g in zip(cs, ce, cg)
-            ]
-            for Fi, Pi, ce, cg in zip(F, P, ceps, cf)
+            _by_column(
+                m,
+                size,
+                groups,
+                lambda c, a, g: [
+                    t * m + c if q > a else u
+                    for t, q, u in zip(Fi, Pi, range(g, size, m) if g >= 0 else repeat(-1))
+                ],
+            )
+            for Fi, Pi, groups in zip(F, P, gf)
         ]
         E = [
-            [e + a - q if a > q else e for e, q in zip(Ei, Pi) for a in ce]
-            for Ei, Pi, ce in zip(E, P, ceps)
+            _by_column(
+                m,
+                size,
+                groups,
+                lambda a: [e + a - q if a > q else e for e, q in zip(Ei, Pi)] if a else Ei,
+            )
+            for Ei, Pi, groups in zip(E, P, ge)
         ]
         P = [
-            [b + q - a if q > a else b for q in Pi for a, b in zip(ce, cp)]
-            for Pi, ce, cp in zip(P, ceps, cphi)
+            _by_column(
+                m,
+                size,
+                groups,
+                lambda a, b: [b + q - a if q > a else b for q in Pi] if a or b else Pi,
+            )
+            for Pi, groups in zip(P, gp)
         ]
         if energy:
-            D = list(map(add, [d for d in D for _ in cs], T[r]))
+            D = list(map(add, _by_column(m, size, [((), range(m))], lambda: D), T[r]))
             extended = {}
             for later in set(heights[level + 1 :]):
-                H, R = pairs[r, later]
-                rows = zip(*[iter(T[later])] * (len(R) // m))
-                extended[later] = [h + row[x] for row in rows for h, x in zip(H, R)]
+                M, groups = pairs[r, later]
+                Tl, ml = T[later], M // m
+                extended[later] = _by_column(
+                    M,
+                    size * ml,
+                    groups,
+                    lambda h, x: [h + v for v in Tl[x::ml]] if h else Tl[x::ml],
+                )
             T = extended
     distinct = {w: weight_from_ints(w) for w in set(zip(*W))}
     weights = [distinct[w] for w in zip(*W)]
@@ -384,8 +454,10 @@ EXPORT_FORMAT = 1  # the `export --format json` document
 
 
 def _arrows(f_arrows):
-    """The sources and the targets of the f_i arrows, for each i."""
-    V = range(len(f_arrows[0]))
+    """The sources and the targets of the f_i arrows, for each i. The sources
+    are taken from one list of the vertex indices, so every table that keeps
+    them shares its int objects instead of holding one per arrow."""
+    V = list(range(len(f_arrows[0])))
     out = []
     for row in f_arrows:
         has = [d >= 0 for d in row]
@@ -629,11 +701,13 @@ def heights_for_weight(mu: Weight):
 # loaded from the disk cache or built, and a hit still writes the disk cache
 # when its file is missing.
 _GRAPH_CACHE: dict = {}
-_MEMOS = (_column_tables, _build_R, _build_H)  # taken once: a rebound name still clears its memo
+# taken once: a rebound name still clears its memo
+_MEMOS = (_column_tables, _column_groups, _two_factor, _build_R, _build_H)
 
 
 def clear_caches():
-    """Empty the in-process memo tables: sealed graphs, column tables, R and H."""
+    """Empty the in-process memo tables: sealed graphs, column tables and
+    groups, two-factor folds, R and H."""
     _GRAPH_CACHE.clear()
     for memo in _MEMOS:
         memo.cache_clear()

@@ -9,6 +9,9 @@ from weylcurrents.cli import main
 from weylcurrents.crystals import (
     ENERGY_ORIENTATION,
     CrystalGraph,
+    _build_H,
+    _build_R,
+    _column_tables,
     _fold,
     apply_op,
     build_crystal,
@@ -389,6 +392,26 @@ def test_vertex_sequence_reads_every_index():
             g.vertices[t]
 
 
+def test_vertex_sequence_slices_like_a_list():
+    # a slice of the vertices is the list of those vertices, as it was when
+    # the graph stored them in a list
+    for g in (local_crystal(Weight([2, 1])), local_crystal(Weight([0, 0]))):
+        vertices = list(g.vertices)
+        size = len(vertices)
+        for s in (
+            slice(0, 2),
+            slice(None),
+            slice(1, None, 3),
+            slice(None, None, -1),
+            slice(-3, -1),
+            slice(-1, -size - 5, -2),
+            slice(2, 2),
+            slice(5, 1),
+            slice(size + 3, None),
+        ):
+            assert g.vertices[s] == vertices[s], s
+
+
 def _tampered_cache_is_rejected(cache_dir, tamper, match=None):
     clear_caches()
     build_crystal(2, (1, 2), cache_dir=str(cache_dir))
@@ -514,3 +537,93 @@ def test_degree_function_on_interleaved_heights(n, heights):
     g = build_crystal(n, heights)
     assert g.D == [energy_of_element(n, b) for b in g.vertices]
     clear_caches()
+
+
+def _comprehension_fold(n, heights, energy):
+    """The fold as one expression per (state, column, operator): (weight
+    coefficients, eps, phi, f_arrows, D), the reference for `_fold`."""
+    tables = {r: _column_tables(n, r) for r in set(heights)}
+    pairs = {}
+    if energy:
+        for a, b in {(a, b) for j, b in enumerate(heights) for a in heights[:j]}:
+            m_a = len(tables[a][0])
+            pairs[a, b] = _build_H(n, a, b), [t // m_a for t in _build_R(n, a, b)]
+    ops = range(n + 1)
+    W = [[0] for _ in range(n)]
+    E = [[0] for _ in ops]
+    P = [[0] for _ in ops]
+    F = [[-1] for _ in ops]
+    D = [0]
+    T = {r: [0] * len(tables[r][0]) for r in set(heights)}
+    for level, r in enumerate(heights):
+        _, _, cwts, ceps, cphi, cf = tables[r]
+        m = len(cf[0])
+        cs = range(m)
+        W = [[x + y for x in Wj for y in cw] for Wj, cw in zip(W, cwts)]
+        F = [
+            [
+                t * m + c if q > a else (s * m + g if g >= 0 else -1)
+                for s, (t, q) in enumerate(zip(Fi, Pi))
+                for c, a, g in zip(cs, ce, cg)
+            ]
+            for Fi, Pi, ce, cg in zip(F, P, ceps, cf)
+        ]
+        E = [
+            [e + a - q if a > q else e for e, q in zip(Ei, Pi) for a in ce]
+            for Ei, Pi, ce in zip(E, P, ceps)
+        ]
+        P = [
+            [b + q - a if q > a else b for q in Pi for a, b in zip(ce, cp)]
+            for Pi, ce, cp in zip(P, ceps, cphi)
+        ]
+        if energy:
+            D = [d + x for d, x in zip([d for d in D for _ in cs], T[r])]
+            extended = {}
+            for later in set(heights[level + 1 :]):
+                H, R = pairs[r, later]
+                rows = zip(*[iter(T[later])] * (len(R) // m))
+                extended[later] = [h + row[x] for row in rows for h, x in zip(H, R)]
+            T = extended
+    return [tuple(w) for w in zip(*W)], E, P, F, D if energy else None
+
+
+@pytest.mark.parametrize(
+    "n, heights",
+    [(1, (1,) * 9), (2, (1, 1, 1, 2, 2, 2)), (3, (1, 1, 3, 3)), (4, (1, 4)), (3, (2,)), (2, ())],
+    ids=["A1-9", "A2-3,3", "A3-2,0,2", "A4-1,0,0,1", "A3-0,1,0", "A2-0,0"],
+)
+def test_fold_equals_the_comprehension_fold(n, heights):
+    # the fold fills each table one column slice at a time, from copies of the
+    # first factor's column tables (or the one empty state); every table must
+    # equal the one-expression-per-entry fold, with and without D
+    for energy in (True, False):
+        _, weights, *tables = _fold(n, heights, energy)
+        assert ([w.coeffs for w in weights], *tables) == _comprehension_fold(n, heights, energy)
+
+
+@pytest.mark.parametrize("n, heights", [(2, ()), (2, (1,)), (2, (1, 2)), (3, (1, 3, 2, 1))])
+def test_fold_tables_share_no_list(n, heights):
+    # no returned table is a memo list of `_column_tables` or another returned
+    # table, so changing one fold's tables in place (as the axiom tests do)
+    # leaves the memos and the next fold as they were
+    def lists(tables):
+        _, weights, eps, phi, f, D = tables
+        return [weights, *eps, *phi, *f, D]
+
+    memo = [
+        row
+        for r in range(1, n + 1)
+        for table in _column_tables(n, r)[2:]
+        for row in (table, *table)
+        if isinstance(row, list)
+    ]
+    want = [list(row) for row in lists(_fold(n, heights, energy=True))]
+    tampered = lists(_fold(n, heights, energy=True))
+    ids = [id(row) for row in tampered]
+    assert len(set(ids)) == len(ids)
+    assert not set(ids) & {id(row) for row in memo}
+    memo_copy = [list(row) for row in memo]
+    for row in tampered:
+        row[:] = [None] * (len(row) + 1)
+    assert [list(row) for row in memo] == memo_copy
+    assert lists(_fold(n, heights, energy=True)) == want
