@@ -106,7 +106,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = ("max_mu", "max_k", "max_factors", "N", "cache_dir")
+    names = ("max_mu", "max_k", "max_factors", "N")
     options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     flags = [f"--type {t}" for t in args.type or ()]
     flags += [f"--{name.replace('_', '-')} {val}" for name, val in options.items()]
@@ -146,7 +146,7 @@ def cmd_export(args) -> int:
     if rs.family != "A":
         raise ValueError("crystal export supports type A only")
     mu = _parse_weight(args.mu, rs.rank, "mu")
-    graph = local_crystal(mu, cache_dir=args.cache_dir)
+    graph = local_crystal(mu)
     if args.format == "json":
         payload = json.dumps({"schema": SCHEMA, **graph.to_json()}, indent=2) + "\n"
     else:
@@ -168,14 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     type_help = "root system, e.g. A1, A2, D4"
     weight_help = "comma-separated fundamental coefficients"
-    cache_help = f"crystal cache dir (or ${CACHE_ENV})"
 
     sp = sub.add_parser("kostka", help="level-restricted Kostka polynomials")
     sp.add_argument("--type", required=True, help=type_help)
     sp.add_argument("--mu", required=True, help=weight_help)
     sp.add_argument("--lambda", dest="lam", required=True, help=weight_help)
     sp.add_argument("--k", type=int, default=None, help="level (omit for the unrestricted limit)")
-    sp.add_argument("--cache-dir", default=None, help=cache_help)
+    sp.add_argument("--cache-dir", default=None, help=f"crystal cache dir (or ${CACHE_ENV})")
     sp.add_argument("--route", choices=list(ROUTES) + ["all"], default="paths")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(fn=cmd_kostka)
@@ -194,14 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-k", dest="max_k", type=int, default=None)
     sp.add_argument("--max-factors", dest="max_factors", type=int, default=None)
     sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--cache-dir", dest="cache_dir", default=None)
     sp.add_argument("--format", choices=["text", "json"], default="text")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("export", help="export a crystal graph")
     sp.add_argument("--type", required=True, help=type_help)
     sp.add_argument("--mu", required=True, help=weight_help)
-    sp.add_argument("--cache-dir", default=None, help=cache_help)
     sp.add_argument("--format", choices=["dot", "json"], default="dot")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.set_defaults(fn=cmd_export)

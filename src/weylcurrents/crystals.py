@@ -35,55 +35,35 @@ def column_vertices(n: int, r: int):
     return [tuple(c) for c in combinations(range(1, n + 2), r)]
 
 
+def _letter_pair(n: int, i: int):
+    """The letters (a, b) of node i: f_i turns a into b and e_i turns b into a.
+    They are (i, i + 1) for i >= 1, and (n + 1, 1) for i = 0 (promotion)."""
+    return (n + 1, 1) if i == 0 else (i, i + 1)
+
+
 def column_weight(n: int, col) -> Weight:
-    coeffs = [0] * n
-    for j in col:
-        if j <= n:
-            coeffs[j - 1] += 1
-        if j >= 2:
-            coeffs[j - 2] -= 1
-    return Weight(coeffs)
+    """phi_j - eps_j for j = 1..n, the pairing of the weight with alpha_j^vee."""
+    return Weight([column_phi(n, j, col) - column_eps(n, j, col) for j in range(1, n + 1)])
 
 
 def column_apply(n: int, direction: str, i: int, col):
     """e_i / f_i on a single column; None when the operator vanishes."""
-    s = set(col)
-    if i == 0:
-        lo, hi = 1, n + 1
-        if direction == "f":
-            if hi in s and lo not in s:
-                s.remove(hi)
-                s.add(lo)
-                return tuple(sorted(s))
-            return None
-        if lo in s and hi not in s:
-            s.remove(lo)
-            s.add(hi)
-            return tuple(sorted(s))
+    a, b = _letter_pair(n, i)
+    if direction != "f":
+        a, b = b, a
+    if a not in col or b in col:
         return None
-    if direction == "f":
-        if i in s and i + 1 not in s:
-            s.remove(i)
-            s.add(i + 1)
-            return tuple(sorted(s))
-        return None
-    if i + 1 in s and i not in s:
-        s.remove(i + 1)
-        s.add(i)
-        return tuple(sorted(s))
-    return None
+    return tuple(sorted(b if x == a else x for x in col))
 
 
 def column_eps(n: int, i: int, col) -> int:
-    if i == 0:
-        return int(1 in col and (n + 1) not in col)
-    return int((i + 1) in col and i not in col)
+    a, b = _letter_pair(n, i)
+    return int(b in col and a not in col)
 
 
 def column_phi(n: int, i: int, col) -> int:
-    if i == 0:
-        return int((n + 1) in col and 1 not in col)
-    return int(i in col and (i + 1) not in col)
+    a, b = _letter_pair(n, i)
+    return int(a in col and b not in col)
 
 
 def tensor_weight(n: int, b) -> Weight:
@@ -100,23 +80,19 @@ def tensor_stats(n: int, b):
     phi(x⊗y) = phi(y) + max(0, phi(x) - eps(y)) left to right."""
     eps = [0] * (n + 1)
     phi = [0] * (n + 1)
-    for idx, col in enumerate(b):
+    for col in b:
         for i in range(n + 1):
             e2, p2 = column_eps(n, i, col), column_phi(n, i, col)
-            if idx == 0:
-                eps[i], phi[i] = e2, p2
-            else:
-                e1, p1 = eps[i], phi[i]
-                eps[i] = e1 + max(0, e2 - p1)
-                phi[i] = p2 + max(0, p1 - e2)
+            e1, p1 = eps[i], phi[i]
+            eps[i] = e1 + max(0, e2 - p1)
+            phi[i] = p2 + max(0, p1 - e2)
     return tensor_weight(n, b), tuple(eps), tuple(phi)
 
 
 def apply_op(n: int, direction: str, i: int, b):
     """e_i / f_i on a tensor element by the signature rule; None when it vanishes."""
-    if len(b) == 1:
-        col = column_apply(n, direction, i, b[0])
-        return None if col is None else (col,)
+    if not b:  # the empty element, eps_i = phi_i = 0
+        return None
     prefix, last = b[:-1], b[-1]
     p1 = tensor_stats(n, prefix)[2][i]
     e2 = column_eps(n, i, last)

@@ -85,7 +85,9 @@ class QPolynomial:
         out._c = c
         return out
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        # through `*`, so that `int * QPolynomial` runs whatever `__mul__` the class holds
+        return self * other
 
     def shifted(self, n: int) -> "QPolynomial":
         """Multiply by q^n."""

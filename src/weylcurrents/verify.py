@@ -264,7 +264,7 @@ def _promotion(n):
     yield CheckResult("energy-axioms", f"A{n}: promotion conjugates f_i to f_(i+1)", ok)
 
 
-def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cache_dir=None):
+def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None):
     """Degree-function axioms on every tensor crystal in the grid, plus the
     structural crystal oracles (Yang-Baxter, promotion, specialization count)."""
     grid = a1_a2_grid(max_mu, max_total)
@@ -274,7 +274,7 @@ def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cac
             (rs, mu) for rs, mu in grid if sum(mu.coeffs) <= max_factors
         ]
     for rs, mu in grid:
-        graph = local_crystal(mu, cache_dir=cache_dir)
+        graph = local_crystal(mu)
         size = len(graph.vertices)
         expected = 1
         for i, m in enumerate(mu.coeffs, start=1):
@@ -282,9 +282,9 @@ def suite_energy_axioms(types=None, max_mu=6, max_total=3, max_factors=None, cac
         ok = size == expected
         detail = "" if ok else f"size {size} != {expected}"
         spec_sum = sum(
-            kostka_paths(rs.rank, mu, lam, cache_dir=cache_dir).evaluate(1)
+            kostka_paths(rs.rank, mu, lam).evaluate(1)
             * rs.weyl_dimension(lam)
-            for lam in {w for _, w, _ in restricted_paths(rs.rank, mu, None, cache_dir=cache_dir)}
+            for lam in {w for _, w, _ in restricted_paths(rs.rank, mu, None)}
         )
         yield CheckResult(
             "energy-axioms",
@@ -312,7 +312,7 @@ def _cross_route_points(types, max_mu, max_k):
             yield rs, mu, k, lams
 
 
-def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
+def suite_cross_route(types=None, max_mu=6, max_k=3, N=12):
     """Route equality: paths = alternating sum = character expansion, exactly;
     off type A, where paths has no crystal model, alternating sum = character
     expansion. N must reach every whole chars answer of the grid, checked
@@ -332,7 +332,7 @@ def suite_cross_route(types=None, max_mu=6, max_k=3, N=12, cache_dir=None):
             p = kostka_characters(rs, mu, lam, k, N)
             x = a  # paths has its column-crystal model on type A only
             if rs.family == "A":
-                x = kostka_paths_restricted(rs.rank, mu, lam, k, cache_dir=cache_dir)
+                x = kostka_paths_restricted(rs.rank, mu, lam, k)
             if x.max_exponent() is not None and x.max_exponent() > N:
                 all_ok = False
                 bad = f"lam={lam.coeffs}: degree beyond window"
@@ -427,14 +427,14 @@ def suite_frenkel_kac(types=None, N=10):
             )
 
 
-def suite_demazure_vs_crystal(types=None, max_mu=4, max_total=2, N=8, cache_dir=None):
+def suite_demazure_vs_crystal(types=None, max_mu=4, max_total=2, N=8):
     """Divided-difference local Weyl characters against the crystal graded
     character (q-inverted), plus the dimension multiplicativity oracle."""
     grid = a1_a2_grid(max_mu, max_total)
     grid = [(rs, mu) for rs, mu in grid if _keep_type(rs, types)]
     for rs, mu in grid:
         dem = char_local_weyl(rs, mu)
-        graph = local_crystal(mu, cache_dir=cache_dir)
+        graph = local_crystal(mu)
         crystal_terms = {}
         for wgt, poly in graph.graded_character().items():
             crystal_terms[wgt] = poly.conjugate()
@@ -508,13 +508,13 @@ def suite_weyl_kac_demazure(types=None, N=6):
         yield CheckResult("demazure-limit", f"A1 lam={lam.coeffs} k=1 N={N}", limit == target)
 
 
-def vertex_identity_sides(rs, mu: Weight, k: int, cache_dir=None):
+def vertex_identity_sides(rs, mu: Weight, k: int):
     """Both sides of the character identity for the level-k vacuum tensor the
     mu-crystal, as coefficient maps lam_+ -> Laurent polynomial on the
     linearly independent symbols chi(e^{lam_+ + k Lambda0})."""
     n = rs.rank
     lhs: dict = {}
-    graph = local_crystal(mu, cache_dir=cache_dir)
+    graph = local_crystal(mu)
     for wgt, d in zip(graph.weights, graph.D):
         rep = dominant_dot_rep(rs, AffineWeight(wgt, k, -d), k)
         if rep.on_wall:
@@ -523,18 +523,18 @@ def vertex_identity_sides(rs, mu: Weight, k: int, cache_dir=None):
         lhs[rep.weight] = lhs.get(rep.weight, QPolynomial.zero()) + term
     lhs = {w: p for w, p in lhs.items() if p}
     rhs: dict = {}
-    for _, wgt, d in restricted_paths(n, mu, k, cache_dir=cache_dir):
+    for _, wgt, d in restricted_paths(n, mu, k):
         rhs[wgt] = rhs.get(wgt, QPolynomial.zero()) + QPolynomial.monomial(d)
     return lhs, rhs
 
 
-def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8, cache_dir=None):
+def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8):
     """Exact symbolic form of the tensor-decomposition character identity over
     the cross-route grid, plus one instantiated truncated comparison on A1."""
     for rs, mu, k in cross_route_grid(max_mu, max_total):
         if not _keep_type(rs, types):
             continue
-        lhs, rhs = vertex_identity_sides(rs, mu, k, cache_dir=cache_dir)
+        lhs, rhs = vertex_identity_sides(rs, mu, k)
         yield CheckResult(
             "vertex-identity", f"{rs.family}{rs.rank} mu={mu.coeffs} k={k}", lhs == rhs
         )

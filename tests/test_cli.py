@@ -1,11 +1,16 @@
+import argparse
 import hashlib
+import inspect
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
-from weylcurrents.cli import main
-from weylcurrents.crystals import clear_caches
+from weylcurrents.cli import build_parser, main
+from weylcurrents.crystals import CACHE_ENV, clear_caches
+from weylcurrents.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +143,17 @@ def test_export_bytes_are_pinned(capsys, type_, mu, fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_verify_all_text_is_pinned(capsys, monkeypatch):
+    # every check line of `verify all` with its defaults, and the count line
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    clear_caches()
+    code, out, _ = run_cli(capsys, "verify", "all")
+    clear_caches()
+    assert code == 0 and out.endswith("191/191 checks passed\n")
+    digest = "0755bcb3523405b71b7aea70a6921eb7bff75c07e60cc1e65110799ebf1bce3c"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_kostka_trivial_crystal_through_the_cache(tmp_path, capsys):
     cache = str(tmp_path)
     clear_caches()
@@ -193,12 +209,12 @@ def test_verify_text_output(capsys):
     assert "PASS" in out and "checks passed" in out
 
 
-def test_verify_detects_corrupted_cache(tmp_path, capsys):
+def test_verify_detects_corrupted_cache(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path)
+    monkeypatch.setenv(CACHE_ENV, cache)
     clear_caches()
     code, _, _ = run_cli(
-        capsys, "verify", "energy-axioms", "--type", "A1", "--max-mu", "2",
-        "--max-factors", "2", "--cache-dir", cache,
+        capsys, "verify", "energy-axioms", "--type", "A1", "--max-mu", "2", "--max-factors", "2"
     )
     assert code == 0
     files = [f for f in os.listdir(cache) if f.endswith(".json")]
@@ -209,17 +225,19 @@ def test_verify_detects_corrupted_cache(tmp_path, capsys):
     json.dump(data, open(path, "w"))
     clear_caches()
     code, out, _ = run_cli(
-        capsys, "verify", "energy-axioms", "--type", "A1", "--max-mu", "2",
-        "--max-factors", "2", "--cache-dir", cache,
+        capsys, "verify", "energy-axioms", "--type", "A1", "--max-mu", "2", "--max-factors", "2"
     )
     assert code == 1
     assert "FAIL" in out
     clear_caches()
 
 
-def test_verify_all_reports_each_crystal_suite_stopped_by_a_corrupt_cache(tmp_path, capsys):
+def test_verify_all_reports_each_crystal_suite_stopped_by_a_corrupt_cache(
+    tmp_path, capsys, monkeypatch
+):
     cache = str(tmp_path)
-    argv = ["verify", "all", "--type", "A1", "--max-mu", "2", "--cache-dir", cache]
+    monkeypatch.setenv(CACHE_ENV, cache)
+    argv = ["verify", "all", "--type", "A1", "--max-mu", "2"]
     clear_caches()
     assert run_cli(capsys, *argv)[0] == 0
     for name in os.listdir(cache):
@@ -402,6 +420,8 @@ def test_export_into_missing_directory_exits_2(tmp_path, capsys):
         ["decompose", "--type", "A1", "--lambda", "0", "--k", "1", "--format", "json"],
         ["export", "--type", "A1", "--mu", "2", "--N", "3"],
         ["verify", "length-oracle", "--seed", "1"],
+        ["verify", "level-one", "--type", "A1", "--cache-dir", "X"],
+        ["export", "--type", "A1", "--mu", "2", "--cache-dir", "X"],
     ],
 )
 def test_deleted_option_exits_2(capsys, argv):
@@ -438,7 +458,6 @@ def test_verify_empty_grid_bound_exits_2(capsys, argv, message):
     [
         ["length-oracle", "--type", "A1", "--max-k", "1"],
         ["level-one", "--type", "A1", "--max-factors", "2"],
-        ["level-one", "--type", "A1", "--cache-dir", "X"],
     ],
 )
 def test_verify_unread_option_exits_2(capsys, argv):
@@ -472,3 +491,49 @@ def test_verify_cross_route_cutoff_too_small_exits_2(capsys, family, need):
         assert out == "" and "cross-route needs N >= " in err
     code, out, _ = run_cli(capsys, "verify", "cross-route", "--type", family, "--N", str(need))
     assert code == 0 and "FAIL" not in out
+
+
+def _readme_table(header):
+    """{first cell: the options named in the second} of the README table
+    under `header`: each `--option`, and SUITE for the positional."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    rows = text.split(header + "\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for row in rows.splitlines():
+        first, second = row.strip("|").split("|", 1)
+        table[first.strip(" `")] = re.findall(r"`(SUITE|--[A-Za-z][A-Za-z-]*)", second)
+    return table
+
+
+def _subparsers():
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_readme_option_table_matches_the_parser():
+    # a removed or added option cannot linger in, or be missing from, the docs
+    want = {
+        name: [
+            a.option_strings[0] if a.option_strings else a.dest.upper()
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sp in _subparsers().items()
+    }
+    assert _readme_table("| subcommand | options |") == want
+
+
+def test_readme_suite_table_matches_the_suite_signatures():
+    # each suite's row names the verify options its keyword parameters take
+    # (run_suite reads them from the signature), besides --type (`types`)
+    verify = _subparsers()["verify"]
+    dests = {a.option_strings[0]: a.dest for a in verify._actions if a.option_strings}
+    table = _readme_table("| suite | options it reads besides `--type` |")
+    assert list(table) == list(SUITES)
+    for name, fn in SUITES.items():
+        params = inspect.signature(fn).parameters
+        assert "types" in params, name
+        read = [opt for opt, dest in dests.items() if dest in params]
+        assert table[name] == read, name

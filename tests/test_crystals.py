@@ -7,6 +7,7 @@ import pytest
 
 from weylcurrents.cli import main
 from weylcurrents.crystals import (
+    CACHE_ENV,
     ENERGY_ORIENTATION,
     CrystalGraph,
     _build_H,
@@ -17,6 +18,8 @@ from weylcurrents.crystals import (
     build_crystal,
     clear_caches,
     column_apply,
+    column_eps,
+    column_phi,
     column_vertices,
     column_weight,
     combinatorial_R,
@@ -50,6 +53,78 @@ def test_column_operators_sl2():
     assert column_apply(1, "e", 1, (2,)) == (1,)
     assert column_apply(1, "f", 0, (2,)) == (1,)
     assert column_apply(1, "e", 0, (1,)) == (2,)
+
+
+def _branchy_column_weight(n, col):
+    coeffs = [0] * n
+    for j in col:
+        if j <= n:
+            coeffs[j - 1] += 1
+        if j >= 2:
+            coeffs[j - 2] -= 1
+    return Weight(coeffs)
+
+
+def _branchy_column_apply(n, direction, i, col):
+    s = set(col)
+    if i == 0:
+        lo, hi = 1, n + 1
+        if direction == "f":
+            if hi in s and lo not in s:
+                s.remove(hi)
+                s.add(lo)
+                return tuple(sorted(s))
+            return None
+        if lo in s and hi not in s:
+            s.remove(lo)
+            s.add(hi)
+            return tuple(sorted(s))
+        return None
+    if direction == "f":
+        if i in s and i + 1 not in s:
+            s.remove(i)
+            s.add(i + 1)
+            return tuple(sorted(s))
+        return None
+    if i + 1 in s and i not in s:
+        s.remove(i + 1)
+        s.add(i)
+        return tuple(sorted(s))
+    return None
+
+
+def _branchy_column_eps(n, i, col):
+    if i == 0:
+        return int(1 in col and (n + 1) not in col)
+    return int((i + 1) in col and i not in col)
+
+
+def _branchy_column_phi(n, i, col):
+    if i == 0:
+        return int((n + 1) in col and 1 not in col)
+    return int(i in col and (i + 1) not in col)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_letter_pair_rule_equals_the_branchy_columns(n):
+    # the column functions as they were written out per case, with i = 0
+    # (promotion) on its own branch, are the reference for the one letter-pair
+    # rule: every column of every height, every node, both directions
+    for r in range(1, n + 1):
+        for col in column_vertices(n, r):
+            assert column_weight(n, col) == _branchy_column_weight(n, col)
+            for i in range(n + 1):
+                assert column_eps(n, i, col) == _branchy_column_eps(n, i, col)
+                assert column_phi(n, i, col) == _branchy_column_phi(n, i, col)
+                for direction in ("e", "f"):
+                    want = _branchy_column_apply(n, direction, i, col)
+                    assert column_apply(n, direction, i, col) == want
+
+
+def test_empty_element_starts_the_fold():
+    # the empty prefix has eps = phi = 0, and no operator acts on it
+    assert tensor_stats(2, ()) == (Weight([0, 0]), (0, 0, 0), (0, 0, 0))
+    assert all(apply_op(2, d, i, ()) is None for d in "ef" for i in range(3))
 
 
 def test_tensor_rule_examples():
@@ -345,7 +420,7 @@ def test_cache_ignores_a_file_of_the_old_format(tmp_path):
     clear_caches()
 
 
-def test_cache_load_equals_the_build(tmp_path, capsys):
+def test_cache_load_equals_the_build(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "cache")
     clear_caches()
     built = build_crystal(2, (1, 1, 2, 2), cache_dir=cache)
@@ -362,10 +437,14 @@ def test_cache_load_equals_the_build(tmp_path, capsys):
         outputs = []
         for cache_dir in (None, str(tmp_path / fmt), str(tmp_path / fmt)):
             clear_caches()
-            argv = ["export", "--type", "A2", "--mu", "2,2", "--format", fmt]
-            assert main(argv + (["--cache-dir", cache_dir] if cache_dir else [])) == 0
+            if cache_dir:
+                monkeypatch.setenv(CACHE_ENV, cache_dir)
+            else:
+                monkeypatch.delenv(CACHE_ENV, raising=False)
+            assert main(["export", "--type", "A2", "--mu", "2,2", "--format", fmt]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2], fmt
+        assert os.listdir(tmp_path / fmt) == ["crystal_v2_n2_h1-1-2-2.json"]
     clear_caches()
 
 

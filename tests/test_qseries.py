@@ -18,6 +18,21 @@ def test_multiplication_exact():
     assert p * QPolynomial.zero() == QPolynomial.zero()
 
 
+def test_int_times_polynomial_runs_the_class_mul(monkeypatch):
+    # a __mul__ rebound on the class (as a layer trace does) also sees
+    # int * QPolynomial
+    calls = []
+    mul = QPolynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QPolynomial, "__mul__", counted)
+    p = QPolynomial({0: 1, 1: -1})
+    assert -2 * p == QPolynomial({0: -2, 1: 2}) and calls == [-2]
+
+
 def test_laurent_support():
     p = QPolynomial({-2: 1, 3: 4})
     assert p.min_exponent() == -2 and p.max_exponent() == 3
