@@ -14,7 +14,7 @@ Conventions, fixed once and validated by tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -23,11 +23,11 @@ from .errors import StructuralError
 from .rootsystem import RootSystem, Weight, weight_from_ints
 
 
-@dataclass(frozen=True)
-class AffineWeight:
-    classical: Weight
-    level: int
-    degree: int
+class AffineWeight(namedtuple("AffineWeight", "classical level degree")):
+    """lam + k*Lambda0 + m*delta as (classical part, level, degree); + and - act
+    coordinate-wise, an int multiplies every coordinate."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         return AffineWeight(
@@ -300,15 +300,9 @@ def length(rs: RootSystem, g: AffineWeylElement) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DotRepresentative:
-    """Result of pushing a weight to the rho-shifted dominant chamber."""
-
-    on_wall: bool
-    element: AffineWeylElement
-    weight: Weight | None
-    degree: int
-    sign: int
+# Result of pushing a weight to the rho-shifted dominant chamber: on_wall,
+# element (AffineWeylElement), weight (Weight, or None on a wall), degree, sign.
+DotRepresentative = namedtuple("DotRepresentative", "on_wall element weight degree sign")
 
 
 def dominant_dot_rep(rs: RootSystem, lam, k: int) -> DotRepresentative:
@@ -331,14 +325,10 @@ def dominant_dot_rep(rs: RootSystem, lam, k: int) -> DotRepresentative:
     return DotRepresentative(False, g, res.classical, res.degree, -1 if len(word) % 2 else 1)
 
 
-@dataclass(frozen=True)
-class CosetRepresentative:
-    """Minimal-length representative of a W\\W_af coset together with its dot image."""
-
-    element: AffineWeylElement
-    image: AffineWeight  # g @k lam, level 0: dominant classical part + degree
-    offset: int  # <d, lam - g@k lam> >= 0
-    sign: int
+# Minimal-length representative of a W\\W_af coset together with its dot image:
+# element (AffineWeylElement), image (g @k lam, level 0: dominant classical part
+# + degree), offset (<d, lam - g@k lam> >= 0), sign.
+CosetRepresentative = namedtuple("CosetRepresentative", "element image offset sign")
 
 
 def _alcove_sweep(rs: RootSystem, lam_rho: Weight, L: int, N: int):

@@ -150,6 +150,14 @@ def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
 
 
 @cache
+def _orbit(rs: RootSystem, mu: tuple) -> list:
+    """The W-orbit of the dominant coefficient tuple mu (RootSystem.orbit_coeffs),
+    which the Brauer-Klimyk products of _tensor read once per factor weight.
+    The memo hands every caller the same list: read it, never change it."""
+    return rs.orbit_coeffs(mu)
+
+
+@cache
 def _tensor(rs: RootSystem, a: tuple, b: tuple) -> dict:
     """ch V(a) ch V(b) in the irreducible basis, {dominant coeffs:
     multiplicity}, for a <= b (one memo entry per unordered pair; see _times).
@@ -163,7 +171,7 @@ def _tensor(rs: RootSystem, a: tuple, b: tuple) -> dict:
     shifted = [c + 1 for c in b]
     out: dict = {}
     for mu, m in _freudenthal_dominant(rs, a).items():
-        for x in rs.orbit_coeffs(mu):
+        for x in _orbit(rs, mu):
             nu, ascent = rs.ascend(tuple(map(add, shifted, x)))
             if 0 not in nu:
                 key = tuple([c - 1 for c in nu])
@@ -507,6 +515,7 @@ _MEMOS = (
     _solved_layers,
     _denominator,
     _tensor,
+    _orbit,
     _local_weyl,
     _freudenthal_dominant,
 )
@@ -515,7 +524,7 @@ _MEMOS = (
 def clear_caches():
     """Empty the in-process memos of this module (integrable characters and
     their layers, solved and per cutoff, Macdonald denominator, tensor
-    products, local Weyl, Freudenthal)."""
+    products and the orbits they read, local Weyl, Freudenthal)."""
     for memo in _MEMOS:
         memo.cache_clear()
 

@@ -47,10 +47,13 @@ def column_weight(n: int, col) -> Weight:
 
 
 def column_apply(n: int, direction: str, i: int, col):
-    """e_i / f_i on a single column; None when the operator vanishes."""
+    """e_i / f_i on a single column; None when the operator vanishes. A
+    direction other than "e" or "f" raises ValueError."""
     a, b = _letter_pair(n, i)
-    if direction != "f":
+    if direction == "e":
         a, b = b, a
+    elif direction != "f":
+        raise ValueError(f"direction must be 'e' or 'f', got {direction!r}")
     if a not in col or b in col:
         return None
     return tuple(sorted(b if x == a else x for x in col))
@@ -90,7 +93,10 @@ def tensor_stats(n: int, b):
 
 
 def apply_op(n: int, direction: str, i: int, b):
-    """e_i / f_i on a tensor element by the signature rule; None when it vanishes."""
+    """e_i / f_i on a tensor element by the signature rule; None when it
+    vanishes. A direction other than "e" or "f" raises ValueError."""
+    if direction not in ("e", "f"):
+        raise ValueError(f"direction must be 'e' or 'f', got {direction!r}")
     if not b:  # the empty element, eps_i = phi_i = 0
         return None
     prefix, last = b[:-1], b[-1]

@@ -7,7 +7,7 @@ calibration point is the A1 value kostka_paths_restricted(2w1, 0, k=1) = q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
@@ -31,13 +31,8 @@ from .rootsystem import RootSystem, Weight, build_root_system, weight_from_ints
 ROUTES = ("paths", "altsum", "chars")
 
 
-@dataclass(frozen=True)
-class KostkaResult:
-    mu: Weight
-    lam: Weight
-    k: object  # positive int or None for the unrestricted limit
-    value: QPolynomial
-    route: str
+# k is a positive int, or None for the unrestricted limit; value a QPolynomial
+KostkaResult = namedtuple("KostkaResult", "mu lam k value route")
 
 
 def kostka_paths(n: int, mu: Weight, lam: Weight, k=None, cache_dir=None) -> QPolynomial:

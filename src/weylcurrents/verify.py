@@ -10,9 +10,8 @@ Demazure route to local Weyl modules.
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as _iproduct
 
@@ -61,12 +60,7 @@ from .qseries import QPolynomial, geometric_series
 from .rootsystem import Weight, build_root_system, parse_type
 
 
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "suite name ok detail", defaults=("",))
 
 
 # -- grids ------------------------------------------------------------------
@@ -626,6 +620,8 @@ def run_suite(name: str, **options):
         suites = [(name, SUITES[name])]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    import inspect  # here, not at the top: no command but verify should pay its import
+
     reads = [inspect.signature(fn).parameters for _, fn in suites]
     unread = sorted(set(options).difference(*reads))
     if unread:

@@ -127,6 +127,19 @@ def test_empty_element_starts_the_fold():
     assert all(apply_op(2, d, i, ()) is None for d in "ef" for i in range(3))
 
 
+def test_unknown_direction_raises():
+    # an unknown direction must not pick the factor by one rule and the column by the other
+    for bad in ("E", "F", "", None):
+        with pytest.raises(ValueError, match="direction"):
+            column_apply(1, bad, 1, (2,))
+        with pytest.raises(ValueError, match="direction"):
+            apply_op(1, bad, 1, ((1,), (2,)))
+        with pytest.raises(ValueError, match="direction"):
+            apply_op(1, bad, 1, ())
+    assert apply_op(1, "e", 1, ((1,), (2,))) is None
+    assert apply_op(1, "f", 1, ((1,), (2,))) is None
+
+
 def test_tensor_rule_examples():
     b = ((1,), (1,))
     assert apply_op(1, "e", 0, b) == ((1,), (2,))

@@ -1,11 +1,20 @@
-"""Source-level invariants of the package: stdlib only, and exact (no floats
-outside the verification oracles)."""
+"""Source-level invariants of the package: stdlib only, exact (no floats
+outside the verification oracles), and a light import."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
+import pytest
+
 import weylcurrents
+from weylcurrents.affine import AffineWeight, CosetRepresentative, DotRepresentative
+from weylcurrents.kostka import KostkaResult
+from weylcurrents.qseries import QPolynomial
+from weylcurrents.rootsystem import Weight
+from weylcurrents.verify import CheckResult
 
 SOURCES = sorted(pathlib.Path(weylcurrents.__file__).parent.glob("*.py"))
 
@@ -41,3 +50,53 @@ def test_no_float_arithmetic_outside_verify():
             f = node.func
             assert not (isinstance(f, ast.Name) and f.id in ("float", "sqrt")), (name, f.id)
             assert not (isinstance(f, ast.Attribute) and f.attr == "sqrt"), (name, f.attr)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # against the modules the interpreter holds before the import, so what a
+    # host's site hooks load does not count
+    code = (
+        "import sys; bare = set(sys.modules); import weylcurrents.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(weylcurrents.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    added = set(run.stdout.split())
+    assert run.returncode == 0, run.stderr
+    assert "weylcurrents.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_records_keep_their_fields_and_defaults():
+    assert AffineWeight._fields == ("classical", "level", "degree")
+    assert DotRepresentative._fields == ("on_wall", "element", "weight", "degree", "sign")
+    assert CosetRepresentative._fields == ("element", "image", "offset", "sign")
+    assert KostkaResult._fields == ("mu", "lam", "k", "value", "route")
+    assert CheckResult._fields == ("suite", "name", "ok", "detail")
+    check = CheckResult("s", "n", True)
+    assert check.detail == ""
+    assert repr(check) == "CheckResult(suite='s', name='n', ok=True, detail='')"
+    result = KostkaResult(Weight([1]), Weight([1]), None, QPolynomial.one(), "chars")
+    records = [
+        (AffineWeight(Weight([1, 0]), 1, 2), "level"),
+        (DotRepresentative(True, None, None, 0, 0), "on_wall"),
+        (CosetRepresentative(None, None, 0, 1), "offset"),
+        (result, "value"),
+        (check, "ok"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
+def test_affine_weight_arithmetic_is_not_tuple_arithmetic():
+    a = AffineWeight(Weight([1, 0]), 1, 2)
+    b = AffineWeight(Weight([0, 1]), 0, -1)
+    assert a + b == AffineWeight(Weight([1, 1]), 1, 1)
+    assert a - b == AffineWeight(Weight([1, -1]), 1, 3)
+    assert -a == AffineWeight(Weight([-1, 0]), -1, -2)
+    assert 2 * a == a * 2 == AffineWeight(Weight([2, 0]), 2, 4)
+    assert all(type(x) is AffineWeight for x in (a + b, a - b, -a, 2 * a, a * 2))
+    assert repr(a) == "AffineWeight((1, 0), level=1, degree=2)"
