@@ -9,19 +9,19 @@ normalized so its head sits at q-degree 0, so all stored exponents lie in [0, N]
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
+from itertools import chain
 from operator import add, mul, sub
 
 from .affine import (
     AffineWeight,
     _alcove_sweep,
-    chamber_ascent,
     in_level_dominant,
     level_one_weights,
 )
 from .errors import ExpansionError, StructuralError
 from .qseries import QPolynomial
-from .rootsystem import RootSystem, Weight, weight_from_ints
+from .rootsystem import RootSystem, Weight, _integer_inverse, weight_from_ints
 
 
 class GradedCharacter:
@@ -396,109 +396,193 @@ def _level_one_class(rs: RootSystem, lam: Weight) -> Weight:
 
 def _local_weyl_top(rs: RootSystem, lam: Weight) -> int:
     """Top q-degree of the local Weyl module with top V(lam):
-    ((lam,lam) - (c,c))/2, c the level-one class of lam. It is the depth of
-    the extremal weight _local_weyl starts from, so it bounds every row of
-    that table; the rows reach it, as the weight c stays at that depth."""
+    ((lam,lam) - (c,c))/2, c the level-one class of lam, which V(c) reaches.
+    Every nonzero entry of V(lam') checked reaches _local_weyl_top(lam) -
+    _local_weyl_top(lam') = ((lam,lam) - (lam',lam'))/2; the peel reads that
+    only to choose when to cap an entry, and a capped entry is exact."""
     cls_w = _level_one_class(rs, lam)
     return int((rs.inner(lam, lam) - rs.inner(cls_w, cls_w)) / 2)
 
 
+def _partitions(n: int, most: int):
+    """The partitions of n into parts <= most, each as {part: multiplicity}."""
+    if n == 0:
+        yield {}
+        return
+    for part in range(min(n, most), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield {**rest, part: rest.get(part, 0) + 1}
+
+
+@cache
+def _q_binomial(n: int, m: int) -> tuple:
+    """[n choose m]_q as the coefficients of q^0..q^(m(n-m)), by the Pascal
+    rule [n, m] = [n-1, m-1] + q^m [n-1, m]."""
+    if m == 0 or m == n:
+        return (1,)
+    out = [0] * (m * (n - m) + 1)
+    for e, c in enumerate(_q_binomial(n - 1, m - 1)):
+        out[e] += c
+    for e, c in enumerate(_q_binomial(n - 1, m)):
+        out[e + m] += c
+    return tuple(out)
+
+
+def _dense_times(a, b) -> list:
+    """Product of two polynomials given as coefficient lists from q^0."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@cache
+def _placed_forms(rs: RootSystem, order: tuple) -> list:
+    """(d, adj) = _integer_inverse of det(C) C^-1 on the first p nodes of
+    order, p = 1..rank: det(C) adj / d is the Schur complement of C there."""
+    return [
+        _integer_inverse([[rs.form[a][b] for b in order[:p]] for a in order[:p]])
+        for p in range(1, rs.rank + 1)
+    ]
+
+
+@cache
+def kostka_fermionic(rs: RootSystem, mu: Weight, lam: Weight, cap=None) -> QPolynomial:
+    """[W(mu) : V(lam)], the graded multiplicity of V(lam) in the local Weyl
+    module of mu, head at q^0, as the fermionic sum of Kirillov-Reshetikhin in
+    the convention of Hatayama-Kuniba-Okado-Takagi-Yamada (1999):
+
+        M = sum_m q^Q(m) prod_{a,i} [P_{a,i} + m_{a,i} choose m_{a,i}]_q,
+
+    over the families with m_a = (m_{a,i})_i a partition of l_a, where
+    mu - lam = sum_a l_a alpha_a, and every vacancy number
+    P_{a,i} = mu_a - sum_b C_ab sum_j min(i, j) m_{b,j} >= 0 (i = 1..max l);
+    Q(m) = 1/2 sum_{a,b,i,j} C_ab min(i, j) m_{a,i} m_{b,j}. It is the local
+    Weyl table (Chari-Loktev 2006), which `verify fermionic` checks against
+    the full-word Demazure character.
+
+    The nodes are placed breadth first from the leaf with the smallest l_a,
+    neighbours by increasing l_a. An unplaced node counts at f = l (parts of
+    size one), so a placed node's P only falls: each placement updates P of
+    the node and its neighbours in place, pruned once a placed P is negative.
+
+    With cap, only the terms up to q^cap are kept: Q(m) = 1/2 sum_k x_k C x_k,
+    x_k[a] the number of parts >= k in m_a, and C is positive definite, so Q
+    is at least the Schur complement form of the placed nodes (_placed_forms),
+    and a partial family with det(C) sum_k x_k adj x_k > 2 cap d is pruned.
+    The memo hands every caller the same value."""
+    if not (rs.is_dominant(mu) and rs.is_dominant(lam)):
+        raise ValueError("both weights must be dominant")
+    if not rs.dominance_leq(lam, mu):
+        return QPolynomial.zero()
+    ell = [c // rs.det for c in rs.scaled_root_coords(tuple(map(sub, mu.coeffs, lam.coeffs)))]
+    depth = max(ell, default=0)
+    # each partition of l_a with its sums f(i) = sum_j min(i, j) m_j, i = 1..depth,
+    # and the moves 2 (l_a - f) of its own P and f - l_a of its neighbours' P
+    choices = []
+    for l in ell:
+        row = []
+        for part in _partitions(l, l):
+            f = [sum(min(i, j) * m for j, m in part.items()) for i in range(1, depth + 1)]
+            row.append((list(part.items()), f, [2 * (l - x) for x in f], [x - l for x in f]))
+        choices.append(row)
+    nbrs = rs.neighbours
+    by_l = sorted(range(rs.rank), key=lambda a: (ell[a], a))
+    order = [next(a for a in by_l if len(nbrs[a]) <= 1)]
+    for a in order:  # breadth first: the loop reads the nodes appended here
+        order += [b for b in by_l if b in nbrs[a] and b not in order]
+    placed = [[b for b in nbrs[a] if b in order[:p]] for p, a in enumerate(order)]
+    later = [[b for b in nbrs[a] if b in order[p:]] for p, a in enumerate(order)]
+    top, vac = mu.coeffs, [[c] * depth for c in lam.coeffs]  # P with every node at f = l
+    family: list = [None] * rs.rank
+    gram = [[0] * rs.rank for _ in order]  # sum_k x_k[a] x_k[b] = sum_i m_{a,i} f_b(i), by place
+    forms = _placed_forms(rs, tuple(order)) if cap is not None else ()
+    total: dict = {}
+
+    def place(p):
+        """Sum over the partitions of the nodes order[p:] into total."""
+        a = order[p]
+        own, near, far = vac[a], placed[p], later[p]
+        for choice in choices[a]:
+            items, _, up, down = choice
+            raised = list(map(add, own, up))
+            lowered = [list(map(add, vac[b], down)) for b in near]
+            if min(raised, default=0) < 0 or any(min(v, default=0) < 0 for v in lowered):
+                continue
+            family[a] = choice
+            if forms:
+                for r in range(p + 1):
+                    gram[p][r] = gram[r][p] = sum(m * family[order[r]][1][i - 1] for i, m in items)
+                d, adj = forms[p]
+                least = sum(map(mul, chain(*adj), chain(*(g[: p + 1] for g in gram[: p + 1]))))
+                if rs.det * least > 2 * cap * d:
+                    continue
+            saved = [vac[b] for b in (a, *near, *far)]
+            vac[a] = raised
+            for b, v in zip(near, lowered):
+                vac[b] = v
+            for b in far:
+                vac[b] = list(map(add, vac[b], down))
+            if p + 1 < rs.rank:
+                place(p + 1)
+            else:
+                add_term()
+            for b, v in zip((a, *near, *far), saved):
+                vac[b] = v
+
+    def add_term():
+        twice_q, term = 0, (1,)
+        for b, (items, *_) in enumerate(family):
+            for i, m in items:  # sum_c C_bc f_c(i) = mu_b - P_{b,i}
+                twice_q += m * (top[b] - vac[b][i - 1])
+                term = _dense_times(term, _q_binomial(vac[b][i - 1] + m, m))
+        for e, c in enumerate(term, twice_q // 2):
+            if cap is None or e <= cap:
+                total[e] = total.get(e, 0) + c
+
+    place(0)
+    return QPolynomial(total)
+
+
+@cache
+def _dominant_below(rs: RootSystem, nu: tuple) -> list:
+    """The dominant lam' <= nu, as sorted coefficient tuples: the rows of the
+    local Weyl table of nu."""
+    return sorted(lam.coeffs for lam in rs.dominant_weights_below(weight_from_ints(nu)))
+
+
+def _local_weyl_table(rs: RootSystem, nu: tuple, cap=None, floor=None) -> dict:
+    """The local Weyl table of nu, {dominant coeffs: graded multiplicity}:
+    kostka_fermionic(nu, lam') over the dominant lam' <= nu, only lam' >= floor
+    when floor is given. With cap, an entry whose top degree ((nu,nu) -
+    (lam',lam'))/2 lies above cap keeps only its terms up to q^cap."""
+    nu_w = weight_from_ints(nu)
+    reach = rs.scaled_inner(nu, nu) - 2 * rs.det * cap if cap is not None else 0
+    table = {}
+    for lam in _dominant_below(rs, nu):
+        # lam' and floor lie below nu in one coset, so lam' - floor is integral
+        if floor is not None and min(rs.scaled_root_coords(tuple(map(sub, lam, floor)))) < 0:
+            continue
+        cut = (cap,) if rs.scaled_inner(lam, lam) < reach else ()  # the cap binds here
+        entry = kostka_fermionic(rs, nu_w, weight_from_ints(lam), *cut)
+        if entry:
+            table[lam] = entry
+    return table
+
+
 def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
     """Graded character of the local Weyl module with top V(lam), head at q^0,
-    truncated at q^N when N is given: the irreducible table of _local_weyl
-    spread over the weights of each V(lam')."""
+    truncated at q^N when N is given: the irreducible table of
+    _local_weyl_table spread over the weights of each V(lam')."""
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     terms: dict = {}
-    for mu, poly in _local_weyl(rs, lam).items():
+    for mu, poly in _local_weyl_table(rs, lam.coeffs).items():
         for w, m in rs.freudenthal_weights(weight_from_ints(mu)).items():
             terms[w] = terms[w] + poly * m if w in terms else poly * m
     out = GradedCharacter(terms)
     return out if N is None else out.truncated(N)
-
-
-def _shifted_row(row: list, s: int) -> list:
-    """row moved s places up (s < 0: down), in a row of the same length; a
-    nonzero coefficient moved off either end raises."""
-    if s == 0:
-        return row
-    if any(row[:-s] if s < 0 else row[-s:]):
-        raise StructuralError("a Demazure string leaves the degree window of the module")
-    return row[-s:] + [0] * -s if s < 0 else [0] * s + row[:-s]
-
-
-def _string_rows(rs: RootSystem, i: int, rows: dict) -> dict:
-    """demazure_step for node i at level one, on rows {classical coeffs:
-    coefficients by q-degree}. A string's length depends only on the
-    classical weight, so a whole row moves along it at once; a step of the
-    alpha_0 string lowers the degree by one, so it shifts the row."""
-    if i == 0:
-        step, shift = rs.highest_root.coeffs, -1  # -alpha_0 = theta - delta
-        theta_rc = rs.highest_root_coords
-        top = 1 + rs.dual_coxeter - sum(theta_rc)
-    else:
-        step, shift = tuple(-c for c in rs.simple_roots[i - 1].coeffs), 0
-    back = tuple(-c for c in step)
-    out: dict = {}
-    for w, row in rows.items():
-        m = top - sum(map(mul, theta_rc, w)) if i == 0 else w[i - 1] + 1
-        if m >= 1:  # + row at w + j step for j = 0..m-1
-            op, move, js = add, step, range(m)
-        else:  # - row at w + j step for j = -1..m
-            op, move, js = sub, back, range(-1, m - 1, -1)
-            w = tuple(map(add, w, back))
-        for j in js:
-            src = _shifted_row(row, j * shift)
-            tgt = out.get(w)
-            if tgt is None:
-                out[w] = src if op is add else [-c for c in src]
-            else:
-                out[w] = list(map(op, tgt, src))
-            w = tuple(map(add, w, move))
-    return {w: row for w, row in out.items() if any(row)}
-
-
-@cache
-def _local_weyl(rs: RootSystem, lam: Weight) -> dict:
-    """The local Weyl character with top V(lam) in the irreducible basis,
-    {dominant coeffs: graded multiplicity}, head at q^0.
-
-    The module is the level-one Demazure module of the extremal weight
-    t_{w_0 lam - class}(class + Lambda0) = w_0 lam + Lambda0
-    - ((lam,lam) - (class,class))/2 delta (class = level-one representative
-    of lam mod Q), whose character is the divided differences along the
-    chamber-ascent word from that weight up to class + Lambda0, applied to
-    e^{class + Lambda0}. The character is W-invariant and D_{w0} D_i = D_{w0}
-    for finite i, so the finite prefix of the word, up to its first 0, is
-    replaced by D_{w0}. The affine part acts on dense q-rows (_string_rows);
-    then D_{w0} e^mu = +-ch V(dom(mu+rho) - rho), or 0 when mu+rho lies on a
-    wall (Weyl's character formula), with the sign of the ascent's parity.
-    The memo hands every caller the same dict: read it, never change it."""
-    cls_w = _level_one_class(rs, lam)
-    top = AffineWeight(cls_w, 1, 0)
-    target = AffineWeight(rs.longest_element_image(lam), 1, -_local_weyl_top(rs, lam))
-    reached, word = chamber_ascent(rs, target)
-    if reached != top:
-        raise StructuralError("ascent to the dominant extremal weight failed")
-    # index e of a row is q^e: the extremal weight's degree maps to q^0
-    rows = {cls_w.coeffs: [0] * -target.degree + [1]}
-    first_affine = word.index(0) if 0 in word else len(word)
-    for i in reversed(word[first_affine:]):
-        rows = _string_rows(rs, i, rows)
-    table: dict = {}
-    for mu, row in rows.items():
-        nu, ascent = rs.ascend(tuple([c + 1 for c in mu]))
-        if 0 in nu:
-            continue
-        lam_prime = tuple([c - 1 for c in nu])
-        tgt = table.get(lam_prime, [0] * len(row))
-        table[lam_prime] = list(map(sub if len(ascent) % 2 else add, tgt, row))
-    out = {mu: QPolynomial(dict(enumerate(row))) for mu, row in table.items() if any(row)}
-    if not any(p.coeff(0) for p in out.values()):
-        raise StructuralError("Demazure character does not reach the extremal degree")
-    if out.get(lam.coeffs) != QPolynomial.one():
-        raise StructuralError("local Weyl head multiplicity is not 1")
-    return out
 
 
 @cache
@@ -516,7 +600,10 @@ _MEMOS = (
     _denominator,
     _tensor,
     _orbit,
-    _local_weyl,
+    kostka_fermionic,
+    _placed_forms,
+    _q_binomial,
+    _dominant_below,
     _freudenthal_dominant,
 )
 
@@ -524,7 +611,7 @@ _MEMOS = (
 def clear_caches():
     """Empty the in-process memos of this module (integrable characters and
     their layers, solved and per cutoff, Macdonald denominator, tensor
-    products and the orbits they read, local Weyl, Freudenthal)."""
+    products and their orbits, the fermionic sum and its parts, Freudenthal)."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -625,25 +712,25 @@ def expand_in_global_weyl(rs: RootSystem, char, N=None) -> Expansion:
         raise ValueError("expansion needs a truncation cutoff")
     lo = min((p.min_exponent() for p in char.values() if p), default=0)
     rows = _irreducible_rows(rs, _window_rows(char, lo, N))
-    return _peel_global_weyl(rs, rows, lo, N, partial(_local_weyl, rs))
+    return _peel_global_weyl(rs, rows, lo, N)
 
 
-def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int, table) -> Expansion:
+def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int, floor=None) -> Expansion:
     """The global-Weyl expansion of rows {dominant coeffs: coefficients of
     q^lo..q^N} in the irreducible basis; the rows are used up.
 
     The highest weights are processed in decreasing (height, coeffs) order:
     the top residual row divided by the Hilbert series (implemented as
     multiplication by the polynomial numerator, hence exact) is the
-    multiplicity m, and the whole basis element, the local Weyl table of nu,
-    table(nu), times the Hilbert series and m, cut at q^(N-lo), is
+    multiplicity m, and the whole basis element, the local Weyl table of nu
+    (_local_weyl_table) times the Hilbert series and m, cut at q^(N-lo), is
     subtracted. As m = top times the numerator, that element is the local
-    Weyl table times the top row itself within the window. The head must
-    clear, else the input was not a combination of the basis and an
+    Weyl table times the top row itself within the window, so the table is
+    read only up to q^c, c = N - lo - the first degree of the top row. The
+    head must clear, else the input was not a combination of the basis and an
     ExpansionError is raised.
 
-    table(nu) is {dominant coeffs: graded multiplicity}: the whole local
-    Weyl table (_local_weyl) for the whole expansion, or only its rows in an
+    With floor, only the rows lam' >= floor of each table are read: an
     up-set of weights closed under the peel, to expand only that up-set (as
     kostka_characters does)."""
     width = N + 1 - lo
@@ -660,7 +747,8 @@ def _peel_global_weyl(rs: RootSystem, residual: dict, lo: int, N: int, table) ->
             raise StructuralError("vanishing extraction from a nonzero residual")
         nu_w = weight_from_ints(nu)
         mults[nu_w] = QPolynomial({e + lo: c for e, c in enumerate(m) if c})
-        for lam_prime, p in table(nu_w).items():
+        cap = width - 1 - next(j for j, c in enumerate(top) if c)
+        for lam_prime, p in _local_weyl_table(rs, nu, cap, floor).items():
             tgt = residual.get(lam_prime) or [0] * width
             for e, c in p.items():
                 for j in range(width - e):

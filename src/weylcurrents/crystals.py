@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Sequence
 from functools import cache
 from itertools import combinations, compress, product, repeat
@@ -747,6 +746,8 @@ def _write_cache(graph: CrystalGraph, cache_dir: str, path: str):
         "orientation": ENERGY_ORIENTATION,
         "D": graph.D,
     }
+    import tempfile  # here, not at the top: only a cache write reads it
+
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache, partial
-from itertools import product
-from operator import mul, sub
+from functools import cache
 
 from . import characters, crystals
 from .affine import cosets_up_to_shift, in_level_dominant, level_one_weights
@@ -19,9 +17,9 @@ from .characters import (
     Expansion,
     _integrable_layers,
     _layer_rows,
-    _local_weyl,
     _local_weyl_top,
     _peel_global_weyl,
+    kostka_fermionic,
 )
 from .crystals import restricted_paths
 from .qseries import QPolynomial
@@ -116,23 +114,7 @@ def kostka_characters(
         for nu, row in _layer_rows(_integrable_layers(rs, lam, k, whole)).items()
         if rs.dominance_leq(mu, weight_from_ints(nu))
     }
-    return _peel_global_weyl(rs, rows, 0, whole, partial(_upset_table, rs, mu)).coeff(mu)
-
-
-def _upset_table(rs: RootSystem, mu: Weight, nu: Weight) -> dict:
-    """The rows lam' >= mu of the local Weyl table of nu, {coeffs:
-    kostka_fermionic(nu, lam')}: lam' = mu + sum_a e_a alpha_a dominant, with
-    0 <= e_a <= the root coordinates of nu - mu."""
-    span = [c // rs.det for c in rs.scaled_root_coords(tuple(map(sub, nu.coeffs, mu.coeffs)))]
-    out = {}
-    for e in product(*[range(s + 1) for s in span]):
-        # alpha_a is row a of the (symmetric) Cartan matrix
-        coeffs = tuple([m + sum(map(mul, row, e)) for m, row in zip(mu.coeffs, rs.cartan)])
-        if min(coeffs) >= 0:
-            entry = kostka_fermionic(rs, nu, weight_from_ints(coeffs))
-            if entry:
-                out[coeffs] = entry
-    return out
+    return _peel_global_weyl(rs, rows, 0, whole, mu.coeffs).coeff(mu)
 
 
 def default_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
@@ -156,114 +138,16 @@ def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Ex
     peeled from the irreducible layers of the Weyl-Kac ratio (head at q^0)."""
     check_level_and_cutoff(k, N)
     rows = _layer_rows(_integrable_layers(rs, lam, k, N))
-    return _peel_global_weyl(rs, rows, 0, N, partial(_local_weyl, rs))
+    return _peel_global_weyl(rs, rows, 0, N)
 
 
-def _partitions(n: int, most: int):
-    """The partitions of n into parts <= most, each as {part: multiplicity}."""
-    if n == 0:
-        yield {}
-        return
-    for part in range(min(n, most), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield {**rest, part: rest.get(part, 0) + 1}
-
-
-@cache
-def _q_binomial(n: int, m: int) -> tuple:
-    """[n choose m]_q as the coefficients of q^0..q^(m(n-m)), by the Pascal
-    rule [n, m] = [n-1, m-1] + q^m [n-1, m]."""
-    if m == 0 or m == n:
-        return (1,)
-    out = [0] * (m * (n - m) + 1)
-    for e, c in enumerate(_q_binomial(n - 1, m - 1)):
-        out[e] += c
-    for e, c in enumerate(_q_binomial(n - 1, m)):
-        out[e + m] += c
-    return tuple(out)
-
-
-def _dense_times(a, b) -> list:
-    """Product of two polynomials given as coefficient lists from q^0."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-@cache
-def kostka_fermionic(rs: RootSystem, mu: Weight, lam: Weight) -> QPolynomial:
-    """[W(mu) : V(lam)], the graded multiplicity of V(lam) in the local Weyl
-    module of mu, head at q^0, as the fermionic sum of Kirillov-Reshetikhin in
-    the convention of Hatayama-Kuniba-Okado-Takagi-Yamada (1999):
-
-        M = sum_m q^Q(m) prod_{a,i} [P_{a,i} + m_{a,i} choose m_{a,i}]_q,
-
-    over the families with m_a = (m_{a,i})_i a partition of l_a, where
-    mu - lam = sum_a l_a alpha_a, and every vacancy number
-    P_{a,i} = mu_a - sum_b C_ab sum_j min(i, j) m_{b,j} >= 0 (i = 1..max l);
-    Q(m) = 1/2 sum_{a,b,i,j} C_ab min(i, j) m_{a,i} m_{b,j}. It equals the
-    Demazure table of _local_weyl (Chari-Loktev 2006), which `verify
-    fermionic` checks. The memo hands every caller the same value."""
-    if not (rs.is_dominant(mu) and rs.is_dominant(lam)):
-        raise ValueError("both weights must be dominant")
-    if not rs.dominance_leq(lam, mu):
-        return QPolynomial.zero()
-    ell = [c // rs.det for c in rs.scaled_root_coords(tuple(map(sub, mu.coeffs, lam.coeffs)))]
-    depth = max(ell, default=0)
-    # each partition of l_a with its sums f(i) = sum_j min(i, j) m_j, i = 1..depth
-    choices = [
-        [
-            (part, [sum(min(i, j) * m for j, m in part.items()) for i in range(1, depth + 1)])
-            for part in _partitions(l, l)
-        ]
-        for l in ell
-    ]
-    top, nbrs = mu.coeffs, rs.neighbours  # simply laced: C_ab = 2, or -1 on an edge
-    family: list = [None] * rs.rank
-    total: dict = {}
-
-    def vacancy(a, placed):
-        """P_{a,i}, i = 1..depth, with the nodes after `placed` at their
-        largest sums f = l (parts of size one): exact once they are placed."""
-        f = family[a][1]
-        rest = top[a] + sum(ell[b] for b in nbrs[a] if b > placed)
-        near = [family[b][1] for b in nbrs[a] if b <= placed]
-        return [rest - 2 * f[i] + sum(g[i] for g in near) for i in range(depth)]
-
-    def place(a):
-        """Sum over the partitions of the nodes a.. into total, pruning each
-        placement that leaves a vacancy number negative at every completion."""
-        for choice in choices[a]:
-            family[a] = choice
-            if any(min(vacancy(b, a), default=0) < 0 for b in (a, *nbrs[a]) if b <= a):
-                continue
-            if a + 1 < rs.rank:
-                place(a + 1)
-                continue
-            twice_q, term = 0, (1,)
-            for b, (part, _) in enumerate(family):
-                vac = vacancy(b, a)
-                for i, m in part.items():  # sum_c C_bc f_c(i) = mu_b - P_{b,i}
-                    twice_q += m * (top[b] - vac[i - 1])
-                    term = _dense_times(term, _q_binomial(vac[i - 1] + m, m))
-            for e, c in enumerate(term, twice_q // 2):
-                total[e] = total.get(e, 0) + c
-
-    place(0)
-    return QPolynomial(total)
-
-
-# taken once: a rebound name still clears its memo
-_MEMOS = (integrable_weyl_expansion, kostka_fermionic, _q_binomial)
+_EXPANSIONS = integrable_weyl_expansion  # taken once: a rebound name still clears it
 
 
 def clear_caches():
     """Empty every in-process memo the routes use: the expansions here and the
     caches of `characters` and `crystals`."""
-    for memo in _MEMOS:
-        memo.cache_clear()
+    _EXPANSIONS.cache_clear()
     characters.clear_caches()
     crystals.clear_caches()
 

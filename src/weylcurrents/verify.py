@@ -3,9 +3,10 @@
 
 Oracles here deliberately avoid the code paths they check: the Cayley-graph BFS
 checks the closed length formula, the lattice theta-function checks the
-alternating-sum integrable characters, brute-force symmetric-algebra counting
-checks the induced-module factor, and the crystal graded character checks the
-Demazure route to local Weyl modules.
+alternating-sum integrable characters, the crystal graded character checks the
+local Weyl characters on type A, and the full-word Demazure character checks the
+fermionic sum every local Weyl table is read from. The tests, not a suite, run
+brute-force symmetric-algebra counting against the induced-module factor.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .affine import (
     AffineWeight,
     AffineWeylElement,
     act_affine,
+    chamber_ascent,
     compose,
     dominant_dot_rep,
     length,
@@ -32,7 +34,6 @@ from .affine import (
 from .characters import (
     AffineCharacter,
     GradedCharacter,
-    _local_weyl,
     char_integrable,
     char_local_weyl,
     demazure_step,
@@ -422,8 +423,9 @@ def suite_frenkel_kac(types=None, N=10):
 
 
 def suite_demazure_vs_crystal(types=None, max_mu=4, max_total=2, N=8):
-    """Divided-difference local Weyl characters against the crystal graded
-    character (q-inverted), plus the dimension multiplicativity oracle."""
+    """Local Weyl characters (char_local_weyl, read from the fermionic sum)
+    against the crystal graded character (q-inverted), plus the dimension
+    multiplicativity oracle."""
     grid = a1_a2_grid(max_mu, max_total)
     grid = [(rs, mu) for rs, mu in grid if _keep_type(rs, types)]
     for rs, mu in grid:
@@ -558,11 +560,35 @@ def suite_vertex_identity(types=None, max_mu=6, max_total=3, N=8):
 FERMIONIC_GRID = (("A", 2, 6), ("A", 3, 3), ("A", 4, 2), ("D", 4, 2), ("D", 5, 2), ("E", 6, 1))
 
 
+def full_word_local_weyl(rs, lam: Weight) -> dict:
+    """The local Weyl table of lam, {dominant coeffs: graded multiplicity},
+    head at q^0: the level-one Demazure module of t_{w_0 lam - c}(c + Lambda0),
+    c the class of lam, by demazure_step along the whole chamber-ascent word
+    on the full affine character, expanded in irreducibles."""
+    cls_w = next(w for w in level_one_weights(rs) if rs.in_root_lattice(lam - w))
+    top = AffineWeight(cls_w, 1, 0)
+    gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
+    target = act_affine(rs, AffineWeylElement.translation_by(rs, gamma_rc), top)
+    reached, word = chamber_ascent(rs, target)
+    if reached != top:
+        raise StructuralError("ascent to the dominant extremal weight failed")
+    ch = AffineCharacter.monomial(top)
+    for i in reversed(word):
+        ch = demazure_step(rs, i, ch)
+    if min(d for _, d in ch.terms) != target.degree:
+        raise StructuralError("Demazure character does not reach the extremal degree")
+    degrees: dict = {}
+    for (coeffs, deg), c in ch.items():
+        degrees.setdefault(Weight(coeffs), {})[deg - target.degree] = c
+    table = expand_in_irreducibles(rs, GradedCharacter(degrees))
+    return {w.coeffs: p for w, p in table.items()}
+
+
 def suite_fermionic(types=None):
-    """The fermionic sum M(mu, lam) (kostka_fermionic), from which the chars
-    route reads its tables, equals the local Weyl table of the Demazure
-    strings (_local_weyl) at every dominant lam <= mu, zero entries included,
-    for every mu != 0 with coordinates summing to at most a bound per type."""
+    """The fermionic sum M(mu, lam) (kostka_fermionic), every local Weyl table
+    of the library, equals the full-word Demazure table (full_word_local_weyl)
+    at every dominant lam <= mu, zero entries included, for every mu != 0 with
+    coordinates summing to at most a bound per type."""
     for family, rank, most in FERMIONIC_GRID:
         rs = build_root_system(family, rank)
         if not _keep_type(rs, types):
@@ -570,7 +596,7 @@ def suite_fermionic(types=None):
         weights = entries = 0
         bad = ""
         for _, mu in coordinate_sum_grid(family, rank, most):
-            table = _local_weyl(rs, mu)
+            table = full_word_local_weyl(rs, mu)
             below = sorted(lam.coeffs for lam in rs.dominant_weights_below(mu))
             weights, entries = weights + 1, entries + len(below)
             stray = sorted(set(table).difference(below))

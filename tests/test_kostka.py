@@ -8,7 +8,7 @@ from weylcurrents import crystals
 from weylcurrents.affine import level_restricted_dominant
 from weylcurrents.characters import (
     _integrable_layers,
-    _local_weyl,
+    _local_weyl_table,
     _local_weyl_top,
     char_integrable_dominant,
     expand_in_global_weyl,
@@ -285,7 +285,7 @@ def test_local_weyl_top_degree_is_the_top_of_the_table():
     ]
     assert len(cases) == 244
     for rs, c in cases:
-        table = _local_weyl(rs, Weight(c))
+        table = _local_weyl_table(rs, c)
         assert _local_weyl_top(rs, Weight(c)) == max(p.max_exponent() for p in table.values()), (
             rs,
             c,
@@ -319,6 +319,35 @@ def test_fermionic_sum_desk_values():
     assert kostka_fermionic(A2, Weight([2, 2]), Weight([2, 2])) == one
     with pytest.raises(ValueError, match="dominant"):
         kostka_fermionic(A2, Weight([1, 1]), Weight([2, -1]))
+
+
+def test_degree_cap_cuts_the_fermionic_sum_and_nothing_else(monkeypatch):
+    # every entry a peel reads under a binding cap, in the D5 k=2 N=8 and the
+    # E6 and E7 level-one N=10 expansions, equals the whole entry cut at the cap
+    from weylcurrents import characters
+
+    real = characters.kostka_fermionic
+    capped = set()
+
+    def spy(rs, mu, lam, *cap):
+        if cap:
+            capped.add((rs, mu, lam, *cap))
+        return real(rs, mu, lam, *cap)
+
+    monkeypatch.setattr(characters, "kostka_fermionic", spy)
+    for (family, rank), k, N in ((("D", 5), 2, 8), (("E", 6), 1, 10), (("E", 7), 1, 10)):
+        rs = build_root_system(family, rank)
+        before = len(capped)
+        clear_caches()
+        integrable_weyl_expansion(rs, rs.zero(), k, N)
+        assert len(capped) > before, (family, rank)
+    cut = 0
+    for rs, mu, lam, cap in capped:
+        whole = real(rs, mu, lam)
+        assert real(rs, mu, lam, cap) == whole.truncated(hi=cap), (rs, mu, lam, cap)
+        cut += whole.max_exponent() > cap
+    assert cut == len(capped)
+    clear_caches()
 
 
 def test_level_and_cutoff_checked_at_the_boundary():
@@ -368,10 +397,11 @@ def test_clear_caches_empties_every_route_memo():
         "_integrable_layers",
         "_denominator",
         "_tensor",
-        "_local_weyl",
         "_freudenthal_dominant",
         "integrable_weyl_expansion",
         "kostka_fermionic",
+        "_placed_forms",
+        "_dominant_below",
         "_q_binomial",
         "_column_tables",
         "_build_R",
@@ -384,6 +414,7 @@ def test_clear_caches_empties_every_route_memo():
     kostka_by_route(A1, Weight([2]), Weight([0]), None, "chars")  # a q-binomial of M
     characters.char_integrable_dominant(A1, Weight([0]), 1, 2)  # a view the routes skip
     kostka.integrable_weyl_expansion(A1, Weight([0]), 1, 2)  # decompose's whole expansion
+    characters.kostka_fermionic(A1, Weight([4]), Weight([0]), 1)  # a capped M: the node forms
     assert crystals._GRAPH_CACHE
     assert all(m.cache_info().currsize for m in memos)
     kostka.clear_caches()

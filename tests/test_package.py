@@ -53,18 +53,18 @@ def test_no_float_arithmetic_outside_verify():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # against the modules the interpreter holds before the import, so what a
-    # host's site hooks load does not count
+    # against the modules the interpreter holds before the import, and with -S
+    # (no site hooks), so a module that a host's site hooks load still counts
     code = (
         "import sys; bare = set(sys.modules); import weylcurrents.cli; "
         "print(*sorted(set(sys.modules) - bare))"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(weylcurrents.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     added = set(run.stdout.split())
     assert run.returncode == 0, run.stderr
     assert "weylcurrents.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "tempfile"}
 
 
 def test_records_keep_their_fields_and_defaults():
