@@ -15,7 +15,7 @@ Conventions, fixed once and validated by tests:
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from operator import mul
 
@@ -173,7 +173,7 @@ class AffineWeylElement:
         return f"AffineWeylElement(matrix={self.matrix}, t={self.translation})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def _simple_matrix(rs: RootSystem, i: int):
     """Matrix of s_i (1-based classical index) on fundamental-weight coordinates."""
     n = rs.rank
@@ -184,7 +184,7 @@ def _simple_matrix(rs: RootSystem, i: int):
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def _theta_matrix(rs: RootSystem):
     n = rs.rank
     theta = rs.highest_root

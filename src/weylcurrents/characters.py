@@ -571,18 +571,17 @@ def _local_weyl_table(rs: RootSystem, nu: tuple, cap=None, floor=None) -> dict:
     return table
 
 
-def char_local_weyl(rs: RootSystem, lam: Weight, N=None) -> GradedCharacter:
-    """Graded character of the local Weyl module with top V(lam), head at q^0,
-    truncated at q^N when N is given: the irreducible table of
-    _local_weyl_table spread over the weights of each V(lam')."""
+def char_local_weyl(rs: RootSystem, lam: Weight) -> GradedCharacter:
+    """Graded character of the local Weyl module with top V(lam), head at q^0:
+    the irreducible table of _local_weyl_table spread over the weights of
+    each V(lam')."""
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     terms: dict = {}
     for mu, poly in _local_weyl_table(rs, lam.coeffs).items():
         for w, m in rs.freudenthal_weights(weight_from_ints(mu)).items():
             terms[w] = terms[w] + poly * m if w in terms else poly * m
-    out = GradedCharacter(terms)
-    return out if N is None else out.truncated(N)
+    return GradedCharacter(terms)
 
 
 @cache

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .crystals import CACHE_ENV, local_crystal
+from .crystals import local_crystal
 from .errors import ExpansionError, StructuralError, VerificationFailure
 from .kostka import ROUTES, integrable_weyl_expansion, kostka_by_route
 from .rootsystem import Weight, parse_type
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", required=True, help=weight_help)
     sp.add_argument("--lambda", dest="lam", required=True, help=weight_help)
     sp.add_argument("--k", type=int, default=None, help="level (omit for the unrestricted limit)")
-    sp.add_argument("--cache-dir", default=None, help=f"crystal cache dir (or ${CACHE_ENV})")
+    sp.add_argument("--cache-dir", default=None, help="crystal cache dir")
     sp.add_argument("--route", choices=list(ROUTES) + ["all"], default="paths")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(fn=cmd_kostka)

@@ -429,7 +429,6 @@ def _fold(n: int, heights, energy: bool):
 
 # -- sealed crystal graphs -------------------------------------------------
 
-CACHE_ENV = "WEYLCURRENTS_CACHE"
 CACHE_FORMAT = 2  # the disk cache document
 EXPORT_FORMAT = 1  # the `export --format json` document
 
@@ -486,8 +485,8 @@ def _classical_components(n: int, eps, arrows, e_arrows):
 class CrystalGraph:
     """Sealed tensor-product crystal with cached statistics, arrows, classical
     components and the degree function; immutable after construction. The
-    tables are those of `_fold`: eps, phi, f_arrows and e_arrows indexed
-    [i][t], weights, D and component indexed by vertex."""
+    tables are those of `_fold`: eps, phi and f_arrows indexed [i][t],
+    weights, D and component indexed by vertex."""
 
     __slots__ = (
         "n",
@@ -497,7 +496,6 @@ class CrystalGraph:
         "eps",
         "phi",
         "f_arrows",
-        "e_arrows",
         "D",
         "component",
         "component_highest",
@@ -513,16 +511,16 @@ class CrystalGraph:
         self.f_arrows = f_arrows
         self.D = D
         arrows = _arrows(f_arrows)
-        self.e_arrows = _e_arrows(len(vertices), arrows)
+        e_arrows = _e_arrows(len(vertices), arrows)
         self.component, self.component_highest = _classical_components(
-            n, eps, arrows, self.e_arrows
+            n, eps, arrows, e_arrows
         )
-        self._verify_axioms(arrows)
+        self._verify_axioms(arrows, e_arrows[0])
 
-    def _verify_axioms(self, arrows):
+    def _verify_axioms(self, arrows, e0):
         """Check the crystal and degree-function axioms, one pass over the
         column tables per operator; `arrows` holds the sources and the targets
-        of the f_i arrows."""
+        of the f_i arrows, and `e0` the e_0 table of `_e_arrows`."""
         n = self.n
         rs = build_root_system("A", n)
         V = range(len(self.vertices))
@@ -571,7 +569,6 @@ class CrystalGraph:
                 raise StructuralError("arrow does not shift the weight by alpha_i")
             if i >= 1 and list(map(D.__getitem__, src)) != list(map(D.__getitem__, dst)):
                 raise StructuralError("degree changes along a classical arrow")
-        e0 = self.e_arrows[0]
         for t in compress(V, [e >= 2 for e in E[0]]):
             src = e0[t]
             if src < 0:
@@ -679,8 +676,8 @@ def heights_for_weight(mu: Weight):
 
 
 # Sealed graphs by (n, heights). A dict, not a function memo: an entry is
-# loaded from the disk cache or built, and a hit still writes the disk cache
-# when its file is missing.
+# loaded from the disk cache or built, and is found again whatever cache dir
+# the next call names.
 _GRAPH_CACHE: dict = {}
 # taken once: a rebound name still clears its memo
 _MEMOS = (_column_tables, _column_groups, _two_factor, _build_R, _build_H)
@@ -704,13 +701,10 @@ def build_crystal(n: int, heights, cache_dir=None) -> CrystalGraph:
     given column heights. Cache writes are atomic (temp file + rename)."""
     heights = tuple(heights)
     key = (n, heights)
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV)
-    path = _cache_path(cache_dir, n, heights) if cache_dir else None
     hit = _GRAPH_CACHE.get(key)
     if hit is not None:
-        if path and not os.path.exists(path):
-            _write_cache(hit, cache_dir, path)
         return hit
+    path = _cache_path(cache_dir, n, heights) if cache_dir else None
     if path and os.path.exists(path):
         data = _read_cache(path)
         try:

@@ -12,7 +12,7 @@ when they return. Simple-root indices are 1-based throughout the public API
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from operator import add, mul, neg, sub
 
 
@@ -372,7 +372,7 @@ class RootSystem:
             cur = self.reflect(i, cur)
         return cur
 
-    @lru_cache(maxsize=None)
+    @cache
     def _w0_word(self):
         # w_0 sends -rho to rho; the ascent word from -rho realizes it
         _, word = self.to_dominant(Weight([-1] * self.rank))
@@ -475,7 +475,7 @@ class RootSystem:
         return f"RootSystem({self.family}{self.rank})"
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Validated, cached root system for a simply-laced (family, rank)."""
     return RootSystem(family, int(rank))

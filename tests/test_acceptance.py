@@ -55,7 +55,7 @@ def test_criterion_1_cross_route_equality():
     """A1 (mu <= 6w1, k in 1..3) and A2 (m1+m2 <= 3, k in 1..2), N = 12:
     paths, alternating sum and character expansion agree exactly."""
     started = time.monotonic()
-    grid = list(cross_route_grid(max_mu=6, max_total=3))
+    grid = list(cross_route_grid(max_mu=6))
     grid += [(A1, Weight([0]), k) for k in (1, 2, 3)]
     grid += [(A2, Weight([0, 0]), k) for k in (1, 2)]
     checked = 0
@@ -115,7 +115,7 @@ def test_criterion_4_frenkel_kac_oracle():
 
 
 def test_criterion_5_energy_axioms():
-    results = list(suite_energy_axioms(max_mu=6, max_total=3))
+    results = list(suite_energy_axioms(max_mu=6))
     bad = [r for r in results if not r.ok]
     _report(
         "criterion 5 (degree-function axioms)",
@@ -125,7 +125,7 @@ def test_criterion_5_energy_axioms():
 
 
 def test_criterion_6_demazure_vs_crystal():
-    results = list(suite_demazure_vs_crystal(max_mu=4, max_total=2, N=8))
+    results = list(suite_demazure_vs_crystal(max_mu=4))
     bad = [r for r in results if not r.ok]
     _report(
         "criterion 6 (divided-difference vs crystal local Weyl characters)",
@@ -144,7 +144,7 @@ def test_criterion_7_demazure_limit():
 
 def test_criterion_8_vertex_identity():
     checked = 0
-    for rs, mu, k in cross_route_grid(max_mu=6, max_total=3):
+    for rs, mu, k in cross_route_grid(max_mu=6):
         lhs, rhs = vertex_identity_sides(rs, mu, k)
         assert lhs == rhs, (rs, mu.coeffs, k)
         checked += 1
@@ -171,7 +171,7 @@ def test_criterion_9_structural_oracles():
     # (d) positivity of every extracted graded multiplicity on the grids
     for rs, lam, k, N in [
         (rs, lam, k, 12)
-        for rs, _, k in cross_route_grid(max_mu=6, max_total=3)
+        for rs, _, k in cross_route_grid(max_mu=6)
         for lam in level_restricted_dominant(rs, k)
     ] + [(rs, w, 1, 10) for rs in (A1, A2) for w in level_one_weights(rs)]:
         ex = integrable_weyl_expansion(rs, lam, k, N)
