@@ -21,7 +21,7 @@ from .characters import (
     char_irreducible,
     char_local_weyl,
     char_parabolic_verma,
-    demazure_step,
+    demazure_word,
     expand_in_global_weyl,
 )
 from .crystals import (
@@ -74,7 +74,7 @@ __all__ = [
     "char_parabolic_verma",
     "combinatorial_R",
     "cosets_up_to_shift",
-    "demazure_step",
+    "demazure_word",
     "dominant_dot_rep",
     "dot_action",
     "expand_in_global_weyl",

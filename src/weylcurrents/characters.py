@@ -14,7 +14,6 @@ from itertools import chain
 from operator import add, mul, sub
 
 from .affine import (
-    AffineWeight,
     _alcove_sweep,
     in_level_dominant,
     level_one_weights,
@@ -47,9 +46,6 @@ class GradedCharacter:
 
     def coeff(self, w: Weight) -> QPolynomial:
         return self.terms.get(w, QPolynomial.zero())
-
-    def support(self):
-        return self.terms.keys()
 
     def items(self):
         return self.terms.items()
@@ -98,8 +94,6 @@ class GradedCharacter:
         return GradedCharacter({w: p * poly for w, p in self.terms.items()}, cutoff=cut)
 
     def __mul__(self, other):
-        if isinstance(other, QPolynomial):
-            return self.scaled(other)
         cut = self._merge_cutoff(
             self._lowered_cutoff(self.cutoff, other.terms.values()),
             self._lowered_cutoff(other.cutoff, self.terms.values()),
@@ -316,71 +310,45 @@ def char_integrable(rs: RootSystem, lam: Weight, k: int, N: int) -> GradedCharac
 # -- Demazure operators ----------------------------------------------------
 
 
-class AffineCharacter:
-    """Finite Z-combination of affine weights at a fixed level, keyed by
-    (classical coeffs, degree); the working object for Demazure strings."""
-
-    __slots__ = ("level", "terms")
-
-    def __init__(self, level: int, terms=None):
-        self.level = level
-        self.terms = {key: c for key, c in (terms or {}).items() if c}
-
-    @classmethod
-    def monomial(cls, w: AffineWeight):
-        return cls(w.level, {(w.classical.coeffs, w.degree): 1})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineCharacter)
-            and self.level == other.level
-            and self.terms == other.terms
-        )
-
-    def items(self):
-        return self.terms.items()
-
-
-def demazure_step(rs: RootSystem, i: int, char: AffineCharacter, floor=None) -> AffineCharacter:
-    """Isobaric divided-difference operator for the affine node i applied to a
-    truncated affine character; linear, idempotent, geometric-string on monomials."""
-    k = char.level
-    hvee = rs.dual_coxeter
-    theta = rs.highest_root
-    out: dict = {}
-
-    def add_term(coeffs, deg, c):
-        if floor is not None and deg < floor:
-            return
-        key = (coeffs, deg)
-        n = out.get(key, 0) + c
-        if n:
-            out[key] = n
-        elif key in out:
-            del out[key]
-
-    if i == 0:
-        alpha_cl, alpha_deg = (-theta).coeffs, 1
-        # (theta, w + rho) = sum_j rc_j(theta) (w_j + 1)
-        theta_rc = rs.highest_root_coords
-        top = k + hvee - sum(theta_rc)
-    else:
-        alpha_cl, alpha_deg = rs.simple_roots[i - 1].coeffs, 0
-    for (coeffs, deg), c in char.terms.items():
+def demazure_word(rs: RootSystem, nodes, char: GradedCharacter, k: int) -> GradedCharacter:
+    """Apply the isobaric divided-difference operator D_i of each affine node i
+    in `nodes`, in turn, to e^{k Lambda0} char; D_i is linear, idempotent and a
+    geometric string on monomials. A term above char.cutoff is dropped, and the
+    result keeps that cutoff."""
+    cut = char.cutoff
+    theta_rc = rs.highest_root_coords
+    # (theta, w + rho) = sum_j rc_j(theta) (w_j + 1)
+    top = k + rs.dual_coxeter - sum(theta_rc)
+    terms = {(w.coeffs, e): c for w, p in char.items() for e, c in p.items()}
+    for i in nodes:
+        # alpha_0 = delta - theta and q = e^{-delta}: each alpha_0 taken off a
+        # weight raises its q-degree by one
         if i == 0:
-            m = top - sum(map(mul, theta_rc, coeffs))
+            alpha, step = (-rs.highest_root).coeffs, 1
         else:
-            m = coeffs[i - 1] + 1
-        w = coeffs
-        if m >= 1:
-            for j in range(m):
-                add_term(w, deg - j * alpha_deg, c)
-                w = tuple(map(sub, w, alpha_cl))
-        elif m <= -1:
-            for j in range(1, -m + 1):
-                w = tuple(map(add, w, alpha_cl))
-                add_term(w, deg + j * alpha_deg, -c)
-    return AffineCharacter(k, out)
+            alpha, step = rs.simple_roots[i - 1].coeffs, 0
+        out: dict = {}
+        for (w, e), c in terms.items():
+            m = top - sum(map(mul, theta_rc, w)) if i == 0 else w[i - 1] + 1
+            if m < 0:  # -(e^{w + alpha} + ... + e^{w - m alpha}), from its top
+                w = tuple(a - m * b for a, b in zip(w, alpha))
+                e, c, m = e + m * step, -c, -m
+            if step and cut is not None:  # q-degrees rise along the string
+                m = min(m, cut + 1 - e)
+            for _ in range(m):
+                key = (w, e)
+                n = out.get(key, 0) + c
+                if n:
+                    out[key] = n
+                else:
+                    del out[key]
+                w = tuple(map(sub, w, alpha))
+                e += step
+        terms = out
+    polys: dict = {}
+    for (w, e), c in terms.items():
+        polys.setdefault(weight_from_ints(w), {})[e] = c
+    return GradedCharacter(polys, cutoff=cut)
 
 
 # -- local and global Weyl module characters -------------------------------
@@ -638,9 +606,7 @@ def hilbert_series(lam: Weight, N: int) -> QPolynomial:
 def char_global_weyl(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter:
     """ch of the global Weyl module: local Weyl character times the Hilbert series
     of its highest-weight-algebra, truncated at q^N."""
-    return char_local_weyl(rs, lam).truncated(N) * GradedCharacter(
-        {Weight([0] * rs.rank): hilbert_series(lam, N)}, cutoff=N
-    )
+    return char_local_weyl(rs, lam).truncated(N).scaled(hilbert_series(lam, N))
 
 
 # -- basis expansions -------------------------------------------------------

@@ -5,7 +5,9 @@ Oracles here deliberately avoid the code paths they check: the Cayley-graph BFS
 checks the closed length formula, the lattice theta-function checks the
 alternating-sum integrable characters, the crystal graded character checks the
 local Weyl characters on type A, and the full-word Demazure character checks the
-fermionic sum every local Weyl table is read from. The tests, not a suite, run
+fermionic sum every local Weyl table is read from. Both Demazure oracles, that
+full-word table and the Demazure limit of the integrable character, apply
+`characters.demazure_word` to a `GradedCharacter`. The tests, not a suite, run
 brute-force symmetric-algebra counting against the induced-module factor.
 """
 
@@ -32,11 +34,10 @@ from .affine import (
     simple_element,
 )
 from .characters import (
-    AffineCharacter,
     GradedCharacter,
     char_integrable,
     char_local_weyl,
-    demazure_step,
+    demazure_word,
     expand_in_irreducibles,
 )
 from .crystals import (
@@ -178,9 +179,7 @@ def frenkel_kac_character(rs, class_weight: Weight, N: int) -> GradedCharacter:
     factor = part
     for _ in range(1, rs.rank):
         factor = (factor * part).truncated(hi=N)
-    return GradedCharacter(theta_terms, cutoff=N) * GradedCharacter(
-        {rs.zero(): factor}, cutoff=N
-    )
+    return GradedCharacter(theta_terms, cutoff=N).scaled(factor)
 
 
 # -- suites -------------------------------------------------------------------
@@ -448,28 +447,16 @@ def demazure_limit_character(rs, lam: Weight, k: int, N: int, margin=None):
     e^{lam + k Lambda0} until the window [0, N] stabilizes; returns the window."""
     if margin is None:
         margin = 3 * N + 16
-    floor = -(N + margin)
-    ch = AffineCharacter.monomial(AffineWeight(lam, k, 0))
-
-    def window(c):
-        out = {}
-        for (coeffs, deg), v in c.items():
-            if deg >= -N:
-                out.setdefault(Weight(coeffs), {})[-deg] = v
-        return out
-
+    ch = GradedCharacter.monomial(lam, cutoff=N + margin)
     prev = None
     stable = 0
     for _ in range(4 * (N + rs.rank + 4)):
-        for i in range(0, rs.rank + 1):
-            ch = demazure_step(rs, i, ch, floor=floor)
-        cur = window(ch)
+        ch = demazure_word(rs, range(rs.rank + 1), ch, k)
+        cur = ch.truncated(N)
         if cur == prev:
             stable += 1
             if stable >= 2:
-                return GradedCharacter(
-                    {w: QPolynomial(p) for w, p in cur.items()}, cutoff=N
-                )
+                return cur
         else:
             stable = 0
         prev = cur
@@ -547,8 +534,10 @@ FERMIONIC_GRID = (("A", 2, 6), ("A", 3, 3), ("A", 4, 2), ("D", 4, 2), ("D", 5, 2
 def full_word_local_weyl(rs, lam: Weight) -> dict:
     """The local Weyl table of lam, {dominant coeffs: graded multiplicity},
     head at q^0: the level-one Demazure module of t_{w_0 lam - c}(c + Lambda0),
-    c the class of lam, by demazure_step along the whole chamber-ascent word
-    on the full affine character, expanded in irreducibles."""
+    c the class of lam, by demazure_word along the whole chamber-ascent word
+    on e^{c + Lambda0}. The extremal weight sits at the top q-degree there
+    (q = e^{-delta}), so each polynomial is flipped to put it at q^0 before
+    the expansion in irreducibles."""
     cls_w = next(w for w in level_one_weights(rs) if rs.in_root_lattice(lam - w))
     top = AffineWeight(cls_w, 1, 0)
     gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
@@ -556,15 +545,12 @@ def full_word_local_weyl(rs, lam: Weight) -> dict:
     reached, word = chamber_ascent(rs, target)
     if reached != top:
         raise StructuralError("ascent to the dominant extremal weight failed")
-    ch = AffineCharacter.monomial(top)
-    for i in reversed(word):
-        ch = demazure_step(rs, i, ch)
-    if min(d for _, d in ch.terms) != target.degree:
+    ch = demazure_word(rs, reversed(word), GradedCharacter.monomial(cls_w), 1)
+    depth = -target.degree
+    if max(p.max_exponent() for _, p in ch.items()) != depth:
         raise StructuralError("Demazure character does not reach the extremal degree")
-    degrees: dict = {}
-    for (coeffs, deg), c in ch.items():
-        degrees.setdefault(Weight(coeffs), {})[deg - target.degree] = c
-    table = expand_in_irreducibles(rs, GradedCharacter(degrees))
+    flipped = {w: p.conjugate().shifted(depth) for w, p in ch.items()}
+    table = expand_in_irreducibles(rs, GradedCharacter(flipped))
     return {w.coeffs: p for w, p in table.items()}
 
 
@@ -620,10 +606,6 @@ def run_suite(name: str, **options):
     inside a suite keeps the checks it has yielded, adds one failed `stopped`
     check with the fault's message, and the next suite runs; a ValueError or
     OSError propagates."""
-    check_level_and_cutoff(None, options.get("N"))
-    for bound in ("max_mu", "max_factors", "max_k"):
-        if options.get(bound) is not None and options[bound] < 1:
-            raise ValueError(f"{bound} must be >= 1")
     if name == "all":
         suites = list(SUITES.items())
     elif name in SUITES:
@@ -636,6 +618,10 @@ def run_suite(name: str, **options):
     unread = sorted(set(options).difference(*reads))
     if unread:
         raise ValueError(f"suite {name} reads no option {', '.join(unread)}")
+    check_level_and_cutoff(None, options.get("N"))
+    for bound in ("max_mu", "max_factors", "max_k"):
+        if options.get(bound) is not None and options[bound] < 1:
+            raise ValueError(f"{bound} must be >= 1")
     out = []
     for (suite, fn), names in zip(suites, reads):
         try:  # extend appends as the suite yields, so a fault keeps the lines before it

@@ -5,12 +5,10 @@ from itertools import product
 import pytest
 
 from weylcurrents.affine import (
-    AffineWeight,
     cosets_up_to_shift,
     level_restricted_dominant,
 )
 from weylcurrents.characters import (
-    AffineCharacter,
     GradedCharacter,
     _hilbert_dense,
     char_global_weyl,
@@ -19,7 +17,7 @@ from weylcurrents.characters import (
     char_irreducible,
     char_local_weyl,
     char_parabolic_verma,
-    demazure_step,
+    demazure_word,
     expand_in_global_weyl,
     expand_in_irreducibles,
     hilbert_series,
@@ -107,19 +105,24 @@ def test_integrable_nonneg_and_weyl_invariant():
                     assert L.coeff(v) == p
 
 
-def test_demazure_step_strings():
-    # D_0(e^{Lambda0}) = e^{Lambda0} + e^{Lambda0 - alpha_0}
-    c = AffineCharacter.monomial(AffineWeight(Weight([0]), 1, 0))
-    d = demazure_step(A1, 0, c)
-    assert d.terms == {((0,), 0): 1, ((2,), -1): 1}
-    # wall case: pairing 0 kills the term
-    wall = AffineCharacter.monomial(AffineWeight(Weight([-1]), 0, 0))
-    assert demazure_step(A1, 1, wall).terms == {}
+def test_demazure_word_strings():
+    # D_0(e^{Lambda0}) = e^{Lambda0} + e^{Lambda0 - alpha_0} = e^{Lambda0} + q e^{2 w1}
+    vacuum = GradedCharacter.monomial(Weight([0]))
+    d = demazure_word(A1, [0], vacuum, 1)
+    assert d.terms == {Weight([0]): one, Weight([2]): q}
+    # cut case: the q e^{2 w1} term lies above cutoff 0
+    cut = demazure_word(A1, [0], GradedCharacter.monomial(Weight([0]), cutoff=0), 1)
+    assert cut.terms == {Weight([0]): one} and cut.cutoff == 0
+    # a two-node word is the two one-node calls in turn
+    assert demazure_word(A1, [0, 1], vacuum, 1) == demazure_word(A1, [1], d, 1)
+    # wall case at level 0: pairing 0 kills the term
+    wall = GradedCharacter.monomial(Weight([-1]))
+    assert demazure_word(A1, [1], wall, 0).terms == {}
     # negative branch: m = -2 gives two subtracted terms (forced by the
     # divided-difference definition; makes the operator idempotent)
-    c = AffineCharacter.monomial(AffineWeight(Weight([-3]), 0, 0))
-    d = demazure_step(A1, 1, c)
-    assert d.terms == {((-1,), 0): -1, ((1,), 0): -1}
+    c = GradedCharacter.monomial(Weight([-3]))
+    d = demazure_word(A1, [1], c, 0)
+    assert d.terms == {Weight([-1]): -one, Weight([1]): -one}
 
 
 def test_demazure_idempotent():
@@ -127,13 +130,11 @@ def test_demazure_idempotent():
     for _ in range(20):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            w = (rng.randint(-3, 3), rng.randint(-3, 3))
-            terms[(w, rng.randint(-2, 0))] = rng.randint(-2, 2)
-        c = AffineCharacter(1, terms)
+            w = Weight([rng.randint(-3, 3), rng.randint(-3, 3)])
+            terms.setdefault(w, {})[-rng.randint(-2, 0)] = rng.randint(-2, 2)
+        c = GradedCharacter(terms)
         for i in (0, 1, 2):
-            once = demazure_step(A2, i, c)
-            twice = demazure_step(A2, i, once)
-            assert twice == once
+            assert demazure_word(A2, [i, i], c, 1) == demazure_word(A2, [i], c, 1)
 
 
 def test_local_weyl_a1():

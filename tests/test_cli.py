@@ -403,7 +403,7 @@ def test_deleted_option_exits_2(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite", ["level-one", "frenkel-kac", "demazure-limit", "cross-route"])
+@pytest.mark.parametrize("suite", ["level-one", "frenkel-kac", "demazure-limit"])
 def test_verify_negative_cutoff_exits_2(capsys, suite):
     code, out, err = run_cli(capsys, "verify", suite, "--type", "A1", "--N", "-1")
     assert code == 2
@@ -432,6 +432,7 @@ def test_verify_empty_grid_bound_exits_2(capsys, argv, message):
         ["level-one", "--type", "A1", "--max-factors", "2"],
         ["cross-route", "--N", "12"],
         ["demazure-vs-crystal", "--N", "8"],
+        ["cross-route", "--N", "-1"],
     ],
 )
 def test_verify_unread_option_exits_2(capsys, argv):

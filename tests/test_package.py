@@ -100,3 +100,19 @@ def test_affine_weight_arithmetic_is_not_tuple_arithmetic():
     assert 2 * a == a * 2 == AffineWeight(Weight([2, 0]), 2, 4)
     assert all(type(x) is AffineWeight for x in (a + b, a - b, -a, 2 * a, a * 2))
     assert repr(a) == "AffineWeight((1, 0), level=1, degree=2)"
+
+
+def test_readme_quick_tour_runs_and_gives_its_commented_values():
+    # the README's "Library quick tour" block runs as printed, and each line
+    # gives the value its comment names
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Library quick tour\n\n```python\n", 1)[1].split("```", 1)[0]
+    env = {}
+    exec(block, env)
+    assert env["L"].cutoff == 10
+    assert env["ex"].multiplicities
+    assert all(p.is_monomial() for p in env["ex"].multiplicities.values())
+    last = block.strip().splitlines()[-1]
+    code, comment = last.split("#")
+    assert comment.strip() == "q"
+    assert eval(code, env) == QPolynomial.monomial(1)
