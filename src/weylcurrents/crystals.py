@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from functools import cache
-from itertools import combinations, compress, product, repeat
+from functools import cache, partial, reduce
+from itertools import combinations, compress, count, product, repeat
 from math import comb, prod
-from operator import add, mul, sub
+from operator import add, mul, ne, not_, or_, sub
 
 from .errors import StructuralError
 from .qseries import QPolynomial
@@ -132,9 +132,8 @@ def _two_factor(n: int, r: int, s: int):
     """(weights, f_arrows, label, highest) of the fold of (r, s), with the
     classical components of `_classical_components`; `_build_R` reads it
     for both orders of the heights and `_build_H` once more."""
-    _, weights, eps, _, f_arrows, _ = _fold(n, (r, s), energy=False)
-    arrows = _arrows(f_arrows)
-    label, highest = _classical_components(n, eps, arrows, _e_arrows(len(weights), arrows))
+    _, weights, eps, phi, f_arrows, _ = _fold(n, (r, s), energy=False)
+    label, highest = _classical_components(n, eps, phi, f_arrows)
     return weights, f_arrows, label, highest
 
 
@@ -281,17 +280,42 @@ class TensorVertices(Sequence):
         return product(*self.columns)
 
 
+class WeightTable(Sequence):
+    """The weights of a tensor crystal's vertices, read-only: `ids[t]` is the
+    position of the weight of vertex t in `distinct`, the `Weight` of each
+    distinct weight, so the table holds one shared int per vertex and one
+    `Weight` per distinct weight. A slice gives the list of its weights."""
+
+    __slots__ = ("ids", "distinct")
+
+    def __init__(self, ids, distinct):
+        self.ids = ids
+        self.distinct = distinct
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return list(map(self.distinct.__getitem__, self.ids[t]))
+        return self.distinct[self.ids[t]]
+
+    def __iter__(self):
+        return map(self.distinct.__getitem__, self.ids)
+
+
 @cache
 def _column_tables(n: int, r: int):
-    """The height-r columns and their tables (columns, positions, weight, eps,
-    phi, f): positions maps each column to its index, then the int tables of
-    the weight coefficients j = 1..n, and of eps, phi and f for i = 0..n, where
-    f_i is the position of the image column (-1 when f_i vanishes). The memo
-    hands every caller the same tables: read them, never change them."""
+    """The height-r columns and their tables (columns, positions, weights,
+    eps, phi, f): positions maps each column to its index, weights holds the
+    weight coefficients of each column, and eps, phi and f the int tables for
+    i = 0..n, where f_i is the position of the image column (-1 when f_i
+    vanishes). The memo hands every caller the same tables: read them, never
+    change them."""
     cols = column_vertices(n, r)
     pos = {c: p for p, c in enumerate(cols)}
     ops = range(n + 1)
-    wts = list(zip(*(column_weight(n, c).coeffs for c in cols)))
+    wts = [column_weight(n, c).coeffs for c in cols]
     eps = [[column_eps(n, i, c) for c in cols] for i in ops]
     phi = [[column_phi(n, i, c) for c in cols] for i in ops]
     f = [[pos.get(column_apply(n, "f", i, c), -1) for c in cols] for i in ops]
@@ -309,12 +333,11 @@ def _groups(keys):
 @cache
 def _column_groups(n: int, r: int):
     """The height-r columns grouped by the values `_fold` writes per slice:
-    by each weight coefficient, then for i = 0..n by (c, eps_i, f_i), one
-    column each, by eps_i and by (eps_i, phi_i). The memo hands every caller
-    the same lists: read them, never change them."""
-    _, _, wts, eps, phi, f = _column_tables(n, r)
+    for i = 0..n by (c, eps_i, f_i), one column each, by eps_i and by
+    (eps_i, phi_i). The memo hands every caller the same lists: read them,
+    never change them."""
+    _, _, _, eps, phi, f = _column_tables(n, r)
     return (
-        [_groups(zip(w)) for w in wts],
         [_groups(zip(range(len(g)), e, g)) for e, g in zip(eps, f)],
         [_groups(zip(e)) for e in eps],
         [_groups(zip(e, p)) for e, p in zip(eps, phi)],
@@ -335,18 +358,21 @@ def _by_column(m: int, size: int, groups, make):
 def _fold(n: int, heights, energy: bool):
     """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
     the given column heights, vertices in lexicographic order (a
-    `TensorVertices`); eps, phi and f_arrows are indexed [i][t], and D is None
-    unless `energy`.
+    `TensorVertices`) and weights a `WeightTable`; eps, phi and f_arrows are
+    indexed [i][t], and D is None unless `energy`.
 
     Factor l extends every prefix state s by every column c, giving state
     s * m + c, so the states that end in c are the slice c::m of the new
     table. A column's statistics take few values, and each table is written
     one slice at a time from one list over the prefix states per distinct
     value (`_by_column`); a value that leaves the prefix's entry as it is
-    writes the prefix table itself. The statistics follow the two-factor
-    rules of `tensor_stats`. f_i follows the signature rule of `apply_op`: it
-    acts on the prefix when phi_i(prefix) > eps_i(c), else on c; its slice
-    carries c and the column's image, so each column makes its own. D is
+    writes the prefix table itself. The weight of a state is its id among the
+    distinct weights of its level: column c moves each prefix id to the id of
+    that weight plus the weight of c, one transition list per column read by
+    one `map` per slice. The statistics follow the two-factor rules of
+    `tensor_stats`. f_i follows the signature rule of `apply_op`: it acts on
+    the prefix when phi_i(prefix) > eps_i(c), else on c; its slice carries c
+    and the column's image, so each column makes its own. D is
     `energy_of_element` by transport tables: for each height r still to come,
     T[r][s * m_r + x] is the energy a height-r column x collects moving left
     through prefix s. Then D(s * m + c) = D(s) + T[r][s * m + c], and the new
@@ -360,24 +386,34 @@ def _fold(n: int, heights, energy: bool):
             R = [t // m_a for t in _build_R(n, a, b)]
             pairs[a, b] = len(R), _groups(zip(_build_H(n, a, b), R))
     if heights:
-        # the states of the first factor are its columns, and each transport
-        # table starts as H of that column and the later one
+        # the states of the first factor are its columns, whose weights are
+        # distinct, and each transport table starts as H of that column and
+        # the later one
         r = heights[0]
-        W, E, P, F = ([list(row) for row in table] for table in tables[r][2:])
+        distinct = tables[r][2]
+        ids = list(range(len(distinct)))
+        E, P, F = ([list(row) for row in table] for table in tables[r][3:])
         D = [0] * len(F[0])
         T = {later: list(_build_H(n, r, later)) for later in set(heights[1:])} if energy else {}
     else:  # the empty prefix is the one state
-        W, E, P = ([[0] for _ in range(rows)] for rows in (n, n + 1, n + 1))
+        distinct, ids = [(0,) * n], [0]
+        E = [[0] for _ in range(n + 1)]
+        P = [[0] for _ in range(n + 1)]
         F = [[-1] for _ in range(n + 1)]
         D = [0]
     for level, r in enumerate(heights[1:], start=1):
-        gw, gf, ge, gp = _column_groups(n, r)
+        gf, ge, gp = _column_groups(n, r)
         m = len(tables[r][0])
-        size = len(E[0]) * m
-        W = [
-            _by_column(m, size, groups, lambda v: [x + v for x in Wj] if v else Wj)
-            for Wj, groups in zip(W, gw)
+        size = len(ids) * m
+        index = {}
+        moves = [
+            [index.setdefault(tuple(map(add, w, v)), len(index)) for w in distinct]
+            for v in tables[r][2]
         ]
+        distinct = list(index)
+        prefix_ids, ids = ids, [0] * size
+        for c, move in enumerate(moves):
+            ids[c::m] = map(move.__getitem__, prefix_ids)
         F = [
             _by_column(
                 m,
@@ -421,8 +457,7 @@ def _fold(n: int, heights, energy: bool):
                     lambda h, x: [h + v for v in Tl[x::ml]] if h else Tl[x::ml],
                 )
             T = extended
-    distinct = {w: weight_from_ints(w) for w in set(zip(*W))}
-    weights = [distinct[w] for w in zip(*W)]
+    weights = WeightTable(ids, list(map(weight_from_ints, distinct)))
     vertices = TensorVertices([tables[r][0] for r in heights])
     return vertices, weights, E, P, F, D if energy else None
 
@@ -433,60 +468,51 @@ CACHE_FORMAT = 2  # the disk cache document
 EXPORT_FORMAT = 1  # the `export --format json` document
 
 
-def _arrows(f_arrows):
-    """The sources and the targets of the f_i arrows, for each i. The sources
-    are taken from one list of the vertex indices, so every table that keeps
-    them shares its int objects instead of holding one per arrow."""
-    V = list(range(len(f_arrows[0])))
-    out = []
-    for row in f_arrows:
-        has = [d >= 0 for d in row]
-        out.append((list(compress(V, has)), list(compress(row, has))))
-    return out
-
-
-def _e_arrows(size, arrows):
-    """e_i as tables: the source of the f_i arrow into each vertex, else -1."""
-    tables = []
-    for src, dst in arrows:
-        e = [-1] * size
-        for s, d in zip(src, dst):
-            e[d] = s
-        tables.append(e)
-    return tables
-
-
-def _classical_components(n: int, eps, arrows, e_arrows):
+def _classical_components(n: int, eps, phi, f_arrows):
     """(label, highest): each vertex labelled by the classical-highest vertex
     (eps_i = 0 for i >= 1) of its classical component, and those vertices in
     index order.
 
-    One raising pass: vertices are in lexicographic order and a classical e_i
-    turns one letter i + 1 into i, so e_i(t) < t and its label is already set.
-    A classical-highest vertex labels itself; any other vertex takes the label
-    of e_i(t) for its first i >= 1 with eps_i(t) > 0, and has none when that
-    arrow is missing. Every classical f_i arrow must then keep its label, so no
-    component has two such vertices. (A raising cycle, the one way a label
-    could name a vertex that is not classical-highest, breaks the weight shift
-    that the axiom check tests on every arrow.)"""
-    label = list(range(len(eps[0])))
+    The labels are found along the lowering arrows, whose targets are ints
+    the f tables already hold, so no int is made per vertex. Each vertex
+    points along f_i for its first i >= 1 with phi_i > 0, or at itself when
+    there is none (a classical-lowest vertex). Pointer jumping, each vertex
+    taking its pointer's pointer, then leaves every vertex pointing at the
+    lowest vertex its strings end in, after about log2 of the longest string
+    rounds. Each lowest vertex must be reached from exactly one
+    classical-highest vertex, whose label its vertices take. The seal then
+    tests that every classical f_i arrow keeps its label, so no component has
+    two classical-highest vertices. (A lowering cycle, which the jumping
+    would not resolve, breaks the weight shift that the seal tests on every
+    arrow.)"""
+    point = [None] * len(eps[0])
     for i in range(n, 0, -1):
-        label = [s if e else u for u, e, s in zip(label, eps[i], e_arrows[i])]
-    if -1 in label:
-        raise StructuralError("component without a classical-highest element")
-    for t, s in enumerate(label):
-        label[t] = label[s]
-    for src, dst in arrows[1:]:
-        if list(map(label.__getitem__, src)) != list(map(label.__getitem__, dst)):
+        point = [f if p else u for u, p, f in zip(point, phi[i], f_arrows[i])]
+    if -1 in point:
+        raise StructuralError("f_i arrow existence disagrees with phi")
+    point = [t if u is None else u for t, u in enumerate(point)]
+    for _ in range(len(point).bit_length()):
+        jumped = list(map(point.__getitem__, point))
+        if jumped == point:
+            break
+        point = jumped
+    # classical-highest: the bitwise or of the classical eps_i is 0
+    highest = list(compress(count(), map(not_, reduce(partial(map, or_), eps[2:], eps[1]))))
+    top = {}
+    for t in highest:
+        if top.setdefault(point[t], t) != t:
             raise StructuralError("component with two classical-highest elements")
-    return label, sorted(set(label))
+    label = list(map(top.get, point))
+    if None in label:
+        raise StructuralError("component without a classical-highest element")
+    return label, highest
 
 
 class CrystalGraph:
     """Sealed tensor-product crystal with cached statistics, arrows, classical
     components and the degree function; immutable after construction. The
-    tables are those of `_fold`: eps, phi and f_arrows indexed [i][t],
-    weights, D and component indexed by vertex."""
+    tables are those of `_fold`: eps, phi and f_arrows indexed [i][t], the
+    `WeightTable` weights, and D and component indexed by vertex."""
 
     __slots__ = (
         "n",
@@ -510,71 +536,92 @@ class CrystalGraph:
         self.phi = phi
         self.f_arrows = f_arrows
         self.D = D
-        arrows = _arrows(f_arrows)
-        e_arrows = _e_arrows(len(vertices), arrows)
-        self.component, self.component_highest = _classical_components(
-            n, eps, arrows, e_arrows
-        )
-        self._verify_axioms(arrows, e_arrows[0])
+        self.component, self.component_highest = _classical_components(n, eps, phi, f_arrows)
+        self._verify_axioms()
 
-    def _verify_axioms(self, arrows, e0):
-        """Check the crystal and degree-function axioms, one pass over the
-        column tables per operator; `arrows` holds the sources and the targets
-        of the f_i arrows, and `e0` the e_0 table of `_e_arrows`."""
-        n = self.n
-        rs = build_root_system("A", n)
-        V = range(len(self.vertices))
-        D = self.D
-        # affine connectivity: every classical component is connected, so it
-        # suffices that the 0-arrows join the components into one
-        comp = self.component
-        links = {c: set() for c in self.component_highest}
-        for a, b in set(zip(*(map(comp.__getitem__, ends) for ends in arrows[0]))):
-            links[a].add(b)
-            links[b].add(a)
-        seen, stack = {comp[0]}, [comp[0]]
-        while stack:
-            new = links[stack.pop()] - seen
-            seen |= new
-            stack.extend(new)
-        if len(seen) != len(links):
-            raise StructuralError("tensor crystal is not affinely connected")
-        coeffs = [w.coeffs for w in self.weights]
+    def _verify_axioms(self):
+        """Check the crystal and degree-function axioms, one operator at a
+        time over the column tables, the 0-arrows last; the weights are
+        compared as ids."""
+        n, D = self.n, self.D
+        ids = self.weights.ids
+        distinct = [w.coeffs for w in self.weights.distinct]
+        position = {w: k for k, w in enumerate(distinct)}
         mu = tensor_weight(n, tuple(tuple(range(1, r + 1)) for r in self.heights)).coeffs
-        if coeffs.count(mu) != 1:
+        top = position.get(mu, -1)
+        if ids.count(top) != 1:
             raise StructuralError("highest-weight vertex is not unique")
-        if D[coeffs.index(mu)] != 0:
+        if D[ids.index(top)] != 0:
             raise StructuralError("degree normalization D(b_0) = 0 fails")
+        rs = build_root_system("A", n)
         # <alpha_0^vee, wt> = -(theta, wt) with theta in simple-root coordinates;
         # f_i lowers the weight by alpha_i, whose classical part is -theta at i = 0
         coroots = [tuple(-c for c in rs.highest_root_coords)]
         coroots += [tuple(int(j == i) for j in range(n)) for i in range(n)]
         shifts = [tuple(-c for c in rs.highest_root.coeffs)]
         shifts += [a.coeffs for a in rs.simple_roots]
-        # the weights by their positions in `distinct`, compared as ints
-        distinct = list(set(coeffs))
-        position = {w: k for k, w in enumerate(distinct)}
-        wid = list(map(position.__getitem__, coeffs))
-        E, P = self.eps, self.phi
-        for p, e, coroot in zip(P, E, coroots):
-            pairing = [sum(map(mul, coroot, w)) for w in distinct]
-            if list(map(sub, p, e)) != list(map(pairing.__getitem__, wid)):
-                raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
-        for i, ((src, dst), p, shift) in enumerate(zip(arrows, P, shifts)):
-            if src != list(compress(V, [x > 0 for x in p])):
-                raise StructuralError("f_i arrow existence disagrees with phi")
-            image = [position.get(tuple(map(sub, w, shift)), -1) for w in distinct]
-            moved = map(image.__getitem__, map(wid.__getitem__, src))
-            if list(moved) != list(map(wid.__getitem__, dst)):
-                raise StructuralError("arrow does not shift the weight by alpha_i")
-            if i >= 1 and list(map(D.__getitem__, src)) != list(map(D.__getitem__, dst)):
+        for i in (*range(1, n + 1), 0):
+            pairing = [sum(map(mul, coroots[i], w)) for w in distinct]
+            image = [position.get(tuple(map(sub, w, shifts[i])), -1) for w in distinct]
+            self._verify_operator(i, pairing, image)
+
+    def _verify_operator(self, i, pairing, image):
+        """The axioms that read operator i, given <alpha_i^vee, w> and the id
+        of w - alpha_i (-1 when no vertex has it) for each distinct weight w.
+        One mask of the vertices where f_i acts, with the list of the arrows'
+        targets, serves every check of the f_i arrows."""
+        E, P, F, D = self.eps[i], self.phi[i], self.f_arrows[i], self.D
+        ids, label = self.weights.ids, self.component
+        if P != list(map(add, E, map(pairing.__getitem__, ids))):
+            raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
+        acts = [t >= 0 for t in F]
+        if i == 0:
+            self._verify_connected(F, acts)
+        if acts != [p > 0 for p in P]:
+            raise StructuralError("f_i arrow existence disagrees with phi")
+        targets = list(compress(F, acts))
+        if i and list(compress(label, acts)) != list(map(label.__getitem__, targets)):
+            raise StructuralError("component with two classical-highest elements")
+        moved = map(image.__getitem__, compress(ids, acts))
+        if list(moved) != list(map(ids.__getitem__, targets)):
+            raise StructuralError("arrow does not shift the weight by alpha_i")
+        if i:
+            if list(compress(D, acts)) != list(map(D.__getitem__, targets)):
                 raise StructuralError("degree changes along a classical arrow")
-        for t in compress(V, [e >= 2 for e in E[0]]):
-            src = e0[t]
-            if src < 0:
-                raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
-            if D[src] != D[t] - 1:
-                raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
+            return
+        # e_0 is read only where eps_0 >= 2, through D(e_0 t): the D of each
+        # 0-arrow's source written onto its target (mapping __setitem__ keeps
+        # the loop in C), after which the arrow lists are done with
+        below = [None] * len(D)
+        any(map(below.__setitem__, targets, compress(D, acts)))
+        del acts, targets
+        wanted = [e >= 2 for e in E]
+        if None in compress(below, wanted):
+            raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
+        if any(map(ne, compress(below, wanted), map(sub, compress(D, wanted), repeat(1)))):
+            raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
+
+    def _verify_connected(self, F, acts):
+        """Affine connectivity: every classical component is connected, so it
+        suffices that the 0-arrows join the components into one. The distinct
+        pairs of labels that the arrows join, each as one int, feed a
+        union-find over the components."""
+        label, size = self.component, len(self.component)
+        ends = map(label.__getitem__, compress(F, acts))
+        pairs = set(map(add, map(mul, compress(label, acts), repeat(size)), ends))
+        root = {c: c for c in self.component_highest}
+        joined = 0
+        for pair in pairs:
+            a, b = divmod(pair, size)
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                joined += 1
+        if joined != len(root) - 1:
+            raise StructuralError("tensor crystal is not affinely connected")
 
     # queries
 

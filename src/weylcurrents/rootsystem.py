@@ -120,30 +120,28 @@ def _cartan_matrix(family: str, rank: int):
 
 
 def _integer_inverse(M):
-    """(det M, det M * M^{-1}) for an invertible integer matrix, both exact integers."""
+    """(det M, det M * M^{-1}) for an invertible integer matrix, both exact
+    integers, by fraction-free (Bareiss) Gauss-Jordan elimination of [M | I].
+    After step c every entry is a minor of the row-permuted [M | I], so each
+    division by the previous pivot is exact. The last pivot is then det M up
+    to the sign of the row swaps, and the right half is that pivot times
+    M^{-1}."""
     n = len(M)
-    A = [
-        [Fraction(M[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    det = Fraction(1)
+    A = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(M)]
+    previous, sign = 1, 1
     for c in range(n):
-        p = next(r for r in range(c, n) if A[r][c] != 0)
+        p = next(r for r in range(c, n) if A[r][c])
         if p != c:
             A[c], A[p] = A[p], A[c]
-            det = -det
-        piv = A[c][c]
-        det *= piv
-        A[c] = [x / piv for x in A[c]]
+            sign = -sign
+        pivot_row = A[c]
+        pivot = pivot_row[c]
         for r in range(n):
-            if r != c and A[r][c]:
+            if r != c:
                 f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    adj = tuple(tuple(x * det for x in row[n:]) for row in A)
-    if det.denominator != 1 or any(x.denominator != 1 for row in adj for x in row):
-        raise AssertionError("adjugate of an integer matrix is not integral")
-    return int(det), tuple(tuple(int(x) for x in row) for row in adj)
+                A[r] = [(pivot * x - f * y) // previous for x, y in zip(A[r], pivot_row)]
+        previous = pivot
+    return sign * previous, tuple(tuple(sign * x for x in row[n:]) for row in A)
 
 
 class RootSystem:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -443,8 +444,8 @@ def test_cache_load_equals_the_build(tmp_path):
     loaded = build_crystal(2, (1, 1, 2, 2), cache_dir=cache)
     assert loaded is not built
     for slot in CrystalGraph.__slots__:
-        if slot == "vertices":
-            assert list(loaded.vertices) == list(built.vertices)
+        if slot in ("vertices", "weights"):  # sequences computed when read
+            assert list(getattr(loaded, slot)) == list(getattr(built, slot)), slot
         else:
             assert getattr(loaded, slot) == getattr(built, slot), slot
     clear_caches()
@@ -567,24 +568,35 @@ def _raise_eps0_and_phi0(t, by):
     return tamper
 
 
+def _set_weight(t, coeffs):
+    # the weights are ids into the distinct weights: vertex t takes the id of
+    # the weight with these coefficients
+    def tamper(tables):
+        weights = tables["weights"]
+        weights.ids[t] = weights.distinct.index(Weight(coeffs))
+
+    return tamper
+
+
 # One tamper per failure branch of the axiom check, on the fold of A2 (1, 2)
-# (see SINGLETON): vertex 4 has no 0-arrow in or out, vertex 5 none in, and
-# f_0 maps 5 to 3, whose weight differs from that of 4. Then one per branch of
-# the component check: vertex 0 tops the component of V(w1 + w2), and e_1
-# raises vertex 4 (eps = (0, 1, 0)) to vertex 1 in it. With its classical eps
-# zeroed, vertex 4 reads as a second top; with eps_1 = 1, vertex 0 reads as
-# non-highest but has no raising arrow.
+# (see SINGLETON): vertex 8 has the lowest weight -w1 - w2, vertex 4 has no
+# 0-arrow in or out, vertex 5 none in, and f_0 maps 5 to 3, whose weight
+# differs from that of 4. Then one per branch of the component check: vertex 0
+# tops the component of V(w1 + w2), and e_1 raises vertex 4 (eps = (0, 1, 0))
+# to vertex 1 in it. With its classical eps zeroed, vertex 4 reads as a second
+# top; with eps_1 = 1, vertex 0 reads as non-highest, so its component has
+# none. Vertex 0 has phi_1 = phi_2 = 1 and follows f_1 down to the lowest
+# vertex: without that arrow it has nowhere to go, and f_2 sent to the
+# singleton joins two components.
 @pytest.mark.parametrize(
     "tamper, message",
     [
         (lambda tab: tab["f"][0].__setitem__(slice(None), [-1] * 9),
          "tensor crystal is not affinely connected"),
-        (lambda tab: tab["weights"].__setitem__(8, tab["weights"][0]),
-         "highest-weight vertex is not unique"),
+        (_set_weight(8, (1, 1)), "highest-weight vertex is not unique"),
         (lambda tab: tab.__setitem__("D", [d + 1 for d in tab["D"]]),
          "degree normalization D(b_0) = 0 fails"),
-        (lambda tab: tab["weights"].__setitem__(8, Weight([0, 0])),
-         "crystal axiom <a_i^vee, wt> = phi - eps fails"),
+        (_set_weight(8, (0, 0)), "crystal axiom <a_i^vee, wt> = phi - eps fails"),
         (_raise_eps0_and_phi0(4, 1), "f_i arrow existence disagrees with phi"),
         (lambda tab: tab["f"][0].__setitem__(5, 4), "arrow does not shift the weight by alpha_i"),
         (lambda tab: tab["D"].__setitem__(1, tab["D"][1] + 1),
@@ -594,10 +606,13 @@ def _raise_eps0_and_phi0(t, by):
          "D(e_0 b) != D(b) - 1 at eps_0 >= 2"),
         (_set_classical_eps(4, (0, 0)), "component with two classical-highest elements"),
         (_set_classical_eps(0, (1, 0)), "component without a classical-highest element"),
+        (lambda tab: tab["f"][1].__setitem__(0, -1), "f_i arrow existence disagrees with phi"),
+        (lambda tab: tab["f"][2].__setitem__(0, SINGLETON),
+         "component with two classical-highest elements"),
     ],
     ids=["connected", "top-unique", "top-degree", "pairing", "arrow-exists", "arrow-shift",
          "classical-degree", "eps0-arrow", "eps0-degree", "component-second-top",
-         "component-no-top"],
+         "component-no-top", "component-no-lowering-arrow", "component-joined"],
 )
 def test_axiom_check_rejects_each_tampered_table(tamper, message):
     keys = ("vertices", "weights", "eps", "phi", "f", "D")
@@ -609,14 +624,50 @@ def test_axiom_check_rejects_each_tampered_table(tamper, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize(
-    "n, heights", [(2, (2, 1, 2, 1, 1)), (2, (1, 2, 1, 2, 2, 1)), (3, (1, 3, 2, 1, 3))]
-)
+def test_seal_holds_one_operator_at_a_time():
+    # The seal walks the operators one at a time over the fold's own tables,
+    # so only one operator's lists are alive at once: on A2 mu=(5,4) (19,683
+    # vertices) its traced peak exceeds the tables it seals by at most 25%.
+    heights = heights_for_weight(Weight([5, 4]))
+    clear_caches()
+    build_crystal(2, heights)  # the column, R and H memos stay out of the figures
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tables = _fold(2, heights, energy=True)
+        folded = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        CrystalGraph(2, heights, *tables)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert peak <= 1.25 * folded, (peak, folded)
+
+
+INTERLEAVED = [(2, (2, 1, 2, 1, 1)), (2, (1, 2, 1, 2, 2, 1)), (3, (1, 3, 2, 1, 3))]
+
+
+@pytest.mark.parametrize("n, heights", INTERLEAVED)
 def test_degree_function_on_interleaved_heights(n, heights):
     # two transport tables are live at once while the heights alternate
     clear_caches()
     g = build_crystal(n, heights)
     assert g.D == [energy_of_element(n, b) for b in g.vertices]
+    clear_caches()
+
+
+@pytest.mark.parametrize("n, heights", INTERLEAVED)
+def test_weight_ids_read_the_tensor_weight(n, heights):
+    # the fold carries each weight as an id into the distinct weights of its
+    # level; read back, every vertex has the weight of its columns
+    clear_caches()
+    g = build_crystal(n, heights)
+    assert len(g.weights) == len(g.vertices)
+    for t, b in enumerate(g.vertices):
+        assert g.weights[t] == tensor_weight(n, b)
+    assert list(g.weights) == g.weights[:] == [tensor_weight(n, b) for b in g.vertices]
+    assert len(set(g.weights.ids)) == len(g.weights.distinct)
     clear_caches()
 
 
@@ -640,7 +691,7 @@ def _comprehension_fold(n, heights, energy):
         _, _, cwts, ceps, cphi, cf = tables[r]
         m = len(cf[0])
         cs = range(m)
-        W = [[x + y for x in Wj for y in cw] for Wj, cw in zip(W, cwts)]
+        W = [[x + y for x in Wj for y in cw] for Wj, cw in zip(W, zip(*cwts))]
         F = [
             [
                 t * m + c if q > a else (s * m + g if g >= 0 else -1)
@@ -689,7 +740,7 @@ def test_fold_tables_share_no_list(n, heights):
     # leaves the memos and the next fold as they were
     def lists(tables):
         _, weights, eps, phi, f, D = tables
-        return [weights, *eps, *phi, *f, D]
+        return [weights.ids, weights.distinct, *eps, *phi, *f, D]
 
     memo = [
         row

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylcurrents.rootsystem import Weight, build_root_system, parse_type
+from weylcurrents.characters import _placed_forms
+from weylcurrents.rootsystem import Weight, _integer_inverse, build_root_system, parse_type
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +180,52 @@ def test_integer_form_matches_fraction_inverse(d4):
                     Fraction(rs.form[i][t]) * rs.cartan[t][j] for t in range(n)
                 )
                 assert expected == (rs.det if i == j else 0)
+
+
+def _fraction_inverse(M):
+    """(det M, det M * M^{-1}) by Gauss-Jordan elimination over Fraction, the
+    reference for the fraction-free `_integer_inverse`."""
+    n = len(M)
+    A = [[Fraction(x) for x in [*row, *(int(i == j) for j in range(n))]] for i, row in enumerate(M)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c] != 0)
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
+        piv = A[c][c]
+        det *= piv
+        A[c] = [x / piv for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c]:
+                f = A[r][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    adj = tuple(tuple(x * det for x in row[n:]) for row in A)
+    assert det.denominator == 1 and all(x.denominator == 1 for row in adj for x in row)
+    return int(det), tuple(tuple(int(x) for x in row) for row in adj)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8"])
+def test_integer_inverse_equals_the_fraction_inverse(name):
+    # the Cartan matrix and every placed-form matrix of `_placed_forms`, on
+    # the breadth-first node orders the fermionic sum can take: from each leaf,
+    # neighbours in increasing and in decreasing index order. These are
+    # positive definite, so two matrices whose elimination swaps rows join them.
+    rs = parse_type(name)
+    matrices = [rs.cartan, ((0, 1), (1, 0)), ((0, 2, 1), (1, 1, 0), (3, 0, 1))]
+    for start in (a for a in range(rs.rank) if len(rs.neighbours[a]) <= 1):
+        for by_l in (range(rs.rank), range(rs.rank - 1, -1, -1)):
+            order = [start]
+            for a in order:
+                order += [b for b in by_l if b in rs.neighbours[a] and b not in order]
+            blocks = [
+                [[rs.form[a][b] for b in order[:p]] for a in order[:p]] for p in range(1, rs.rank + 1)
+            ]
+            assert _placed_forms(rs, tuple(order)) == [_integer_inverse(M) for M in blocks]
+            matrices += blocks
+    for M in matrices:
+        det, adj = _integer_inverse(M)
+        assert (det, adj) == _fraction_inverse(M)
+        n = len(M)
+        product = [[sum(M[i][t] * adj[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
