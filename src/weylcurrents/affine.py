@@ -109,8 +109,15 @@ def level_restricted_dominant(rs: RootSystem, k: int):
     return [Weight(c) for c in box if sum(map(mul, marks, c)) <= k]
 
 
-def in_level_dominant(rs: RootSystem, lam: Weight, k: int) -> bool:
-    return rs.is_dominant(lam) and rs.inner(rs.highest_root, lam) <= k
+def check_level(rs: RootSystem, k: int, lam=None):
+    """Raise ValueError unless the level k is >= 1 and, when lam is given, lam
+    is in P_+^k (RootSystem.check_dominant, then (theta, lam) <= k)."""
+    if k < 1:
+        raise ValueError(f"level k must be >= 1, got {k}")
+    if lam is not None:
+        rs.check_dominant(lam)
+        if sum(map(mul, rs.highest_root_coords, lam.coeffs)) > k:
+            raise ValueError(f"{lam} is not in P_+^{k}")
 
 
 def level_one_weights(rs: RootSystem):
@@ -195,14 +202,18 @@ def _theta_matrix(rs: RootSystem):
     return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
 
 
+def check_node(rs: RootSystem, i: int):
+    """Raise ValueError unless i is an affine node 0..rank."""
+    if not 0 <= i <= rs.rank:
+        raise ValueError(f"affine index {i} out of range 0..{rs.rank}")
+
+
 def simple_element(rs: RootSystem, i: int) -> AffineWeylElement:
     """s_i as a group element; s_0 = s_theta . t_{-theta}."""
-    n = rs.rank
+    check_node(rs, i)
     if i == 0:
         return AffineWeylElement(_theta_matrix(rs), tuple(-c for c in rs.highest_root_coords))
-    if not 1 <= i <= n:
-        raise ValueError(f"affine index {i} out of range 0..{n}")
-    return AffineWeylElement(_simple_matrix(rs, i), (0,) * n)
+    return AffineWeylElement(_simple_matrix(rs, i), (0,) * rs.rank)
 
 
 def _mat_inv_weyl(rs: RootSystem, M):
@@ -312,8 +323,7 @@ def dominant_dot_rep(rs: RootSystem, lam, k: int) -> DotRepresentative:
     The shifted weight is pushed up by the chamber ascent; a zero pairing at
     the top signals a nontrivial stabilizer (wall).
     """
-    if k < 1:
-        raise ValueError("dominant_dot_rep needs k >= 1")
+    check_level(rs, k)
     w = lam if isinstance(lam, AffineWeight) else AffineWeight(lam, 0, 0)
     s = k + rs.dual_coxeter - w.level
     shift = AffineWeight(rs.rho, s, 0)
@@ -359,10 +369,7 @@ def cosets_up_to_shift(rs: RootSystem, lam: Weight, k: int, N: int):
     """All minimal-length right-coset representatives whose dot image lies within
     degree offset N of lam; complete and duplicate-free (the alcove sweep of
     lam + rho at level L = k + h^vee, see _alcove_sweep)."""
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    if not in_level_dominant(rs, lam, k):
-        raise ValueError(f"{lam} is not in P_+^{k}")
+    check_level(rs, k, lam)
     if N < 0:
         return []
     out = []

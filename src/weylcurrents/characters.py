@@ -13,14 +13,16 @@ from functools import cache
 from itertools import chain
 from operator import add, mul, sub
 
-from .affine import (
-    _alcove_sweep,
-    in_level_dominant,
-    level_one_weights,
-)
+from .affine import _alcove_sweep, check_level, check_node, level_one_weights
 from .errors import ExpansionError, StructuralError
 from .qseries import QPolynomial
 from .rootsystem import RootSystem, Weight, _integer_inverse, weight_from_ints
+
+
+def check_cutoff(N):
+    """Raise ValueError unless the cutoff N is None (no truncation) or >= 0."""
+    if N is not None and N < 0:
+        raise ValueError(f"cutoff N must be >= 0, got {N}")
 
 
 class GradedCharacter:
@@ -132,8 +134,7 @@ class GradedCharacter:
 
 def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
     """q-free character of the irreducible module with highest weight lam."""
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    rs.check_dominant(lam)
     one = QPolynomial.one()
     return GradedCharacter({w: one * m for w, m in rs.freudenthal_weights(lam).items()})
 
@@ -205,8 +206,6 @@ def _ratio(rs: RootSystem, lam: tuple, sweep, N: int, solved=()) -> list:
     _sweep_layers), solved degree by degree after the layers `solved`, a
     prefix of X: Delta_0 = V(0), so X_d = Num_d - sum_{j>=1} Delta_j X_{d-j}.
     X_0 must be V(lam), the head of the module."""
-    if N < 0:
-        raise ValueError(f"cutoff N must be >= 0, got {N}")
     numerator = _sweep_layers(sweep, N)
     delta = _denominator(rs, N)
     out = list(solved)
@@ -236,12 +235,8 @@ def _integrable_layers(rs: RootSystem, lam: Weight, k: int, N: int) -> list:
     (see _ratio), Num the alcove sweep of lam + rho at level k + h^vee. The
     ratio goes on from the last layer solved at an earlier cutoff. The memo
     hands every caller the same list: read it, never change it."""
-    if not in_level_dominant(rs, lam, k):
-        raise ValueError(f"{lam} is not in P_+^{k}")
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    if N < 0:
-        raise ValueError(f"cutoff N must be >= 0, got {N}")
+    check_level(rs, k, lam)
+    check_cutoff(N)
     solved = _solved_layers(rs, lam, k)
     if len(solved) <= N:
         sweep = _alcove_sweep(rs, lam + rs.rho, k + rs.dual_coxeter, N)
@@ -274,8 +269,8 @@ def char_parabolic_verma(rs: RootSystem, lam: Weight, N: int) -> GradedCharacter
     """Character of the module induced from V(lam) over the z-positive part,
     truncated at q^N: ch V(lam) times the character of the symmetric algebra
     on g tensor zC[z], which is 1/Delta (see _denominator)."""
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    rs.check_dominant(lam)
+    check_cutoff(N)
     layers = _ratio(rs, lam.coeffs, [(lam + rs.rho, 0, ())], N)  # Num = V(lam)
     terms = {}  # the character is W-invariant: each dominant row fills its orbit
     for mu, row in _weight_rows(rs, layers).items():
@@ -321,6 +316,7 @@ def demazure_word(rs: RootSystem, nodes, char: GradedCharacter, k: int) -> Grade
     top = k + rs.dual_coxeter - sum(theta_rc)
     terms = {(w.coeffs, e): c for w, p in char.items() for e, c in p.items()}
     for i in nodes:
+        check_node(rs, i)
         # alpha_0 = delta - theta and q = e^{-delta}: each alpha_0 taken off a
         # weight raises its q-degree by one
         if i == 0:
@@ -440,8 +436,8 @@ def kostka_fermionic(rs: RootSystem, mu: Weight, lam: Weight, cap=None) -> QPoly
     is at least the Schur complement form of the placed nodes (_placed_forms),
     and a partial family with det(C) sum_k x_k adj x_k > 2 cap d is pruned.
     The memo hands every caller the same value."""
-    if not (rs.is_dominant(mu) and rs.is_dominant(lam)):
-        raise ValueError("both weights must be dominant")
+    rs.check_dominant(mu)
+    rs.check_dominant(lam)
     if not rs.dominance_leq(lam, mu):
         return QPolynomial.zero()
     ell = [c // rs.det for c in rs.scaled_root_coords(tuple(map(sub, mu.coeffs, lam.coeffs)))]
@@ -543,8 +539,7 @@ def char_local_weyl(rs: RootSystem, lam: Weight) -> GradedCharacter:
     """Graded character of the local Weyl module with top V(lam), head at q^0:
     the irreducible table of _local_weyl_table spread over the weights of
     each V(lam')."""
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    rs.check_dominant(lam)
     terms: dict = {}
     for mu, poly in _local_weyl_table(rs, lam.coeffs).items():
         for w, m in rs.freudenthal_weights(weight_from_ints(mu)).items():

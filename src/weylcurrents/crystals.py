@@ -714,12 +714,8 @@ def element_label(b) -> str:
 
 def heights_for_weight(mu: Weight):
     """Column heights of the tensor model for a dominant weight, lowest first."""
-    heights = []
-    for i, m in enumerate(mu.coeffs, start=1):
-        if m < 0:
-            raise ValueError(f"{mu} is not dominant")
-        heights.extend([i] * m)
-    return tuple(heights)
+    build_root_system("A", len(mu.coeffs)).check_dominant(mu)
+    return tuple(i for i, m in enumerate(mu.coeffs, start=1) for _ in range(m))
 
 
 # Sealed graphs by (n, heights). A dict, not a function memo: an entry is
@@ -809,7 +805,6 @@ def local_crystal(mu: Weight, cache_dir=None) -> CrystalGraph:
 def restricted_paths(n: int, mu: Weight, k=None, cache_dir=None):
     """Classical-highest elements of the mu-crystal, further cut by eps_0 <= k
     when k is finite; (element, weight, D) triples."""
-    if len(mu.coeffs) != n:
-        raise ValueError("rank mismatch between n and mu")
+    build_root_system("A", n).check_dominant(mu)
     graph = local_crystal(mu, cache_dir=cache_dir)
     return graph.restricted_paths(k)

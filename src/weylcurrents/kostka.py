@@ -8,17 +8,17 @@ calibration point is the A1 value kostka_paths_restricted(2w1, 0, k=1) = q.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 
 from . import characters, crystals
-from .affine import cosets_up_to_shift, in_level_dominant, level_one_weights
+from .affine import check_level, cosets_up_to_shift
 from .characters import (
     Expansion,
     _integrable_layers,
     _layer_rows,
     _local_weyl_top,
     _peel_global_weyl,
+    check_cutoff,
     kostka_fermionic,
 )
 from .crystals import restricted_paths
@@ -36,7 +36,12 @@ KostkaResult = namedtuple("KostkaResult", "mu lam k value route")
 def kostka_paths(n: int, mu: Weight, lam: Weight, k=None, cache_dir=None) -> QPolynomial:
     """Sum of q^{-D} over classical-highest elements of weight lam in the
     mu-crystal, with the level cut eps_0 <= k unless k is None (the
-    unrestricted graded multiplicity)."""
+    unrestricted graded multiplicity). restricted_paths checks mu."""
+    rs = build_root_system("A", n)
+    if k is None:
+        rs.check_dominant(lam)
+    else:
+        check_level(rs, k, lam)
     acc = {}
     for _, w, d in restricted_paths(n, mu, k, cache_dir=cache_dir):
         if w == lam:
@@ -48,8 +53,6 @@ def kostka_paths_restricted(
     n: int, mu: Weight, lam: Weight, k: int, cache_dir=None
 ) -> QPolynomial:
     """kostka_paths at level k, for lam in P_+^k."""
-    if not in_level_dominant(build_root_system("A", n), lam, k):
-        raise ValueError(f"{lam} is not in P_+^{k}")
     return kostka_paths(n, mu, lam, k, cache_dir=cache_dir)
 
 
@@ -58,12 +61,12 @@ def kostka_alt_sum(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> QPolynomi
     sign * q^offset * (unrestricted value at the image weight), each value the
     fermionic sum kostka_fermionic, so no crystal is built and every type
     runs; the sweep is complete because images with norm beyond mu's
-    contribute zero."""
-    if not in_level_dominant(rs, lam, k):
-        raise ValueError(f"{lam} is not in P_+^{k}")
+    contribute zero; a negative gap leaves none."""
+    rs.check_dominant(mu)
+    check_level(rs, k, lam)
     L = k + rs.dual_coxeter
     gap = rs.inner(mu + rs.rho, mu + rs.rho) - rs.inner(lam + rs.rho, lam + rs.rho)
-    max_offset = int(Fraction(gap, 2 * L)) if gap >= 0 else -1
+    max_offset = gap // (2 * L)
     total = QPolynomial.zero()
     for rep in cosets_up_to_shift(rs, lam, k, max_offset):
         inner_val = kostka_fermionic(rs, mu, rep.image.classical)
@@ -95,15 +98,9 @@ def kostka_characters(
     writes only to rows lam' <= nu, so those rows never read the others. The
     peel ends with the row of mu, the lowest of them, and reads each table
     entry [W(nu) : V(lam')] from the fermionic sum (kostka_fermionic)."""
-    if not in_level_dominant(rs, lam, k):
-        raise ValueError(f"{lam} is not in P_+^{k}")
-    if not rs.is_dominant(mu):
-        raise ValueError(f"{mu} is not dominant")
-    need = required_cutoff(rs, mu, lam, k)
-    if N is not None and N < need:
-        raise ValueError(
-            f"cutoff N={N} cannot reach mu={mu}; need at least N={need}"
-        )
+    rs.check_dominant(mu)
+    check_level(rs, k, lam)
+    check_cutoff(N)
     whole = default_cutoff(rs, mu, lam, k)
     if N is not None and N < whole:
         raise ValueError(
@@ -125,18 +122,11 @@ def default_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
     return max(required_cutoff(rs, mu, lam, k), _local_weyl_top(rs, mu))
 
 
-def check_level_and_cutoff(k, N):
-    if k is not None and k < 1:
-        raise ValueError(f"level k must be >= 1, got {k}")
-    if N is not None and N < 0:
-        raise ValueError(f"cutoff N must be >= 0, got {N}")
-
-
 @cache
 def integrable_weyl_expansion(rs: RootSystem, lam: Weight, k: int, N: int) -> Expansion:
     """Expansion of ch L_k(lam) (truncated at q^N) in global Weyl characters,
-    peeled from the irreducible layers of the Weyl-Kac ratio (head at q^0)."""
-    check_level_and_cutoff(k, N)
+    peeled from the irreducible layers of the Weyl-Kac ratio (head at q^0),
+    which check k, lam and N."""
     rows = _layer_rows(_integrable_layers(rs, lam, k, N))
     return _peel_global_weyl(rs, rows, 0, N)
 
@@ -162,9 +152,7 @@ def kostka_characters_unrestricted(rs: RootSystem, mu: Weight, lam: Weight) -> Q
 def level_one_multiplicities(rs: RootSystem, w1: Weight, N: int) -> Expansion:
     """Global-Weyl multiplicities of the level-one integrable module with class
     w1: each is a single monomial q^{((lam,lam)-(w1,w1))/2} supported on the
-    dominant part of w1 + Q (verified by the acceptance suite)."""
-    if w1 not in level_one_weights(rs):
-        raise ValueError(f"{w1} is not a level-one dominant class")
+    dominant part of w1 + Q (verified by the acceptance suite); w1 is in P_+^1."""
     return integrable_weyl_expansion(rs, w1, 1, N)
 
 
@@ -176,10 +164,11 @@ def kostka_by_route(
         raise ValueError(f"unknown route {route!r}")
     if route == "paths" and rs.family != "A":
         raise ValueError(f"route {route!r} uses the column-crystal model (type A only)")
-    check_level_and_cutoff(k, N)
-    for w in (mu, lam):
-        if not rs.is_dominant(w):
-            raise ValueError(f"{w} is not dominant")
+    # the weights first, so a bad weight reads the same on every route; each
+    # route checks k against lam
+    rs.check_dominant(mu)
+    rs.check_dominant(lam)
+    check_cutoff(N)
     if k is None:
         if route == "paths":
             val = kostka_paths(rs.rank, mu, lam, cache_dir=cache_dir)

@@ -17,11 +17,10 @@ from operator import add, mul, neg, sub
 
 
 def _integral(c) -> int:
-    if isinstance(c, Fraction):
-        if c.denominator != 1:
-            raise ValueError(f"non-integral weight coordinate {c}")
-        return c.numerator
-    return int(c)
+    n = int(c)
+    if n != c:
+        raise ValueError(f"non-integral weight coordinate {c!r}")
+    return n
 
 
 class Weight:
@@ -259,6 +258,15 @@ class RootSystem:
     def is_dominant(self, lam: Weight) -> bool:
         return all(c >= 0 for c in lam.coeffs)
 
+    def check_dominant(self, lam: Weight):
+        """Raise ValueError unless lam has exactly rank coordinates, none negative."""
+        if len(lam.coeffs) != self.rank:
+            raise ValueError(
+                f"{lam} has {len(lam.coeffs)} coordinates; rank {self.rank} needs {self.rank}"
+            )
+        if min(lam.coeffs, default=0) < 0:
+            raise ValueError(f"{lam} is not dominant")
+
     def dominance_leq(self, lam: Weight, mu: Weight) -> bool:
         """lam <= mu iff mu - lam is a nonnegative integral sum of simple roots."""
         det = self.det
@@ -381,15 +389,13 @@ class RootSystem:
     def dominant_weights_below(self, lam: Weight):
         """All dominant mu <= lam. They lie in the ball (mu, mu) <= (lam, lam),
         since (lam, lam) - (mu, mu) = (lam - mu, lam + mu) >= 0."""
-        if not self.is_dominant(lam):
-            raise ValueError("expected a dominant weight")
+        self.check_dominant(lam)
         ball = self.dominant_in_ball(lam.coeffs, self.scaled_inner(lam.coeffs, lam.coeffs))
         return {mu for mu in map(weight_from_ints, ball) if self.dominance_leq(mu, lam)}
 
     def freudenthal_dominant(self, lam: Weight):
-        """Multiplicities of the dominant weights of the irreducible module V(lam)."""
-        if not self.is_dominant(lam):
-            raise ValueError("expected a dominant weight")
+        """Multiplicities of the dominant weights of the irreducible module V(lam)
+        (dominant_weights_below checks lam)."""
         top = lam.coeffs
         det = self.det
         # root coordinates of lam - mu: integers >= 0 for mu <= lam

@@ -23,6 +23,7 @@ from .affine import (
     AffineWeylElement,
     act_affine,
     chamber_ascent,
+    check_level,
     compose,
     dominant_dot_rep,
     length,
@@ -37,6 +38,7 @@ from .characters import (
     GradedCharacter,
     char_integrable,
     char_local_weyl,
+    check_cutoff,
     demazure_word,
     expand_in_irreducibles,
 )
@@ -49,7 +51,6 @@ from .crystals import (
 )
 from .errors import ExpansionError, StructuralError, VerificationFailure
 from .kostka import (
-    check_level_and_cutoff,
     kostka_alt_sum,
     kostka_characters,
     kostka_fermionic,
@@ -160,8 +161,7 @@ def root_lattice_ball(rs, max_norm2):
 def frenkel_kac_character(rs, class_weight: Weight, N: int) -> GradedCharacter:
     """Lattice realization of the level-one character: theta-function sum
     q^{(w,gamma)+(gamma,gamma)/2} e^{w+gamma} times the rank-fold partition factor."""
-    if class_weight not in level_one_weights(rs):
-        raise ValueError("need a level-one dominant class")
+    check_level(rs, 1, class_weight)
     base = rs.inner(class_weight, class_weight)
     radius = math.sqrt(float(base)) + math.sqrt(float(base + 2 * N))
     max_norm2 = int(radius * radius) + 2
@@ -618,7 +618,7 @@ def run_suite(name: str, **options):
     unread = sorted(set(options).difference(*reads))
     if unread:
         raise ValueError(f"suite {name} reads no option {', '.join(unread)}")
-    check_level_and_cutoff(None, options.get("N"))
+    check_cutoff(options.get("N"))
     for bound in ("max_mu", "max_factors", "max_k"):
         if options.get(bound) is not None and options[bound] < 1:
             raise ValueError(f"{bound} must be >= 1")

@@ -123,6 +123,10 @@ def test_demazure_word_strings():
     c = GradedCharacter.monomial(Weight([-3]))
     d = demazure_word(A1, [1], c, 0)
     assert d.terms == {Weight([-1]): -one, Weight([1]): -one}
+    # a node outside 0..rank: -1 read D_1 through a negative index, 3 an IndexError
+    for node in (-1, 3):
+        with pytest.raises(ValueError, match=f"^affine index {node} out of range 0..2$"):
+            demazure_word(A2, [node], GradedCharacter.monomial(Weight([1, 0])), 1)
 
 
 def test_demazure_idempotent():

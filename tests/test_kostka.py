@@ -1,19 +1,25 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from weylcurrents import crystals
-from weylcurrents.affine import level_restricted_dominant
+from weylcurrents.affine import cosets_up_to_shift, dominant_dot_rep, level_restricted_dominant
 from weylcurrents.characters import (
     _integrable_layers,
     _local_weyl_table,
     _local_weyl_top,
+    char_integrable,
     char_integrable_dominant,
+    char_irreducible,
+    char_local_weyl,
+    char_parabolic_verma,
     expand_in_global_weyl,
 )
 from weylcurrents.kostka import (
+    ROUTES,
     clear_caches,
     default_cutoff,
     integrable_weyl_expansion,
@@ -25,7 +31,6 @@ from weylcurrents.kostka import (
     kostka_paths,
     kostka_paths_restricted,
     level_one_multiplicities,
-    required_cutoff,
 )
 from weylcurrents.qseries import QPolynomial
 from weylcurrents.rootsystem import Weight, build_root_system
@@ -111,7 +116,7 @@ def test_character_route_examples():
     assert kostka_characters(A1, Weight([2]), Weight([0]), 1, 8) == q
     assert kostka_characters(A1, Weight([1]), Weight([1]), 1, 6) == one
     assert kostka_characters(A1, Weight([0]), Weight([0]), 2, 4) == one
-    need = required_cutoff(A1, Weight([6]), Weight([0]), 1)
+    need = default_cutoff(A1, Weight([6]), Weight([0]), 1)
     with pytest.raises(ValueError) as err:
         kostka_characters(A1, Weight([6]), Weight([0]), 1, need - 1)
     assert str(need) in str(err.value)
@@ -350,6 +355,45 @@ def test_degree_cap_cuts_the_fermionic_sum_and_nothing_else(monkeypatch):
     clear_caches()
 
 
+def _entry_points(mu, lam, k):
+    """(label, inputs read, call) for each public entry on A2 that takes a
+    weight or a level, called with mu, lam and k where it reads them."""
+    weights, level = {"mu", "lam"}, {"mu", "lam", "k"}
+    out = [
+        (f"kostka_by_route {r} k={kk}", reads, lambda r=r, kk=kk: kostka_by_route(A2, mu, lam, kk, r))
+        for kk, reads in ((k, level), (None, weights))
+        for r in ROUTES
+        if kk is not None or r != "altsum"
+    ]
+    return out + [
+        ("kostka_paths", level, lambda: kostka_paths(2, mu, lam, k)),
+        ("kostka_paths k=None", weights, lambda: kostka_paths(2, mu, lam)),
+        ("kostka_paths_restricted", level, lambda: kostka_paths_restricted(2, mu, lam, k)),
+        ("kostka_alt_sum", level, lambda: kostka_alt_sum(A2, mu, lam, k)),
+        ("kostka_characters", level, lambda: kostka_characters(A2, mu, lam, k)),
+        ("kostka_characters_unrestricted", weights, lambda: kostka_characters_unrestricted(A2, mu, lam)),
+        ("kostka_fermionic", weights, lambda: kostka_fermionic(A2, mu, lam)),
+        ("char_irreducible", {"lam"}, lambda: char_irreducible(A2, lam)),
+        ("char_local_weyl", {"lam"}, lambda: char_local_weyl(A2, lam)),
+        ("char_parabolic_verma", {"lam"}, lambda: char_parabolic_verma(A2, lam, 2)),
+        ("char_integrable", {"lam", "k"}, lambda: char_integrable(A2, lam, k, 2)),
+        ("integrable_weyl_expansion", {"lam", "k"}, lambda: integrable_weyl_expansion(A2, lam, k, 2)),
+        ("level_one_multiplicities", {"lam"}, lambda: level_one_multiplicities(A2, lam, 2)),
+        ("cosets_up_to_shift", {"lam", "k"}, lambda: cosets_up_to_shift(A2, lam, k, 2)),
+        ("dominant_dot_rep", {"k"}, lambda: dominant_dot_rep(A2, lam, k)),
+        ("restricted_paths", {"mu"}, lambda: crystals.restricted_paths(2, mu)),
+    ]
+
+
+# one bad input at a time, and the one message of its rule
+INVALID_INPUTS = [
+    ("mu", Weight([2]), "Weight(2,) has 1 coordinates; rank 2 needs 2"),
+    ("lam", Weight([0]), "Weight(0,) has 1 coordinates; rank 2 needs 2"),
+    ("lam", Weight([2, -1]), "Weight(2, -1) is not dominant"),
+    ("k", 0, "level k must be >= 1, got 0"),
+]
+
+
 def test_level_and_cutoff_checked_at_the_boundary():
     with pytest.raises(ValueError, match="level"):
         kostka_by_route(A1, Weight([2]), Weight([0]), 0, "paths")
@@ -359,6 +403,18 @@ def test_level_and_cutoff_checked_at_the_boundary():
         integrable_weyl_expansion(A1, Weight([0]), 1, -1)
     with pytest.raises(ValueError, match="level"):
         integrable_weyl_expansion(A1, Weight([0]), 0, 4)
+    with pytest.raises(ValueError, match="level k must be >= 1, got 0"):
+        kostka_paths_restricted(1, Weight([2]), Weight([0]), 0)
+    # the invalid-input grid: every entry refuses each bad input it reads, with
+    # the same message on every route
+    for name, bad, message in INVALID_INPUTS:
+        inputs = {"mu": Weight([1, 1]), "lam": Weight([0, 0]), "k": 1, name: bad}
+        entries = [(label, call) for label, reads, call in _entry_points(**inputs) if name in reads]
+        assert len(entries) >= 9
+        for label, call in entries:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+                pytest.fail(f"{label} accepted {name}={bad}")
 
 
 def test_expansion_from_the_layers_matches_the_weight_round_trip():

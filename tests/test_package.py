@@ -52,6 +52,50 @@ def test_no_float_arithmetic_outside_verify():
             assert not (isinstance(f, ast.Attribute) and f.attr == "sqrt"), (name, f.attr)
 
 
+# each input rule, by a piece of its message, and the one function that raises it
+INPUT_RULES = {
+    "non-integral weight coordinate": "rootsystem._integral",
+    "coordinates; rank": "rootsystem.RootSystem.check_dominant",
+    "dominant": "rootsystem.RootSystem.check_dominant",
+    "level k must be >= 1": "affine.check_level",
+    "is not in P_+^": "affine.check_level",
+    "cutoff N must be >= 0": "characters.check_cutoff",
+    "affine index": "affine.check_node",
+}
+
+
+def raised_messages():
+    """(module.qualified function, text of its string pieces) for each raise
+    of a ValueError, the error of bad input."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}")
+            elif isinstance(child, ast.Raise):
+                exc = child.exc
+                if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError":
+                    pieces = [
+                        n.value for n in ast.walk(exc)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    ]
+                    yield scope, "".join(pieces)
+            else:
+                yield from visit(child, scope)
+
+    for name, tree in parsed():
+        yield from visit(tree, name.removesuffix(".py"))
+
+
+def test_each_input_rule_is_raised_from_one_function():
+    raisers = {piece: set() for piece in INPUT_RULES}
+    for scope, text in raised_messages():
+        for piece in INPUT_RULES:
+            if piece in text:
+                raisers[piece].add(scope)
+    assert raisers == {piece: {scope} for piece, scope in INPUT_RULES.items()}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # against the modules the interpreter holds before the import, and with -S
     # (no site hooks), so a module that a host's site hooks load still counts

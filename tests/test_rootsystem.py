@@ -160,8 +160,10 @@ def test_longest_element(a2, d4):
 
 
 def test_weight_rejects_non_integral_coordinates():
-    with pytest.raises(ValueError):
-        Weight([Fraction(1, 2)])
+    # one rule for every coordinate type: accepted only when int(c) == c
+    for bad in (Fraction(1, 2), 1.5, "2"):
+        with pytest.raises(ValueError, match="non-integral weight coordinate"):
+            Weight([bad, 0])
     assert Weight([Fraction(4, 2), 1]) == Weight([2, 1])
     assert Weight([Fraction(4, 2)]).coeffs == (2,) and type(Weight([Fraction(4, 2)]).coeffs[0]) is int
     # arithmetic on two weights stays integral and checked by rank
