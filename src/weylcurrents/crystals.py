@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import combinations, compress, count, product, repeat
 from math import comb, prod
-from operator import add, mul, ne, not_, or_, sub
+from operator import add, mul, ne, or_, sub
 
+from .affine import check_level
 from .errors import StructuralError
 from .qseries import QPolynomial
 from .rootsystem import Weight, build_root_system, weight_from_ints
@@ -344,10 +345,10 @@ def _column_groups(n: int, r: int):
     )
 
 
-def _by_column(m: int, size: int, groups, make):
-    """A table of `size` entries whose slice c::m, the states that end in
-    column c, is the list make(*key) for the key of c in `groups`."""
-    out = [0] * size
+def _by_column(m: int, groups, make, out):
+    """The table `out`, m entries per prefix state, with its slice c::m (the
+    states that end in column c) set to make(*key) for the key of c in
+    `groups`."""
     for key, cs in groups:
         values = make(*key)
         for c in cs:
@@ -355,11 +356,41 @@ def _by_column(m: int, size: int, groups, make):
     return out
 
 
+@cache
+def _phi_rule(a: int, b: int) -> bytes:
+    """The translate table of phi's two-factor rule for a column with eps_i =
+    a and phi_i = b: the prefix's phi_i = q becomes b + max(0, q - a). Every
+    entry is at most the number of factors, and 255 factors would make at
+    least 2^255 vertices, so the cap at 255 is never reached."""
+    return bytes(min(255, b + max(0, q - a)) for q in range(256))
+
+
+@cache
+def _eps_rule(a: int) -> bytes:
+    """The translate table of what eps's two-factor rule adds to the prefix's
+    eps_i for a column with eps_i = a: max(0, a - q) at the prefix's phi_i =
+    q."""
+    return bytes(max(0, a - q) for q in range(256))
+
+
+@cache
+def _indicator(lo: int, hi: int = 256) -> bytes:
+    """The translate table that maps a byte q to 1 when lo <= q < hi, else 0."""
+    return bytes(lo <= q < hi for q in range(256))
+
+
+def _add_bytes(x: bytes, y: bytes) -> bytes:
+    """x + y byte by byte, through one int each: no carry occurs while every
+    sum is below 256."""
+    return (int.from_bytes(x, "little") + int.from_bytes(y, "little")).to_bytes(len(x), "little")
+
+
 def _fold(n: int, heights, energy: bool):
     """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
     the given column heights, vertices in lexicographic order (a
     `TensorVertices`) and weights a `WeightTable`; eps, phi and f_arrows are
-    indexed [i][t], and D is None unless `energy`.
+    indexed [i][t], each eps_i and phi_i row `bytes` (one byte per vertex),
+    and D is None unless `energy`.
 
     Factor l extends every prefix state s by every column c, giving state
     s * m + c, so the states that end in c are the slice c::m of the new
@@ -370,7 +401,9 @@ def _fold(n: int, heights, energy: bool):
     distinct weights of its level: column c moves each prefix id to the id of
     that weight plus the weight of c, one transition list per column read by
     one `map` per slice. The statistics follow the two-factor rules of
-    `tensor_stats`. f_i follows the signature rule of `apply_op`: it acts on
+    `tensor_stats`, each eps_i and phi_i slice a `bytes.translate` of the
+    prefix's phi_i (`_phi_rule`, `_eps_rule`), the eps_i one added byte by
+    byte to the prefix's eps_i. f_i follows the signature rule of `apply_op`: it acts on
     the prefix when phi_i(prefix) > eps_i(c), else on c; its slice carries c
     and the column's image, so each column makes its own. D is
     `energy_of_element` by transport tables: for each height r still to come,
@@ -392,13 +425,14 @@ def _fold(n: int, heights, energy: bool):
         r = heights[0]
         distinct = tables[r][2]
         ids = list(range(len(distinct)))
-        E, P, F = ([list(row) for row in table] for table in tables[r][3:])
+        E, P = ([bytes(row) for row in table] for table in tables[r][3:5])
+        F = [list(row) for row in tables[r][5]]
         D = [0] * len(F[0])
         T = {later: list(_build_H(n, r, later)) for later in set(heights[1:])} if energy else {}
     else:  # the empty prefix is the one state
         distinct, ids = [(0,) * n], [0]
-        E = [[0] for _ in range(n + 1)]
-        P = [[0] for _ in range(n + 1)]
+        E = [bytes(1) for _ in range(n + 1)]
+        P = [bytes(1) for _ in range(n + 1)]
         F = [[-1] for _ in range(n + 1)]
         D = [0]
     for level, r in enumerate(heights[1:], start=1):
@@ -417,44 +451,48 @@ def _fold(n: int, heights, energy: bool):
         F = [
             _by_column(
                 m,
-                size,
                 groups,
                 lambda c, a, g: [
                     t * m + c if q > a else u
                     for t, q, u in zip(Fi, Pi, range(g, size, m) if g >= 0 else repeat(-1))
                 ],
+                [0] * size,
             )
             for Fi, Pi, groups in zip(F, P, gf)
         ]
         E = [
-            _by_column(
-                m,
-                size,
-                groups,
-                lambda a: [e + a - q if a > q else e for e, q in zip(Ei, Pi)] if a else Ei,
+            bytes(
+                _by_column(
+                    m,
+                    groups,
+                    lambda a: _add_bytes(Ei, Pi.translate(_eps_rule(a))) if a else Ei,
+                    bytearray(size),
+                )
             )
             for Ei, Pi, groups in zip(E, P, ge)
         ]
         P = [
-            _by_column(
-                m,
-                size,
-                groups,
-                lambda a, b: [b + q - a if q > a else b for q in Pi] if a or b else Pi,
+            bytes(
+                _by_column(
+                    m,
+                    groups,
+                    lambda a, b: Pi.translate(_phi_rule(a, b)) if a or b else Pi,
+                    bytearray(size),
+                )
             )
             for Pi, groups in zip(P, gp)
         ]
         if energy:
-            D = list(map(add, _by_column(m, size, [((), range(m))], lambda: D), T[r]))
+            D = list(map(add, _by_column(m, [((), range(m))], lambda: D, [0] * size), T[r]))
             extended = {}
             for later in set(heights[level + 1 :]):
                 M, groups = pairs[r, later]
                 Tl, ml = T[later], M // m
                 extended[later] = _by_column(
                     M,
-                    size * ml,
                     groups,
                     lambda h, x: [h + v for v in Tl[x::ml]] if h else Tl[x::ml],
+                    [0] * (size * ml),
                 )
             T = extended
     weights = WeightTable(ids, list(map(weight_from_ints, distinct)))
@@ -485,6 +523,11 @@ def _classical_components(n: int, eps, phi, f_arrows):
     two classical-highest vertices. (A lowering cycle, which the jumping
     would not resolve, breaks the weight shift that the seal tests on every
     arrow.)"""
+    # classical-highest: a zero byte of the bitwise or of the classical eps_i
+    # rows, each read as one int
+    ored = reduce(or_, map(int.from_bytes, eps[1:], repeat("little")))
+    zero = ored.to_bytes(len(eps[0]), "little").translate(_indicator(0, 1))
+    highest = list(compress(count(), zero))
     point = [None] * len(eps[0])
     for i in range(n, 0, -1):
         point = [f if p else u for u, p, f in zip(point, phi[i], f_arrows[i])]
@@ -496,8 +539,7 @@ def _classical_components(n: int, eps, phi, f_arrows):
         if jumped == point:
             break
         point = jumped
-    # classical-highest: the bitwise or of the classical eps_i is 0
-    highest = list(compress(count(), map(not_, reduce(partial(map, or_), eps[2:], eps[1]))))
+    del jumped
     top = {}
     for t in highest:
         if top.setdefault(point[t], t) != t:
@@ -511,8 +553,9 @@ def _classical_components(n: int, eps, phi, f_arrows):
 class CrystalGraph:
     """Sealed tensor-product crystal with cached statistics, arrows, classical
     components and the degree function; immutable after construction. The
-    tables are those of `_fold`: eps, phi and f_arrows indexed [i][t], the
-    `WeightTable` weights, and D and component indexed by vertex."""
+    tables are those of `_fold`: eps, phi and f_arrows indexed [i][t] (each
+    eps_i and phi_i row `bytes`), the `WeightTable` weights, and D and
+    component indexed by vertex."""
 
     __slots__ = (
         "n",
@@ -568,16 +611,24 @@ class CrystalGraph:
     def _verify_operator(self, i, pairing, image):
         """The axioms that read operator i, given <alpha_i^vee, w> and the id
         of w - alpha_i (-1 when no vertex has it) for each distinct weight w.
-        One mask of the vertices where f_i acts, with the list of the arrows'
-        targets, serves every check of the f_i arrows."""
+        One mask of the vertices where f_i acts (phi_i > 0, translated from
+        the phi_i bytes), with the list of the arrows' targets, serves every
+        check of the f_i arrows."""
         E, P, F, D = self.eps[i], self.phi[i], self.f_arrows[i], self.D
         ids, label = self.weights.ids, self.component
-        if P != list(map(add, E, map(pairing.__getitem__, ids))):
+        if list(P) != list(map(add, E, map(pairing.__getitem__, ids))):
             raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
-        acts = [t >= 0 for t in F]
-        if i == 0:
-            self._verify_connected(F, acts)
-        if acts != [p > 0 for p in P]:
+        # f_i acts where phi_i > 0: no -1 among the arrows there, and no
+        # arrow where phi_i = 0
+        acts = P.translate(_indicator(1))
+        agree = (
+            len(F) == len(acts)
+            and min(compress(F, acts), default=0) >= 0
+            and max(compress(F, P.translate(_indicator(0, 1))), default=-1) < 0
+        )
+        if i == 0:  # over the arrows that F holds, whether or not phi_0 agrees
+            self._verify_connected(F, acts if agree else bytes(t >= 0 for t in F))
+        if not agree:
             raise StructuralError("f_i arrow existence disagrees with phi")
         targets = list(compress(F, acts))
         if i and list(compress(label, acts)) != list(map(label.__getitem__, targets)):
@@ -595,7 +646,7 @@ class CrystalGraph:
         below = [None] * len(D)
         any(map(below.__setitem__, targets, compress(D, acts)))
         del acts, targets
-        wanted = [e >= 2 for e in E]
+        wanted = E.translate(_indicator(2))
         if None in compress(below, wanted):
             raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
         if any(map(ne, compress(below, wanted), map(sub, compress(D, wanted), repeat(1)))):
@@ -723,12 +774,21 @@ def heights_for_weight(mu: Weight):
 # the next call names.
 _GRAPH_CACHE: dict = {}
 # taken once: a rebound name still clears its memo
-_MEMOS = (_column_tables, _column_groups, _two_factor, _build_R, _build_H)
+_MEMOS = (
+    _column_tables,
+    _column_groups,
+    _phi_rule,
+    _eps_rule,
+    _indicator,
+    _two_factor,
+    _build_R,
+    _build_H,
+)
 
 
 def clear_caches():
     """Empty the in-process memo tables: sealed graphs, column tables and
-    groups, two-factor folds, R and H."""
+    groups, the translate tables, two-factor folds, R and H."""
     _GRAPH_CACHE.clear()
     for memo in _MEMOS:
         memo.cache_clear()
@@ -775,21 +835,26 @@ def _read_cache(path: str):
 
 def _write_cache(graph: CrystalGraph, cache_dir: str, path: str):
     """Store the cache document: D under its key, the one table a load does
-    not recompute."""
+    not recompute. The text is json.dumps of the document, written with D in
+    slices of 4,096 entries, so no str holds the whole of D."""
     document = {
         "format": CACHE_FORMAT,
         "n": graph.n,
         "heights": graph.heights,
         "orientation": ENERGY_ORIENTATION,
-        "D": graph.D,
+        "D": [],
     }
+    D = graph.D
     import tempfile  # here, not at the top: only a cache write reads it
 
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(document))
+            fh.write(json.dumps(document)[:-2])  # up to the [ of D
+            for start in range(0, len(D), 4096):
+                fh.write((", " if start else "") + json.dumps(D[start : start + 4096])[1:-1])
+            fh.write("]}")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -805,6 +870,9 @@ def local_crystal(mu: Weight, cache_dir=None) -> CrystalGraph:
 def restricted_paths(n: int, mu: Weight, k=None, cache_dir=None):
     """Classical-highest elements of the mu-crystal, further cut by eps_0 <= k
     when k is finite; (element, weight, D) triples."""
-    build_root_system("A", n).check_dominant(mu)
+    rs = build_root_system("A", n)
+    rs.check_dominant(mu)
+    if k is not None:
+        check_level(rs, k)
     graph = local_crystal(mu, cache_dir=cache_dir)
     return graph.restricted_paths(k)

@@ -3,6 +3,7 @@ import os
 import re
 import tracemalloc
 from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -550,11 +551,18 @@ def test_cache_rejects_malformed_tables(tmp_path, tamper):
     _tampered_cache_is_rejected(tmp_path, tamper, "crystal cache")
 
 
+def _set_byte(row, t, value):
+    # the eps and phi rows are bytes: a copy with byte t replaced
+    row = bytearray(row)
+    row[t] = value
+    return bytes(row)
+
+
 def _set_classical_eps(t, classical):
     # the tables are column-major: eps_i of vertex t is tables["eps"][i][t]
     def tamper(tables):
         for i, e in enumerate(classical, start=1):
-            tables["eps"][i][t] = e
+            tables["eps"][i] = _set_byte(tables["eps"][i], t, e)
 
     return tamper
 
@@ -563,7 +571,7 @@ def _raise_eps0_and_phi0(t, by):
     # phi_0 - eps_0 stays the pairing
     def tamper(tables):
         for key in ("eps", "phi"):
-            tables[key][0][t] += by
+            tables[key][0] = _set_byte(tables[key][0], t, tables[key][0][t] + by)
 
     return tamper
 
@@ -580,7 +588,8 @@ def _set_weight(t, coeffs):
 
 # One tamper per failure branch of the axiom check, on the fold of A2 (1, 2)
 # (see SINGLETON): vertex 8 has the lowest weight -w1 - w2, vertex 4 has no
-# 0-arrow in or out, vertex 5 none in, and f_0 maps 5 to 3, whose weight
+# 0-arrow in or out (the existence check reads both ways: phi_0 raised there,
+# or an f_0 arrow added), vertex 5 none in, and f_0 maps 5 to 3, whose weight
 # differs from that of 4. Then one per branch of the component check: vertex 0
 # tops the component of V(w1 + w2), and e_1 raises vertex 4 (eps = (0, 1, 0))
 # to vertex 1 in it. With its classical eps zeroed, vertex 4 reads as a second
@@ -598,6 +607,7 @@ def _set_weight(t, coeffs):
          "degree normalization D(b_0) = 0 fails"),
         (_set_weight(8, (0, 0)), "crystal axiom <a_i^vee, wt> = phi - eps fails"),
         (_raise_eps0_and_phi0(4, 1), "f_i arrow existence disagrees with phi"),
+        (lambda tab: tab["f"][0].__setitem__(4, 0), "f_i arrow existence disagrees with phi"),
         (lambda tab: tab["f"][0].__setitem__(5, 4), "arrow does not shift the weight by alpha_i"),
         (lambda tab: tab["D"].__setitem__(1, tab["D"][1] + 1),
          "degree changes along a classical arrow"),
@@ -610,7 +620,8 @@ def _set_weight(t, coeffs):
         (lambda tab: tab["f"][2].__setitem__(0, SINGLETON),
          "component with two classical-highest elements"),
     ],
-    ids=["connected", "top-unique", "top-degree", "pairing", "arrow-exists", "arrow-shift",
+    ids=["connected", "top-unique", "top-degree", "pairing", "arrow-exists", "arrow-without-phi",
+         "arrow-shift",
          "classical-degree", "eps0-arrow", "eps0-degree", "component-second-top",
          "component-no-top", "component-no-lowering-arrow", "component-joined"],
 )
@@ -643,6 +654,30 @@ def test_seal_holds_one_operator_at_a_time():
         tracemalloc.stop()
         clear_caches()
     assert peak <= 1.25 * folded, (peak, folded)
+
+
+def test_eps_and_phi_rows_are_one_byte_per_vertex():
+    # every eps_i and phi_i row of the fold and of the sealed graph is bytes,
+    # one byte per vertex: on A2 mu=(5,4) (19,683 vertices) the fold's tables
+    # trace to at most 2.9 MB, against 3.53 MB with a list of ints per row
+    for n, heights in [(2, ()), (3, (2,)), (2, (1, 2)), (3, (1, 3, 2, 1))]:
+        size = prod(comb(n + 1, r) for r in heights)
+        for eps, phi in (_fold(n, heights, energy=False)[2:4], _fold(n, heights, energy=True)[2:4]):
+            assert [(type(row), len(row)) for row in eps + phi] == [(bytes, size)] * (2 * n + 2)
+    heights = heights_for_weight(Weight([5, 4]))
+    clear_caches()
+    graph = build_crystal(2, heights)
+    assert [(type(row), len(row)) for row in graph.eps + graph.phi] == [(bytes, 19683)] * 6
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tables = _fold(2, heights, energy=True)
+        folded = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert len(tables[0]) == 19683
+    assert folded <= 2.9e6, folded
 
 
 INTERLEAVED = [(2, (2, 1, 2, 1, 1)), (2, (1, 2, 1, 2, 2, 1)), (3, (1, 3, 2, 1, 3))]
@@ -729,18 +764,22 @@ def test_fold_equals_the_comprehension_fold(n, heights):
     # first factor's column tables (or the one empty state); every table must
     # equal the one-expression-per-entry fold, with and without D
     for energy in (True, False):
-        _, weights, *tables = _fold(n, heights, energy)
-        assert ([w.coeffs for w in weights], *tables) == _comprehension_fold(n, heights, energy)
+        _, weights, eps, phi, *tables = _fold(n, heights, energy)
+        eps, phi = [list(map(list, rows)) for rows in (eps, phi)]
+        assert ([w.coeffs for w in weights], eps, phi, *tables) == _comprehension_fold(
+            n, heights, energy
+        )
 
 
 @pytest.mark.parametrize("n, heights", [(2, ()), (2, (1,)), (2, (1, 2)), (3, (1, 3, 2, 1))])
 def test_fold_tables_share_no_list(n, heights):
-    # no returned table is a memo list of `_column_tables` or another returned
-    # table, so changing one fold's tables in place (as the axiom tests do)
-    # leaves the memos and the next fold as they were
+    # no returned list is a memo list of `_column_tables` or another returned
+    # list, so changing one fold's lists in place (as the axiom tests do)
+    # leaves the memos and the next fold as they were; the eps and phi rows
+    # are bytes, which cannot be changed in place
     def lists(tables):
         _, weights, eps, phi, f, D = tables
-        return [weights.ids, weights.distinct, *eps, *phi, *f, D]
+        return [weights.ids, weights.distinct, *f, D]
 
     memo = [
         row

@@ -382,6 +382,7 @@ def _entry_points(mu, lam, k):
         ("cosets_up_to_shift", {"lam", "k"}, lambda: cosets_up_to_shift(A2, lam, k, 2)),
         ("dominant_dot_rep", {"k"}, lambda: dominant_dot_rep(A2, lam, k)),
         ("restricted_paths", {"mu"}, lambda: crystals.restricted_paths(2, mu)),
+        ("restricted_paths k", {"mu", "k"}, lambda: crystals.restricted_paths(2, mu, k)),
     ]
 
 
