@@ -385,6 +385,17 @@ def _add_bytes(x: bytes, y: bytes) -> bytes:
     return (int.from_bytes(x, "little") + int.from_bytes(y, "little")).to_bytes(len(x), "little")
 
 
+class _Shared(dict):
+    """Maps each value looked up to the first equal value looked up, so that
+    `map(_Shared().__getitem__, values)` makes equal entries one object:
+    CPython caches only the ints -5..256, and each sum or parsed int is
+    otherwise an object of its own."""
+
+    def __missing__(self, value):
+        self[value] = value
+        return value
+
+
 def _fold(n: int, heights, energy: bool):
     """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
     the given column heights, vertices in lexicographic order (a
@@ -405,12 +416,15 @@ def _fold(n: int, heights, energy: bool):
     prefix's phi_i (`_phi_rule`, `_eps_rule`), the eps_i one added byte by
     byte to the prefix's eps_i. f_i follows the signature rule of `apply_op`: it acts on
     the prefix when phi_i(prefix) > eps_i(c), else on c; its slice carries c
-    and the column's image, so each column makes its own. D is
+    and the column's image, so each column makes its own. Each target is read
+    from one list of the level's states (states[c::m][t] for t ⊗ c), so
+    the f_i rows hold one int object per vertex. D is
     `energy_of_element` by transport tables: for each height r still to come,
     T[r][s * m_r + x] is the energy a height-r column x collects moving left
     through prefix s. Then D(s * m + c) = D(s) + T[r][s * m + c], and the new
     factor p extends each table by T[r](s ⊗ p, x) = H(p, x) + T[r](s, R(p,
-    x)[0])."""
+    x)[0]); each new D maps its sums through `_Shared`, so each degree is one
+    int object."""
     tables = {r: _column_tables(n, r) for r in set(heights)}
     pairs = {}
     if energy:
@@ -448,18 +462,21 @@ def _fold(n: int, heights, energy: bool):
         prefix_ids, ids = ids, [0] * size
         for c, move in enumerate(moves):
             ids[c::m] = map(move.__getitem__, prefix_ids)
+        states = list(range(size))
         F = [
             _by_column(
                 m,
                 groups,
                 lambda c, a, g: [
-                    t * m + c if q > a else u
-                    for t, q, u in zip(Fi, Pi, range(g, size, m) if g >= 0 else repeat(-1))
+                    into[t] if q > a else u
+                    for into in [states[c::m]]
+                    for t, q, u in zip(Fi, Pi, states[g::m] if g >= 0 else repeat(-1))
                 ],
                 [0] * size,
             )
             for Fi, Pi, groups in zip(F, P, gf)
         ]
+        del states
         E = [
             bytes(
                 _by_column(
@@ -483,7 +500,9 @@ def _fold(n: int, heights, energy: bool):
             for Pi, groups in zip(P, gp)
         ]
         if energy:
-            D = list(map(add, _by_column(m, [((), range(m))], lambda: D, [0] * size), T[r]))
+            prefix = _by_column(m, [((), range(m))], lambda: D, [0] * size)
+            D = list(map(_Shared().__getitem__, map(add, prefix, T[r])))
+            del prefix
             extended = {}
             for later in set(heights[level + 1 :]):
                 M, groups = pairs[r, later]
@@ -612,12 +631,18 @@ class CrystalGraph:
         """The axioms that read operator i, given <alpha_i^vee, w> and the id
         of w - alpha_i (-1 when no vertex has it) for each distinct weight w.
         One mask of the vertices where f_i acts (phi_i > 0, translated from
-        the phi_i bytes), with the list of the arrows' targets, serves every
-        check of the f_i arrows."""
+        the phi_i bytes) serves every check of the f_i arrows. phi_i is
+        compared as bytes, and each arrow check lists its two sides and drops
+        them, so at most two lists of the arrows are alive at once."""
         E, P, F, D = self.eps[i], self.phi[i], self.f_arrows[i], self.D
         ids, label = self.weights.ids, self.component
-        if list(P) != list(map(add, E, map(pairing.__getitem__, ids))):
+        try:
+            paired = bytes(map(add, E, map(pairing.__getitem__, ids)))
+        except ValueError:  # a value outside 0..255, which no phi_i byte holds
+            paired = None
+        if P != paired:
             raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
+        del paired
         # f_i acts where phi_i > 0: no -1 among the arrows there, and no
         # arrow where phi_i = 0
         acts = P.translate(_indicator(1))
@@ -630,22 +655,21 @@ class CrystalGraph:
             self._verify_connected(F, acts if agree else bytes(t >= 0 for t in F))
         if not agree:
             raise StructuralError("f_i arrow existence disagrees with phi")
-        targets = list(compress(F, acts))
-        if i and list(compress(label, acts)) != list(map(label.__getitem__, targets)):
+        if i and list(compress(label, acts)) != list(map(label.__getitem__, compress(F, acts))):
             raise StructuralError("component with two classical-highest elements")
         moved = map(image.__getitem__, compress(ids, acts))
-        if list(moved) != list(map(ids.__getitem__, targets)):
+        if list(moved) != list(map(ids.__getitem__, compress(F, acts))):
             raise StructuralError("arrow does not shift the weight by alpha_i")
         if i:
-            if list(compress(D, acts)) != list(map(D.__getitem__, targets)):
+            if list(compress(D, acts)) != list(map(D.__getitem__, compress(F, acts))):
                 raise StructuralError("degree changes along a classical arrow")
             return
         # e_0 is read only where eps_0 >= 2, through D(e_0 t): the D of each
         # 0-arrow's source written onto its target (mapping __setitem__ keeps
-        # the loop in C), after which the arrow lists are done with
+        # the loop in C), after which the mask is done with
         below = [None] * len(D)
-        any(map(below.__setitem__, targets, compress(D, acts)))
-        del acts, targets
+        any(map(below.__setitem__, compress(F, acts), compress(D, acts)))
+        del acts
         wanted = E.translate(_indicator(2))
         if None in compress(below, wanted):
             raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
@@ -756,6 +780,9 @@ class CrystalGraph:
             raise StructuralError("crystal cache D does not cover the crystal")
         if not set(map(type, D)) <= {int}:
             raise StructuralError("crystal cache D is not a list of ints")
+        # the document's own list, its entries shared in place before the fold,
+        # so the parsed ints that are not kept are freed first
+        D[:] = map(_Shared().__getitem__, D)
         return cls(n, heights, *_fold(n, heights, energy=False)[:5], D)
 
 
