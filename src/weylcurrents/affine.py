@@ -110,8 +110,10 @@ def level_restricted_dominant(rs: RootSystem, k: int):
 
 
 def check_level(rs: RootSystem, k: int, lam=None):
-    """Raise ValueError unless the level k is >= 1 and, when lam is given, lam
-    is in P_+^k (RootSystem.check_dominant, then (theta, lam) <= k)."""
+    """Raise ValueError unless the level k is an int >= 1 and, when lam is
+    given, lam is in P_+^k (RootSystem.check_dominant, then (theta, lam) <= k)."""
+    if type(k) is not int:
+        raise ValueError(f"level k must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     if lam is not None:
@@ -276,7 +278,8 @@ def act_affine(rs: RootSystem, g: AffineWeylElement, w: AffineWeight) -> AffineW
     """Linear action: translation first, then the finite part; level preserved."""
     gamma = rs.from_root_coords(g.translation)
     lam, k, m = w.classical, w.level, w.degree
-    pairing = int(rs.inner(lam, gamma))
+    # (lam, gamma) = sum_i rc_i(gamma) <alpha_i^vee, lam>
+    pairing = sum(map(mul, g.translation, lam.coeffs))
     nn = rc_norm2(rs, g.translation)
     if (k * nn) % 2:
         raise AssertionError("odd lattice norm: translation degree is not integral")
@@ -299,12 +302,12 @@ def length(rs: RootSystem, g: AffineWeylElement) -> int:
     """Closed-form length of g = w.t_gamma: sum over positive roots alpha of
     |(gamma,alpha)| when w(alpha) > 0 and |(gamma,alpha) + 1| when w(alpha) < 0.
     Matches Cayley-graph distance (tested by BFS oracle)."""
-    gamma = rs.from_root_coords(g.translation)
     total = 0
     for alpha in rs.positive_roots:
-        ip = int(rs.inner(gamma, alpha))
-        walpha_rc = rs.root_coords(Weight(_mat_vec(g.matrix, alpha.coeffs)))
-        if all(c >= 0 for c in walpha_rc):
+        # (gamma, alpha) = sum_i rc_i(gamma) <alpha_i^vee, alpha>
+        ip = sum(map(mul, g.translation, alpha.coeffs))
+        # w(alpha) > 0 iff its root coordinates, det(C) times, are >= 0
+        if min(rs.scaled_root_coords(_mat_vec(g.matrix, alpha.coeffs))) >= 0:
             total += abs(ip)
         else:
             total += abs(ip + 1)

@@ -20,8 +20,12 @@ from .rootsystem import RootSystem, Weight, _integer_inverse, weight_from_ints
 
 
 def check_cutoff(N):
-    """Raise ValueError unless the cutoff N is None (no truncation) or >= 0."""
-    if N is not None and N < 0:
+    """Raise ValueError unless the cutoff N is None (no truncation) or an int >= 0."""
+    if N is None:
+        return
+    if type(N) is not int:
+        raise ValueError(f"cutoff N must be an int, got {N!r}")
+    if N < 0:
         raise ValueError(f"cutoff N must be >= 0, got {N}")
 
 
@@ -364,8 +368,9 @@ def _local_weyl_top(rs: RootSystem, lam: Weight) -> int:
     Every nonzero entry of V(lam') checked reaches _local_weyl_top(lam) -
     _local_weyl_top(lam') = ((lam,lam) - (lam',lam'))/2; the peel reads that
     only to choose when to cap an entry, and a capped entry is exact."""
-    cls_w = _level_one_class(rs, lam)
-    return int((rs.inner(lam, lam) - rs.inner(cls_w, cls_w)) / 2)
+    c = _level_one_class(rs, lam).coeffs
+    # lam - c = gamma in Q, and (lam,lam) - (c,c) = (gamma,gamma) + 2 (gamma,c) is even
+    return (rs.scaled_inner(lam.coeffs, lam.coeffs) - rs.scaled_inner(c, c)) // (2 * rs.det)
 
 
 def _partitions(n: int, most: int):

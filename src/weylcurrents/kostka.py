@@ -65,8 +65,7 @@ def kostka_alt_sum(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> QPolynomi
     rs.check_dominant(mu)
     check_level(rs, k, lam)
     L = k + rs.dual_coxeter
-    gap = rs.inner(mu + rs.rho, mu + rs.rho) - rs.inner(lam + rs.rho, lam + rs.rho)
-    max_offset = gap // (2 * L)
+    max_offset = _scaled_gap(rs, mu, lam) // (2 * L * rs.det)
     total = QPolynomial.zero()
     for rep in cosets_up_to_shift(rs, lam, k, max_offset):
         inner_val = kostka_fermionic(rs, mu, rep.image.classical)
@@ -76,13 +75,20 @@ def kostka_alt_sum(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> QPolynomi
 
 
 def required_cutoff(rs: RootSystem, mu: Weight, lam: Weight, k: int) -> int:
-    """Smallest cutoff N whose norm region reaches mu when expanding ch L_k(lam)."""
-    gap = rs.inner(mu + rs.rho, mu + rs.rho) - rs.inner(lam + rs.rho, lam + rs.rho)
+    """Smallest cutoff N whose norm region reaches mu when expanding ch L_k(lam),
+    from the integer part of the gap (mu + rho, mu + rho) - (lam + rho, lam + rho)."""
+    gap = _scaled_gap(rs, mu, lam)
     L = k + rs.dual_coxeter
     if gap <= 0:
         return 0
-    q, r = divmod(int(gap), 2 * L)
+    q, r = divmod(gap // rs.det, 2 * L)
     return q + (1 if r else 0)
+
+
+def _scaled_gap(rs: RootSystem, mu: Weight, lam: Weight) -> int:
+    """det(C) ((mu + rho, mu + rho) - (lam + rho, lam + rho))."""
+    top, low = (mu + rs.rho).coeffs, (lam + rs.rho).coeffs
+    return rs.scaled_inner(top, top) - rs.scaled_inner(low, low)
 
 
 def kostka_characters(

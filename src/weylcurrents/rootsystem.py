@@ -4,14 +4,14 @@ dominance order, and Freudenthal weight multiplicities.
 Weights are stored in fundamental-weight coordinates, so <alpha_i^vee, lam> is
 coordinate lookup and the invariant form needs one inverse-Cartan contraction.
 The form is kept as the integer matrix det(C) * C^{-1}, so every internal
-computation is in integers; `inner` and `root_coords` divide by det(C) only
-when they return. Simple-root indices are 1-based throughout the public API
+computation is in integers; `inner`, `root_coords` and `inverse_cartan`
+divide by det(C) only when they return, and they import Fraction only when
+called. Simple-root indices are 1-based throughout the public API
 (0 is reserved for the affine node elsewhere).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from operator import add, mul, neg, sub
 
@@ -153,9 +153,6 @@ class RootSystem:
         self.cartan = _cartan_matrix(family, rank)
         # (lam, mu) = lam . form . mu / det with form = det(C) * C^{-1} integral
         self.det, self.form = _integer_inverse(self.cartan)
-        self.inverse_cartan = tuple(
-            tuple(Fraction(x, self.det) for x in row) for row in self.form
-        )
         # simply laced: C[i][j] = -1 exactly for the Dynkin neighbours j of i
         self.neighbours = tuple(
             tuple(j for j in range(rank) if j != i and self.cartan[i][j]) for i in range(rank)
@@ -193,19 +190,21 @@ class RootSystem:
             raise AssertionError("highest root is not unique")
         self.highest_root = dominant[0]
         self.highest_root_coords = rcs[self.positive_roots.index(self.highest_root)]
-        hrho = self.inner(self.highest_root, self.rho)
-        self.dual_coxeter = int(hrho) + 1
+        # h^vee = (theta, rho) + 1, and (theta, rho) = sum_i rc_i(theta) <alpha_i^vee, rho>
+        self.dual_coxeter = sum(self.highest_root_coords) + 1
 
     def _check_invariants(self):
         expected = _POSITIVE_ROOT_COUNTS[self.family]
         expected = expected[self.rank] if isinstance(expected, dict) else expected(self.rank)
         if len(self.positive_roots) != expected:
             raise AssertionError("positive root count mismatch")
-        if self.inner(self.highest_root, self.highest_root) != 2:
+        det = self.det
+        theta = self.highest_root.coeffs
+        if self.scaled_inner(theta, theta) != 2 * det:
             raise AssertionError("(theta, theta) != 2")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.inner(self.simple_roots[i], self.simple_roots[j]) != self.cartan[i][j]:
+        for i, a in enumerate(self.simple_roots):
+            for j, b in enumerate(self.simple_roots):
+                if self.scaled_inner(a.coeffs, b.coeffs) != det * self.cartan[i][j]:
                     raise AssertionError("(alpha_i, alpha_j) != cartan entry")
 
     # -- coordinates ----------------------------------------------------
@@ -221,6 +220,8 @@ class RootSystem:
 
     def root_coords(self, lam: Weight):
         """Coordinates of lam over the simple roots (Fractions in general)."""
+        from fractions import Fraction
+
         det = self.det
         return tuple(Fraction(c, det) for c in self.scaled_root_coords(lam.coeffs))
 
@@ -243,9 +244,18 @@ class RootSystem:
         return lam - c * self.simple_roots[i - 1]
 
     def reflect_root(self, alpha: Weight, lam: Weight) -> Weight:
-        """Reflection by an arbitrary root (simply laced: <alpha^vee,.> = (alpha,.))."""
-        c = self.inner(alpha, lam)
-        return lam - int(c) * alpha
+        """Reflection by an arbitrary root (simply laced: <alpha^vee,.> = (alpha,.)),
+        with (alpha, lam) truncated toward zero."""
+        c = self.scaled_inner(alpha.coeffs, lam.coeffs)
+        n = abs(c) // self.det
+        return lam - (n if c >= 0 else -n) * alpha
+
+    @property
+    def inverse_cartan(self):
+        """C^{-1} as rows of Fractions."""
+        from fractions import Fraction
+
+        return tuple(tuple(Fraction(x, self.det) for x in row) for row in self.form)
 
     def scaled_inner(self, a, b) -> int:
         """det(C) times the invariant form of two coefficient tuples (an int)."""
@@ -253,6 +263,8 @@ class RootSystem:
 
     def inner(self, lam: Weight, mu: Weight) -> Fraction:
         """W-invariant form normalized by (theta, theta) = 2."""
+        from fractions import Fraction
+
         return Fraction(self.scaled_inner(lam.coeffs, mu.coeffs), self.det)
 
     def is_dominant(self, lam: Weight) -> bool:
@@ -277,6 +289,9 @@ class RootSystem:
         return Weight([0] * self.rank)
 
     def fundamental_weight(self, i: int) -> Weight:
+        """omega_i, 1-based i."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"fundamental-weight index {i} out of range 1..{self.rank}")
         return Weight([1 if j == i - 1 else 0 for j in range(self.rank)])
 
     # -- Weyl group -----------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product as _iproduct
+from operator import mul
 
 from .affine import (
     AffineWeight,
@@ -148,11 +148,8 @@ def root_lattice_ball(rs, max_norm2):
     box sweep."""
     if max_norm2 < 0:
         return
-    n = rs.rank
-    bounds = []
-    for i in range(n):
-        b2 = Fraction(max_norm2) * rs.inverse_cartan[i][i]
-        bounds.append(math.isqrt(int(b2)) + 1)
+    # gamma_i^2 <= (gamma, gamma) (C^{-1})_ii, and (C^{-1})_ii = form_ii / det(C)
+    bounds = [math.isqrt(max_norm2 * rs.form[i][i] // rs.det) + 1 for i in range(rs.rank)]
     for rc in _iproduct(*(range(-b, b + 1) for b in bounds)):
         if rc_norm2(rs, rc) <= max_norm2:
             yield rc
@@ -162,13 +159,14 @@ def frenkel_kac_character(rs, class_weight: Weight, N: int) -> GradedCharacter:
     """Lattice realization of the level-one character: theta-function sum
     q^{(w,gamma)+(gamma,gamma)/2} e^{w+gamma} times the rank-fold partition factor."""
     check_level(rs, 1, class_weight)
-    base = rs.inner(class_weight, class_weight)
-    radius = math.sqrt(float(base)) + math.sqrt(float(base + 2 * N))
+    base, det = rs.scaled_inner(class_weight.coeffs, class_weight.coeffs), rs.det
+    radius = math.sqrt(base / det) + math.sqrt((base + 2 * N * det) / det)
     max_norm2 = int(radius * radius) + 2
     theta_terms = {}
     for rc in root_lattice_ball(rs, max_norm2):
         gamma = rs.from_root_coords(rc)
-        expo = int(rs.inner(class_weight, gamma)) + rc_norm2(rs, rc) // 2
+        # (w, gamma) = sum_i rc_i(gamma) <alpha_i^vee, w>
+        expo = sum(map(mul, rc, class_weight.coeffs)) + rc_norm2(rs, rc) // 2
         if 0 <= expo <= N:
             theta_terms[class_weight + gamma] = QPolynomial.monomial(expo)
         elif expo < 0:
@@ -360,29 +358,30 @@ def suite_level_one(types=None, N=10):
         ok = True
         detail = ""
         expected_support = set()
-        base = rs.inner(w, w)
+        # det(C) times the norms, so 2 det(C) per unit of exponent
+        det = rs.det
+        base = rs.scaled_inner(w.coeffs, w.coeffs)
         for lam, poly in ex.multiplicities.items():
-            expo = (rs.inner(lam, lam) - base) / 2
-            if not (
+            diff = rs.scaled_inner(lam.coeffs, lam.coeffs) - base
+            expo, rem = divmod(diff, 2 * det)
+            if rem or not (
                 poly.is_monomial()
                 and poly.coeff(poly.min_exponent()) == 1
                 and poly.min_exponent() == expo
             ):
                 ok = False
-                detail = f"lam={lam.coeffs}: {poly} != q^{expo}"
+                want = f"({diff}/{2 * det})" if rem else expo
+                detail = f"lam={lam.coeffs}: {poly} != q^{want}"
                 break
         # a dominant lam has (lam, lam) >= c_i^2 (w_i, w_i) for each coordinate
-        # c_i, since C^{-1} > 0, so the window 0 <= expo <= N lies in this box
-        bound = 2 * N + base
-        box = [
-            range(math.isqrt(int(bound / rs.inner(om, om))) + 1)
-            for om in map(rs.fundamental_weight, range(1, rs.rank + 1))
-        ]
+        # c_i, since C^{-1} > 0, so the window 0 <= expo <= N lies in this box;
+        # det(C) (w_i, w_i) = form_ii
+        bound = 2 * N * det + base
+        box = [range(math.isqrt(bound // rs.form[i][i]) + 1) for i in range(rs.rank)]
         for coeffs in _iproduct(*box):
             lam = Weight(coeffs)
             if rs.in_root_lattice(lam - w):
-                expo = (rs.inner(lam, lam) - base) / 2
-                if 0 <= expo <= N:
+                if 0 <= rs.scaled_inner(coeffs, coeffs) - base <= 2 * N * det:
                     expected_support.add(lam)
         if ok and set(ex.multiplicities) != expected_support:
             ok = False
@@ -540,7 +539,8 @@ def full_word_local_weyl(rs, lam: Weight) -> dict:
     the expansion in irreducibles."""
     cls_w = next(w for w in level_one_weights(rs) if rs.in_root_lattice(lam - w))
     top = AffineWeight(cls_w, 1, 0)
-    gamma_rc = tuple(int(c) for c in rs.root_coords(rs.longest_element_image(lam) - cls_w))
+    gamma = rs.longest_element_image(lam) - cls_w  # in Q: integral root coordinates
+    gamma_rc = tuple(c // rs.det for c in rs.scaled_root_coords(gamma.coeffs))
     target = act_affine(rs, AffineWeylElement.translation_by(rs, gamma_rc), top)
     reached, word = chamber_ascent(rs, target)
     if reached != top:

@@ -392,6 +392,7 @@ INVALID_INPUTS = [
     ("lam", Weight([0]), "Weight(0,) has 1 coordinates; rank 2 needs 2"),
     ("lam", Weight([2, -1]), "Weight(2, -1) is not dominant"),
     ("k", 0, "level k must be >= 1, got 0"),
+    ("k", 2.5, "level k must be an int, got 2.5"),
 ]
 
 
@@ -402,6 +403,11 @@ def test_level_and_cutoff_checked_at_the_boundary():
         kostka_by_route(A1, Weight([2]), Weight([0]), 1, "chars", N=-1)
     with pytest.raises(ValueError, match="cutoff"):
         integrable_weyl_expansion(A1, Weight([0]), 1, -1)
+    # a cutoff that is not an int, even above the one the answer needs
+    with pytest.raises(ValueError, match=r"^cutoff N must be an int, got 12\.5$"):
+        kostka_by_route(A1, Weight([2]), Weight([0]), 1, "chars", N=12.5)
+    with pytest.raises(ValueError, match=r"^cutoff N must be an int, got 4\.0$"):
+        integrable_weyl_expansion(A1, Weight([0]), 1, 4.0)
     with pytest.raises(ValueError, match="level"):
         integrable_weyl_expansion(A1, Weight([0]), 0, 4)
     with pytest.raises(ValueError, match="level k must be >= 1, got 0"):

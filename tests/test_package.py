@@ -57,8 +57,10 @@ INPUT_RULES = {
     "non-integral weight coordinate": "rootsystem._integral",
     "coordinates; rank": "rootsystem.RootSystem.check_dominant",
     "dominant": "rootsystem.RootSystem.check_dominant",
+    "level k must be an int": "affine.check_level",
     "level k must be >= 1": "affine.check_level",
     "is not in P_+^": "affine.check_level",
+    "cutoff N must be an int": "characters.check_cutoff",
     "cutoff N must be >= 0": "characters.check_cutoff",
     "affine index": "affine.check_node",
 }
@@ -96,19 +98,34 @@ def test_each_input_rule_is_raised_from_one_function():
     assert raisers == {piece: {scope} for piece, scope in INPUT_RULES.items()}
 
 
+# one command per route family: the chars route, every kostka route, every suite
+COMMANDS = (
+    ["decompose", "--type", "D4", "--lambda", "1,0,0,0", "--k", "1", "--N", "7"],
+    ["kostka", "--type", "A2", "--mu", "2,2", "--lambda", "0,0", "--k", "2", "--route", "all"],
+    ["verify", "all"],
+)
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # against the modules the interpreter holds before the import, and with -S
-    # (no site hooks), so a module that a host's site hooks load still counts
+    # (no site hooks), so a module that a host's site hooks load still counts;
+    # the second list is taken after the commands, so a module that a command
+    # imports when it runs counts too
     code = (
-        "import sys; bare = set(sys.modules); import weylcurrents.cli; "
+        "import contextlib, io, sys; bare = set(sys.modules); import weylcurrents.cli as cli; "
+        "print(*sorted(set(sys.modules) - bare))\n"
+        f"for argv in {COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
         "print(*sorted(set(sys.modules) - bare))"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(weylcurrents.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
-    added = set(run.stdout.split())
     assert run.returncode == 0, run.stderr
-    assert "weylcurrents.cli" in added
-    assert not added & {"dataclasses", "inspect", "tempfile"}
+    imported, after_commands = (set(line.split()) for line in run.stdout.splitlines())
+    assert "weylcurrents.cli" in imported
+    assert not imported & {"dataclasses", "inspect", "tempfile", "fractions", "decimal"}
+    assert not after_commands & {"fractions", "decimal"}
 
 
 def test_records_keep_their_fields_and_defaults():

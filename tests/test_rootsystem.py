@@ -75,6 +75,13 @@ def test_reflection_examples(a1, a2):
         a1.reflect(2, Weight([1]))
 
 
+def test_fundamental_weight_index_in_range(a2):
+    assert [a2.fundamental_weight(i) for i in (1, 2)] == [Weight([1, 0]), Weight([0, 1])]
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"^fundamental-weight index {i} out of range 1\.\.2$"):
+            a2.fundamental_weight(i)
+
+
 def test_inner_products(a1, a2):
     w = Weight([1])
     assert a1.inner(w, w) == Fraction(1, 2)
