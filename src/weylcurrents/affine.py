@@ -101,9 +101,10 @@ def rho_shift(rs: RootSystem, k: int) -> AffineWeight:
 
 def level_restricted_dominant(rs: RootSystem, k: int):
     """P_+^k: dominant classical weights with <theta^vee, lam> <= k, that is
-    sum_i a_i lam_i <= k over the marks a_i, in lexicographic order."""
-    if k < 0:
-        raise ValueError("level must be nonnegative")
+    sum_i a_i lam_i <= k over the marks a_i, in lexicographic order. Level 0
+    gives [0]; any other level must pass `check_level`."""
+    if type(k) is not int or k != 0:
+        check_level(rs, k)
     marks = rs.highest_root_coords
     box = product(*(range(k // a + 1) for a in marks))
     return [Weight(c) for c in box if sum(map(mul, marks, c)) <= k]

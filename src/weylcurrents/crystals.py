@@ -131,11 +131,12 @@ def _pair_index(n: int, pair) -> int:
 @cache
 def _two_factor(n: int, r: int, s: int):
     """(weights, f_arrows, label, highest) of the fold of (r, s), with the
-    classical components of `_classical_components`; `_build_R` reads it
-    for both orders of the heights and `_build_H` once more."""
+    classical components of `_classical_components` and each f_i row decoded
+    into a list of targets (-1 where f_i vanishes); `_build_R` reads it for
+    both orders of the heights and `_build_H` once more."""
     _, weights, eps, phi, f_arrows, _ = _fold(n, (r, s), energy=False)
-    label, highest = _classical_components(n, eps, phi, f_arrows)
-    return weights, f_arrows, label, highest
+    label, highest = _classical_components(eps, phi, f_arrows)
+    return weights, [list(row) for row in f_arrows], label, highest
 
 
 def combinatorial_R(n: int, pair):
@@ -305,6 +306,39 @@ class WeightTable(Sequence):
         return map(self.distinct.__getitem__, self.ids)
 
 
+class ArrowRow(Sequence):
+    """The f_i arrows of a tensor crystal, read-only, one byte per vertex:
+    `codes[t]` is 0 where f_i vanishes at vertex t, else the code k of the
+    arrow t -> t + steps[k]. An arrow changes one factor, column c to column
+    g of factor l, so its step is (g - c) times the stride of factor l, and a
+    row has few codes. `row[t]` is the target of vertex t or -1. `steps` is a
+    list, whose __getitem__ maps faster than a tuple's."""
+
+    __slots__ = ("codes", "steps")
+
+    def __init__(self, codes, steps):
+        self.codes = codes
+        self.steps = steps
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, t):
+        k = self.codes[t]
+        return t % len(self.codes) + self.steps[k] if k else -1
+
+    def __iter__(self):
+        steps = self.steps
+        return (t + steps[k] if k else -1 for t, k in enumerate(self.codes))
+
+    def targets(self):
+        """The targets of the row's arrows in the order of their sources,
+        each decoded as it is read, so no list of them is made."""
+        has = self.codes.translate(_indicator(1))
+        steps = map(self.steps.__getitem__, compress(self.codes, has))
+        return map(add, compress(count(), has), steps)
+
+
 @cache
 def _column_tables(n: int, r: int):
     """The height-r columns and their tables (columns, positions, weights,
@@ -334,12 +368,13 @@ def _groups(keys):
 @cache
 def _column_groups(n: int, r: int):
     """The height-r columns grouped by the values `_fold` writes per slice:
-    for i = 0..n by (c, eps_i, f_i), one column each, by eps_i and by
-    (eps_i, phi_i). The memo hands every caller the same lists: read them,
-    never change them."""
+    for i = 0..n by (eps_i, g - c) for the column c and its f_i image g (0
+    when f_i vanishes at c), by eps_i and by (eps_i, phi_i). The memo hands
+    every caller the same lists: read them, never change them."""
     _, _, _, eps, phi, f = _column_tables(n, r)
+    steps = [[g - c if g >= 0 else 0 for c, g in enumerate(fi)] for fi in f]
     return (
-        [_groups(zip(range(len(g)), e, g)) for e, g in zip(eps, f)],
+        [_groups(zip(e, d)) for e, d in zip(eps, steps)],
         [_groups(zip(e)) for e in eps],
         [_groups(zip(e, p)) for e, p in zip(eps, phi)],
     )
@@ -374,15 +409,43 @@ def _eps_rule(a: int) -> bytes:
 
 
 @cache
-def _indicator(lo: int, hi: int = 256) -> bytes:
-    """The translate table that maps a byte q to 1 when lo <= q < hi, else 0."""
-    return bytes(lo <= q < hi for q in range(256))
+def _indicator(lo: int, hi: int = 256, value: int = 1) -> bytes:
+    """The translate table that maps a byte q to `value` when lo <= q < hi,
+    else 0."""
+    return bytes(value if lo <= q < hi else 0 for q in range(256))
 
 
 def _add_bytes(x: bytes, y: bytes) -> bytes:
     """x + y byte by byte, through one int each: no carry occurs while every
     sum is below 256."""
     return (int.from_bytes(x, "little") + int.from_bytes(y, "little")).to_bytes(len(x), "little")
+
+
+def _arrow_level(m: int, groups, row: ArrowRow, P: bytes) -> ArrowRow:
+    """The f_i row of the next level from the prefix's row and phi_i row P,
+    for the height-m columns grouped by (eps_i(c), g - c) (`_column_groups`).
+    By the signature rule f_i acts on the prefix where phi_i(prefix) > eps_i(c),
+    and the state keeps the prefix's code, whose step is m times the
+    prefix's; elsewhere it acts on c, and the state takes the code of the
+    step g - c, which no prefix step (a multiple of m) equals. Each slice is
+    a bytewise select, prefix code & mask | column code, through one int
+    each."""
+    steps = [s * m for s in row.steps]
+    code = {0: 0}  # g - c = 0: f_i vanishes at c
+    prefix = int.from_bytes(row.codes, "little")
+
+    def select(a, d):
+        k = code.setdefault(d, len(steps))
+        if k == len(steps):
+            if k == 256:
+                raise StructuralError("f_i row needs more than 256 step codes")
+            steps.append(d)
+        keep = prefix & int.from_bytes(P.translate(_indicator(a + 1, 256, 255)), "little")
+        own = int.from_bytes(P.translate(_indicator(0, a + 1, k)), "little")
+        return (keep | own).to_bytes(len(P), "little")
+
+    codes = bytes(_by_column(m, groups, select, bytearray(len(P) * m)))
+    return ArrowRow(codes, steps)
 
 
 class _Shared(dict):
@@ -400,8 +463,8 @@ def _fold(n: int, heights, energy: bool):
     """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
     the given column heights, vertices in lexicographic order (a
     `TensorVertices`) and weights a `WeightTable`; eps, phi and f_arrows are
-    indexed [i][t], each eps_i and phi_i row `bytes` (one byte per vertex),
-    and D is None unless `energy`.
+    indexed [i][t], each eps_i and phi_i row `bytes` and each f_i row an
+    `ArrowRow` (one byte per vertex), and D is None unless `energy`.
 
     Factor l extends every prefix state s by every column c, giving state
     s * m + c, so the states that end in c are the slice c::m of the new
@@ -414,11 +477,9 @@ def _fold(n: int, heights, energy: bool):
     one `map` per slice. The statistics follow the two-factor rules of
     `tensor_stats`, each eps_i and phi_i slice a `bytes.translate` of the
     prefix's phi_i (`_phi_rule`, `_eps_rule`), the eps_i one added byte by
-    byte to the prefix's eps_i. f_i follows the signature rule of `apply_op`: it acts on
-    the prefix when phi_i(prefix) > eps_i(c), else on c; its slice carries c
-    and the column's image, so each column makes its own. Each target is read
-    from one list of the level's states (states[c::m][t] for t ⊗ c), so
-    the f_i rows hold one int object per vertex. D is
+    byte to the prefix's eps_i. f_i follows the signature rule of `apply_op`,
+    each slice a bytewise select between the prefix's step codes and the
+    code of the column's own step (`_arrow_level`). D is
     `energy_of_element` by transport tables: for each height r still to come,
     T[r][s * m_r + x] is the energy a height-r column x collects moving left
     through prefix s. Then D(s * m + c) = D(s) + T[r][s * m + c], and the new
@@ -434,20 +495,23 @@ def _fold(n: int, heights, energy: bool):
             pairs[a, b] = len(R), _groups(zip(_build_H(n, a, b), R))
     if heights:
         # the states of the first factor are its columns, whose weights are
-        # distinct, and each transport table starts as H of that column and
-        # the later one
+        # distinct, their f_i rows the one select over the empty prefix (one
+        # state, no arrow, phi_i = 0), and each transport table starts as H of
+        # that column and the later one
         r = heights[0]
         distinct = tables[r][2]
         ids = list(range(len(distinct)))
         E, P = ([bytes(row) for row in table] for table in tables[r][3:5])
-        F = [list(row) for row in tables[r][5]]
-        D = [0] * len(F[0])
+        m = len(distinct)
+        empty = ArrowRow(bytes(1), [0])
+        F = [_arrow_level(m, groups, empty, bytes(1)) for groups in _column_groups(n, r)[0]]
+        D = [0] * m
         T = {later: list(_build_H(n, r, later)) for later in set(heights[1:])} if energy else {}
     else:  # the empty prefix is the one state
         distinct, ids = [(0,) * n], [0]
         E = [bytes(1) for _ in range(n + 1)]
         P = [bytes(1) for _ in range(n + 1)]
-        F = [[-1] for _ in range(n + 1)]
+        F = [ArrowRow(bytes(1), [0]) for _ in range(n + 1)]
         D = [0]
     for level, r in enumerate(heights[1:], start=1):
         gf, ge, gp = _column_groups(n, r)
@@ -462,21 +526,7 @@ def _fold(n: int, heights, energy: bool):
         prefix_ids, ids = ids, [0] * size
         for c, move in enumerate(moves):
             ids[c::m] = map(move.__getitem__, prefix_ids)
-        states = list(range(size))
-        F = [
-            _by_column(
-                m,
-                groups,
-                lambda c, a, g: [
-                    into[t] if q > a else u
-                    for into in [states[c::m]]
-                    for t, q, u in zip(Fi, Pi, states[g::m] if g >= 0 else repeat(-1))
-                ],
-                [0] * size,
-            )
-            for Fi, Pi, groups in zip(F, P, gf)
-        ]
-        del states
+        F = [_arrow_level(m, groups, row, Pi) for row, Pi, groups in zip(F, P, gf)]
         E = [
             bytes(
                 _by_column(
@@ -525,45 +575,44 @@ CACHE_FORMAT = 2  # the disk cache document
 EXPORT_FORMAT = 1  # the `export --format json` document
 
 
-def _classical_components(n: int, eps, phi, f_arrows):
+def _classical_components(eps, phi, f_arrows):
     """(label, highest): each vertex labelled by the classical-highest vertex
     (eps_i = 0 for i >= 1) of its classical component, and those vertices in
     index order.
 
-    The labels are found along the lowering arrows, whose targets are ints
-    the f tables already hold, so no int is made per vertex. Each vertex
-    points along f_i for its first i >= 1 with phi_i > 0, or at itself when
-    there is none (a classical-lowest vertex). Pointer jumping, each vertex
-    taking its pointer's pointer, then leaves every vertex pointing at the
-    lowest vertex its strings end in, after about log2 of the longest string
-    rounds. Each lowest vertex must be reached from exactly one
-    classical-highest vertex, whose label its vertices take. The seal then
-    tests that every classical f_i arrow keeps its label, so no component has
-    two classical-highest vertices. (A lowering cycle, which the jumping
-    would not resolve, breaks the weight shift that the seal tests on every
-    arrow.)"""
+    Each classical f_i row must hold an arrow exactly where phi_i > 0 (its
+    nonzero codes and phi_i compared as bytes). Then a breadth-first walk
+    down the classical arrows from each classical-highest vertex decodes each
+    target as it goes and gives it the label, so the walk reads every
+    classical arrow once and a component's queue is the one list of new ints.
+    A target with another label joins two classical-highest vertices, and a
+    vertex the walk leaves unlabelled has none. So every classical arrow
+    keeps its label, and each component has exactly one classical-highest
+    vertex."""
+    for f, p in zip(f_arrows[1:], phi[1:]):
+        if f.codes.translate(_indicator(1)) != p.translate(_indicator(1)):
+            raise StructuralError("f_i arrow existence disagrees with phi")
     # classical-highest: a zero byte of the bitwise or of the classical eps_i
     # rows, each read as one int
     ored = reduce(or_, map(int.from_bytes, eps[1:], repeat("little")))
     zero = ored.to_bytes(len(eps[0]), "little").translate(_indicator(0, 1))
     highest = list(compress(count(), zero))
-    point = [None] * len(eps[0])
-    for i in range(n, 0, -1):
-        point = [f if p else u for u, p, f in zip(point, phi[i], f_arrows[i])]
-    if -1 in point:
-        raise StructuralError("f_i arrow existence disagrees with phi")
-    point = [t if u is None else u for t, u in enumerate(point)]
-    for _ in range(len(point).bit_length()):
-        jumped = list(map(point.__getitem__, point))
-        if jumped == point:
-            break
-        point = jumped
-    del jumped
-    top = {}
-    for t in highest:
-        if top.setdefault(point[t], t) != t:
-            raise StructuralError("component with two classical-highest elements")
-    label = list(map(top.get, point))
+    label = [None] * len(eps[0])
+    any(map(label.__setitem__, highest, highest))
+    rows = [(f.codes, f.steps) for f in f_arrows[1:]]
+    for top in highest:
+        queue = [top]
+        for u in queue:
+            for codes, steps in rows:
+                k = codes[u]
+                if k:
+                    t = u + steps[k]
+                    seen = label[t]
+                    if seen is None:
+                        label[t] = top
+                        queue.append(t)
+                    elif seen != top:
+                        raise StructuralError("component with two classical-highest elements")
     if None in label:
         raise StructuralError("component without a classical-highest element")
     return label, highest
@@ -573,8 +622,8 @@ class CrystalGraph:
     """Sealed tensor-product crystal with cached statistics, arrows, classical
     components and the degree function; immutable after construction. The
     tables are those of `_fold`: eps, phi and f_arrows indexed [i][t] (each
-    eps_i and phi_i row `bytes`), the `WeightTable` weights, and D and
-    component indexed by vertex."""
+    eps_i and phi_i row `bytes`, each f_i row an `ArrowRow`), the
+    `WeightTable` weights, and D and component indexed by vertex."""
 
     __slots__ = (
         "n",
@@ -598,13 +647,14 @@ class CrystalGraph:
         self.phi = phi
         self.f_arrows = f_arrows
         self.D = D
-        self.component, self.component_highest = _classical_components(n, eps, phi, f_arrows)
+        self.component, self.component_highest = _classical_components(eps, phi, f_arrows)
         self._verify_axioms()
 
     def _verify_axioms(self):
         """Check the crystal and degree-function axioms, one operator at a
         time over the column tables, the 0-arrows last; the weights are
-        compared as ids."""
+        compared as ids. The component walk read every classical arrow, so D
+        is constant along them when each vertex has the D of its label."""
         n, D = self.n, self.D
         ids = self.weights.ids
         distinct = [w.coeffs for w in self.weights.distinct]
@@ -615,6 +665,8 @@ class CrystalGraph:
             raise StructuralError("highest-weight vertex is not unique")
         if D[ids.index(top)] != 0:
             raise StructuralError("degree normalization D(b_0) = 0 fails")
+        if list(map(D.__getitem__, self.component)) != D:
+            raise StructuralError("degree changes along a classical arrow")
         rs = build_root_system("A", n)
         # <alpha_0^vee, wt> = -(theta, wt) with theta in simple-root coordinates;
         # f_i lowers the weight by alpha_i, whose classical part is -theta at i = 0
@@ -630,12 +682,12 @@ class CrystalGraph:
     def _verify_operator(self, i, pairing, image):
         """The axioms that read operator i, given <alpha_i^vee, w> and the id
         of w - alpha_i (-1 when no vertex has it) for each distinct weight w.
-        One mask of the vertices where f_i acts (phi_i > 0, translated from
-        the phi_i bytes) serves every check of the f_i arrows. phi_i is
-        compared as bytes, and each arrow check lists its two sides and drops
-        them, so at most two lists of the arrows are alive at once."""
+        phi_i is compared as bytes, and the mask of the vertices where f_i
+        acts (phi_i > 0) with the mask of the nonzero step codes. The arrow
+        checks then read the sources through the mask and the targets as
+        `ArrowRow.targets` decodes them, so no list of the arrows is made."""
         E, P, F, D = self.eps[i], self.phi[i], self.f_arrows[i], self.D
-        ids, label = self.weights.ids, self.component
+        ids = self.weights.ids
         try:
             paired = bytes(map(add, E, map(pairing.__getitem__, ids)))
         except ValueError:  # a value outside 0..255, which no phi_i byte holds
@@ -643,32 +695,21 @@ class CrystalGraph:
         if P != paired:
             raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
         del paired
-        # f_i acts where phi_i > 0: no -1 among the arrows there, and no
-        # arrow where phi_i = 0
         acts = P.translate(_indicator(1))
-        agree = (
-            len(F) == len(acts)
-            and min(compress(F, acts), default=0) >= 0
-            and max(compress(F, P.translate(_indicator(0, 1))), default=-1) < 0
-        )
         if i == 0:  # over the arrows that F holds, whether or not phi_0 agrees
-            self._verify_connected(F, acts if agree else bytes(t >= 0 for t in F))
-        if not agree:
+            self._verify_connected(F)
+        if F.codes.translate(_indicator(1)) != acts:
             raise StructuralError("f_i arrow existence disagrees with phi")
-        if i and list(compress(label, acts)) != list(map(label.__getitem__, compress(F, acts))):
-            raise StructuralError("component with two classical-highest elements")
         moved = map(image.__getitem__, compress(ids, acts))
-        if list(moved) != list(map(ids.__getitem__, compress(F, acts))):
+        if any(map(ne, moved, map(ids.__getitem__, F.targets()))):
             raise StructuralError("arrow does not shift the weight by alpha_i")
         if i:
-            if list(compress(D, acts)) != list(map(D.__getitem__, compress(F, acts))):
-                raise StructuralError("degree changes along a classical arrow")
             return
         # e_0 is read only where eps_0 >= 2, through D(e_0 t): the D of each
         # 0-arrow's source written onto its target (mapping __setitem__ keeps
         # the loop in C), after which the mask is done with
         below = [None] * len(D)
-        any(map(below.__setitem__, compress(F, acts), compress(D, acts)))
+        any(map(below.__setitem__, F.targets(), compress(D, acts)))
         del acts
         wanted = E.translate(_indicator(2))
         if None in compress(below, wanted):
@@ -676,14 +717,15 @@ class CrystalGraph:
         if any(map(ne, compress(below, wanted), map(sub, compress(D, wanted), repeat(1)))):
             raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
 
-    def _verify_connected(self, F, acts):
+    def _verify_connected(self, F):
         """Affine connectivity: every classical component is connected, so it
-        suffices that the 0-arrows join the components into one. The distinct
-        pairs of labels that the arrows join, each as one int, feed a
-        union-find over the components."""
+        suffices that the 0-arrows of F join the components into one. The
+        distinct pairs of labels that the arrows join, each as one int, feed
+        a union-find over the components."""
         label, size = self.component, len(self.component)
-        ends = map(label.__getitem__, compress(F, acts))
-        pairs = set(map(add, map(mul, compress(label, acts), repeat(size)), ends))
+        ends = map(label.__getitem__, F.targets())
+        starts = compress(label, F.codes.translate(_indicator(1)))
+        pairs = set(map(add, map(mul, starts, repeat(size)), ends))
         root = {c: c for c in self.component_highest}
         joined = 0
         for pair in pairs:
@@ -751,7 +793,7 @@ class CrystalGraph:
             "weights": [w.coeffs for w in self.weights],
             "eps": list(zip(*self.eps)),
             "phi": list(zip(*self.phi)),
-            "f": {str(i): self.f_arrows[i] for i in range(self.n + 1)},
+            "f": {str(i): list(self.f_arrows[i]) for i in range(self.n + 1)},
             "D": self.D,
         }
 

@@ -244,11 +244,13 @@ class RootSystem:
         return lam - c * self.simple_roots[i - 1]
 
     def reflect_root(self, alpha: Weight, lam: Weight) -> Weight:
-        """Reflection by an arbitrary root (simply laced: <alpha^vee,.> = (alpha,.)),
-        with (alpha, lam) truncated toward zero."""
-        c = self.scaled_inner(alpha.coeffs, lam.coeffs)
-        n = abs(c) // self.det
-        return lam - (n if c >= 0 else -n) * alpha
+        """Reflection by a root (simply laced: <alpha^vee,.> = (alpha,.)), whose
+        pairing with a weight is an integer. A weight that is not a root (in
+        the root lattice with (alpha, alpha) = 2) raises ValueError."""
+        norm = self.scaled_inner(alpha.coeffs, alpha.coeffs)
+        if not (self.in_root_lattice(alpha) and norm == 2 * self.det):
+            raise ValueError(f"{alpha} is not a root")
+        return lam - self.scaled_inner(alpha.coeffs, lam.coeffs) // self.det * alpha
 
     @property
     def inverse_cartan(self):

@@ -9,7 +9,9 @@ import pytest
 
 from weylcurrents.crystals import (
     ENERGY_ORIENTATION,
+    ArrowRow,
     CrystalGraph,
+    _arrow_level,
     _build_H,
     _build_R,
     _column_tables,
@@ -447,6 +449,8 @@ def test_cache_load_equals_the_build(tmp_path):
     for slot in CrystalGraph.__slots__:
         if slot in ("vertices", "weights"):  # sequences computed when read
             assert list(getattr(loaded, slot)) == list(getattr(built, slot)), slot
+        elif slot == "f_arrows":  # rows of step codes, compared as targets
+            assert [list(row) for row in loaded.f_arrows] == [list(row) for row in built.f_arrows]
         else:
             assert getattr(loaded, slot) == getattr(built, slot), slot
     clear_caches()
@@ -576,6 +580,31 @@ def _raise_eps0_and_phi0(t, by):
     return tamper
 
 
+def _set_arrow(i, t, target):
+    # the f rows are step codes: a copy of f_i with the arrow of vertex t sent
+    # to target (-1: no arrow), coding its step t -> target
+    def tamper(tables):
+        row = tables["f"][i]
+        codes, steps = bytearray(row.codes), list(row.steps)
+        if target < 0:
+            codes[t] = 0
+        else:
+            if target - t not in steps[1:]:
+                steps.append(target - t)
+            codes[t] = steps.index(target - t, 1)
+        tables["f"][i] = ArrowRow(bytes(codes), steps)
+
+    return tamper
+
+
+def _remove_arrows(i):
+    def tamper(tables):
+        for t in range(len(tables["f"][i])):
+            _set_arrow(i, t, -1)(tables)
+
+    return tamper
+
+
 def _set_weight(t, coeffs):
     # the weights are ids into the distinct weights: vertex t takes the id of
     # the weight with these coefficients
@@ -600,15 +629,14 @@ def _set_weight(t, coeffs):
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda tab: tab["f"][0].__setitem__(slice(None), [-1] * 9),
-         "tensor crystal is not affinely connected"),
+        (_remove_arrows(0), "tensor crystal is not affinely connected"),
         (_set_weight(8, (1, 1)), "highest-weight vertex is not unique"),
         (lambda tab: tab.__setitem__("D", [d + 1 for d in tab["D"]]),
          "degree normalization D(b_0) = 0 fails"),
         (_set_weight(8, (0, 0)), "crystal axiom <a_i^vee, wt> = phi - eps fails"),
         (_raise_eps0_and_phi0(4, 1), "f_i arrow existence disagrees with phi"),
-        (lambda tab: tab["f"][0].__setitem__(4, 0), "f_i arrow existence disagrees with phi"),
-        (lambda tab: tab["f"][0].__setitem__(5, 4), "arrow does not shift the weight by alpha_i"),
+        (_set_arrow(0, 4, 0), "f_i arrow existence disagrees with phi"),
+        (_set_arrow(0, 5, 4), "arrow does not shift the weight by alpha_i"),
         (lambda tab: tab["D"].__setitem__(1, tab["D"][1] + 1),
          "degree changes along a classical arrow"),
         (_raise_eps0_and_phi0(5, 2), "eps_0 >= 2 but no raising 0-arrow"),
@@ -616,9 +644,8 @@ def _set_weight(t, coeffs):
          "D(e_0 b) != D(b) - 1 at eps_0 >= 2"),
         (_set_classical_eps(4, (0, 0)), "component with two classical-highest elements"),
         (_set_classical_eps(0, (1, 0)), "component without a classical-highest element"),
-        (lambda tab: tab["f"][1].__setitem__(0, -1), "f_i arrow existence disagrees with phi"),
-        (lambda tab: tab["f"][2].__setitem__(0, SINGLETON),
-         "component with two classical-highest elements"),
+        (_set_arrow(1, 0, -1), "f_i arrow existence disagrees with phi"),
+        (_set_arrow(2, 0, SINGLETON), "component with two classical-highest elements"),
     ],
     ids=["connected", "top-unique", "top-degree", "pairing", "arrow-exists", "arrow-without-phi",
          "arrow-shift",
@@ -636,34 +663,32 @@ def test_axiom_check_rejects_each_tampered_table(tamper, message):
 
 
 def test_seal_holds_one_operator_at_a_time():
-    # The seal walks the operators one at a time over the fold's own tables,
-    # compares phi_i as bytes and keeps no list of an operator's arrow
-    # targets, so only one operator's masks and lists are alive at once: on
-    # A2 mu=(5,4) (19,683 vertices) its traced peak exceeds the tables it
-    # seals by at most 28 bytes per vertex (25.8 measured, set by the
-    # classical components; 30.2 when each operator's list of targets lived
-    # beside the two lists of each check)
+    # The fold writes the f_i rows as step codes with no list of states, and
+    # the seal walks the operators one at a time over the fold's own tables,
+    # compares phi_i and the arrow codes as bytes and decodes the arrow
+    # targets as it reads them, so only one operator's masks are alive at
+    # once: on A2 mu=(5,4) (19,683 vertices) the traced peak of the fold and
+    # the seal together is at most 1.3 MB (1.08 MB measured; 2.33 MB, set by
+    # the fold's list of states, when the f rows held an int per vertex)
     heights = heights_for_weight(Weight([5, 4]))
     clear_caches()
     build_crystal(2, heights)  # the column, R and H memos stay out of the figures
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        tables = _fold(2, heights, energy=True)
-        folded = tracemalloc.get_traced_memory()[0] - start
-        tracemalloc.reset_peak()
-        CrystalGraph(2, heights, *tables)
+        CrystalGraph(2, heights, *_fold(2, heights, energy=True))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
         clear_caches()
-    assert peak - folded <= 28 * 19683, (peak, folded)
+    assert peak <= 1.3e6, peak
 
 
 def test_arrow_targets_and_degrees_share_their_ints(tmp_path):
-    # every f_i arrow target is one of the fold's V state objects, and each
-    # degree is one object per distinct value, in the built graph and in the
-    # one loaded back from its cache file (CPython caches only -5..256)
+    # every f_i row is bytes of step codes, one byte per vertex, so it holds
+    # no int per arrow target, and each degree is one object per distinct
+    # value, in the built graph and in the one loaded back from its cache file
+    # (CPython caches only -5..256)
     def objects(values):
         return len({id(v) for v in values})
 
@@ -674,19 +699,42 @@ def test_arrow_targets_and_degrees_share_their_ints(tmp_path):
     loaded = build_crystal(2, heights, cache_dir=str(tmp_path))
     assert loaded is not built and loaded.D == built.D
     for graph in (built, loaded):
-        targets = [t for row in graph.f_arrows for t in row if t >= 0]
-        assert len(set(targets)) == 19683
-        assert objects(targets) <= 19683
+        assert [(type(row.codes), len(row)) for row in graph.f_arrows] == [(bytes, 19683)] * 3
         assert objects(graph.D) == len(set(graph.D)) == 21
     clear_caches()
+
+
+def test_arrow_row_reads_like_a_list():
+    # vertex t with code k has the target t + steps[k], code 0 none; the row
+    # reads like the list of its targets, from either end
+    row = ArrowRow(bytes([2, 0, 1, 2]), [0, -2, 1])
+    want = [1, -1, 0, 4]
+    assert len(row) == 4 and list(row) == want
+    assert [row[t] for t in range(4)] == [row[t - 4] for t in range(4)] == want
+    assert list(row.targets()) == [1, 0, 4]
+    for t in (4, -5):
+        with pytest.raises(IndexError):
+            row[t]
+
+
+def test_arrow_row_holds_at_most_256_codes():
+    # one prefix state with phi_i = 0, extended by two columns: column 0 has
+    # the step +1, which no prefix step (a multiple of 2) equals, so it takes
+    # a new code, and column 1 has no arrow
+    groups = [((0, 1), [0]), ((0, 0), [1])]
+    row = _arrow_level(2, groups, ArrowRow(bytes(1), list(range(255))), bytes(1))
+    assert list(row.codes) == [255, 0] and list(row) == [1, -1]
+    with pytest.raises(StructuralError, match="more than 256 step codes"):
+        _arrow_level(2, groups, ArrowRow(bytes(1), list(range(256))), bytes(1))
 
 
 def test_eps_and_phi_rows_are_one_byte_per_vertex():
     # every eps_i and phi_i row of the fold and of the sealed graph is bytes,
     # one byte per vertex: on A2 mu=(5,4) (19,683 vertices) the fold's tables
-    # trace to at most 1.8 MB (1.58 MB with one int object per vertex index
-    # and per degree), against 2.71 MB with an int per arrow target and per
-    # degree, and 3.53 MB with a list of ints per row
+    # trace to at most 0.65 MB (0.55 MB with the f rows as step codes), against
+    # 1.58 MB with one int object per vertex index in the f rows and one per
+    # degree, 2.71 MB with an int per arrow target and per degree, and 3.53 MB
+    # with a list of ints per row
     for n, heights in [(2, ()), (3, (2,)), (2, (1, 2)), (3, (1, 3, 2, 1))]:
         size = prod(comb(n + 1, r) for r in heights)
         for eps, phi in (_fold(n, heights, energy=False)[2:4], _fold(n, heights, energy=True)[2:4]):
@@ -704,7 +752,7 @@ def test_eps_and_phi_rows_are_one_byte_per_vertex():
         tracemalloc.stop()
         clear_caches()
     assert len(tables[0]) == 19683
-    assert folded <= 1.8e6, folded
+    assert folded <= 0.65e6, folded
 
 
 INTERLEAVED = [(2, (2, 1, 2, 1, 1)), (2, (1, 2, 1, 2, 2, 1)), (3, (1, 3, 2, 1, 3))]
@@ -791,9 +839,9 @@ def test_fold_equals_the_comprehension_fold(n, heights):
     # first factor's column tables (or the one empty state); every table must
     # equal the one-expression-per-entry fold, with and without D
     for energy in (True, False):
-        _, weights, eps, phi, *tables = _fold(n, heights, energy)
-        eps, phi = [list(map(list, rows)) for rows in (eps, phi)]
-        assert ([w.coeffs for w in weights], eps, phi, *tables) == _comprehension_fold(
+        _, weights, eps, phi, f, D = _fold(n, heights, energy)
+        eps, phi, f = [list(map(list, rows)) for rows in (eps, phi, f)]
+        assert ([w.coeffs for w in weights], eps, phi, f, D) == _comprehension_fold(
             n, heights, energy
         )
 
@@ -803,10 +851,14 @@ def test_fold_tables_share_no_list(n, heights):
     # no returned list is a memo list of `_column_tables` or another returned
     # list, so changing one fold's lists in place (as the axiom tests do)
     # leaves the memos and the next fold as they were; the eps and phi rows
-    # are bytes, which cannot be changed in place
+    # and the f codes are bytes, which cannot be changed in place, and the f
+    # rows are compared as their targets
     def lists(tables):
         _, weights, eps, phi, f, D = tables
-        return [weights.ids, weights.distinct, *f, D]
+        return [weights.ids, weights.distinct, f, *(row.steps for row in f), D]
+
+    def decoded(tables):
+        return [[list(x) if isinstance(x, ArrowRow) else x for x in row] for row in tables]
 
     memo = [
         row
@@ -815,7 +867,7 @@ def test_fold_tables_share_no_list(n, heights):
         for row in (table, *table)
         if isinstance(row, list)
     ]
-    want = [list(row) for row in lists(_fold(n, heights, energy=True))]
+    want = decoded(lists(_fold(n, heights, energy=True)))
     tampered = lists(_fold(n, heights, energy=True))
     ids = [id(row) for row in tampered]
     assert len(set(ids)) == len(ids)
@@ -824,4 +876,4 @@ def test_fold_tables_share_no_list(n, heights):
     for row in tampered:
         row[:] = [None] * (len(row) + 1)
     assert [list(row) for row in memo] == memo_copy
-    assert lists(_fold(n, heights, energy=True)) == want
+    assert decoded(lists(_fold(n, heights, energy=True))) == want

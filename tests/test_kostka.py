@@ -412,6 +412,12 @@ def test_level_and_cutoff_checked_at_the_boundary():
         integrable_weyl_expansion(A1, Weight([0]), 0, 4)
     with pytest.raises(ValueError, match="level k must be >= 1, got 0"):
         kostka_paths_restricted(1, Weight([2]), Weight([0]), 0)
+    # P_+^k itself: level 0 is {0}, and any other level follows the rule
+    assert level_restricted_dominant(A2, 0) == [Weight([0, 0])]
+    with pytest.raises(ValueError, match=r"^level k must be an int, got 2\.5$"):
+        level_restricted_dominant(A2, 2.5)
+    with pytest.raises(ValueError, match=r"^level k must be >= 1, got -1$"):
+        level_restricted_dominant(A2, -1)
     # the invalid-input grid: every entry refuses each bad input it reads, with
     # the same message on every route
     for name, bad, message in INVALID_INPUTS:

@@ -131,12 +131,16 @@ def test_act_affine_and_length(rs):
 
 
 def test_reflect_root_truncates_toward_zero():
+    # for a root the pairing is an integer, so the Fraction code's int() cut
+    # nothing; a weight that is not a root is refused: (w1, w1) = 2/3, which
+    # the Fraction code truncated to 0, and 2 alpha_1 has (., .) = 8
     a2 = build_root_system("A", 2)
     w1 = a2.fundamental_weight(1)
-    for alpha in (w1, -w1, a2.highest_root):
+    for alpha in (a2.highest_root, -a2.highest_root, *a2.simple_roots):
         for lam in weight_grid(a2):
             pairing = a2.inner(alpha, lam)
             assert a2.reflect_root(alpha, lam) == lam - int(pairing) * alpha
-    # (w1, w1) = 2/3 and (-w1, w1) = -2/3: both truncate to 0
-    assert a2.reflect_root(w1, w1) == a2.reflect_root(-w1, w1) == w1
+    for alpha in (w1, -w1, 2 * a2.simple_roots[0]):
+        with pytest.raises(ValueError, match="is not a root$"):
+            a2.reflect_root(alpha, w1)
 
