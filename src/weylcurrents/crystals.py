@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from functools import cache, reduce
 from itertools import combinations, compress, count, product, repeat
 from math import comb, prod
-from operator import add, mul, ne, or_, sub
+from operator import add, and_, mul, neg, or_
 
 from .affine import check_level
 from .errors import StructuralError
@@ -252,11 +252,27 @@ def energy_of_element(n: int, b) -> int:
 # column-major: one list per coordinate, indexed by column or by state.
 
 
-class TensorVertices(Sequence):
+class _Row(Sequence):
+    """A read-only sequence whose entry t, 0 <= t < len, is computed when
+    asked (`_at`): an index reads from either end, as in a list, and a slice
+    gives the list of its entries."""
+
+    __slots__ = ()
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return list(map(self._at, range(len(self))[t]))
+        return self._at(range(len(self))[t])
+
+    def __iter__(self):
+        return map(self._at, range(len(self)))
+
+
+class TensorVertices(_Row):
     """The vertices product(*columns) of a tensor crystal, read-only: vertex t
     is the tuple of the columns at the mixed-radix digits of t, computed when
-    asked, so no vertex tuple is stored; a slice gives the list of its
-    vertices. No columns (mu = 0) give the one vertex ()."""
+    asked, so no vertex tuple is stored. No columns (mu = 0) give the one
+    vertex ()."""
 
     __slots__ = ("columns", "size")
 
@@ -267,12 +283,8 @@ class TensorVertices(Sequence):
     def __len__(self):
         return self.size
 
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self[u] for u in range(self.size)[t]]
-        if not -self.size <= t < self.size:
-            raise IndexError("vertex index out of range")
-        digits = []  # floor division reads a negative t as t + size
+    def _at(self, t):
+        digits = []
         for cols in reversed(self.columns):
             t, p = divmod(t, len(cols))
             digits.append(cols[p])
@@ -282,31 +294,57 @@ class TensorVertices(Sequence):
         return product(*self.columns)
 
 
-class WeightTable(Sequence):
-    """The weights of a tensor crystal's vertices, read-only: `ids[t]` is the
-    position of the weight of vertex t in `distinct`, the `Weight` of each
-    distinct weight, so the table holds one shared int per vertex and one
-    `Weight` per distinct weight. A slice gives the list of its weights."""
+class WeightTable(_Row):
+    """The weights of a tensor crystal's vertices, read-only, one byte per
+    vertex and coordinate: `rows[j][t]` is 128 plus the pairing of the weight
+    of vertex t with alpha_{j+1}^vee. A coordinate is a sum of one -1, 0 or 1
+    per factor, and 128 factors would make at least 2^128 vertices, so every
+    byte is in 1..255."""
 
-    __slots__ = ("ids", "distinct")
+    __slots__ = ("rows",)
 
-    def __init__(self, ids, distinct):
-        self.ids = ids
-        self.distinct = distinct
+    def __init__(self, rows):
+        self.rows = rows
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.rows[0])
 
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return list(map(self.distinct.__getitem__, self.ids[t]))
-        return self.distinct[self.ids[t]]
+    def _at(self, t):
+        return weight_from_ints(tuple(row[t] - 128 for row in self.rows))
 
     def __iter__(self):
-        return map(self.distinct.__getitem__, self.ids)
+        """The weights in vertex order, each distinct one made once."""
+        shared = {}
+        return (
+            shared.get(key) or shared.setdefault(key, weight_from_ints(tuple(c - 128 for c in key)))
+            for key in zip(*self.rows)
+        )
 
 
-class ArrowRow(Sequence):
+class DegreeRow(_Row):
+    """The degrees D <= 0 of a tensor crystal's vertices, read-only: `lanes`
+    holds -D of vertex t in the 2-byte little-endian lane at byte 2t. A local
+    energy lies in -min(r, s, n + 1 - r, n + 1 - s)..0, and a height-r factor
+    has at least 2^min(r, n + 1 - r) columns, so -D is below 2^13 on every
+    crystal under 2^128 vertices: no lane sum of the fold carries."""
+
+    __slots__ = ("lanes",)
+
+    def __init__(self, lanes):
+        self.lanes = lanes
+
+    def __len__(self):
+        return len(self.lanes) // 2
+
+    def _at(self, t):
+        return -int.from_bytes(self.lanes[2 * t : 2 * t + 2], "little")
+
+    def __iter__(self):
+        lanes = self.lanes
+        return map(neg, map(add, lanes[::2], map(mul, lanes[1::2], repeat(256))))
+
+
+class ArrowRow(_Row):
     """The f_i arrows of a tensor crystal, read-only, one byte per vertex:
     `codes[t]` is 0 where f_i vanishes at vertex t, else the code k of the
     arrow t -> t + steps[k]. An arrow changes one factor, column c to column
@@ -323,9 +361,9 @@ class ArrowRow(Sequence):
     def __len__(self):
         return len(self.codes)
 
-    def __getitem__(self, t):
+    def _at(self, t):
         k = self.codes[t]
-        return t % len(self.codes) + self.steps[k] if k else -1
+        return t + self.steps[k] if k else -1
 
     def __iter__(self):
         steps = self.steps
@@ -369,14 +407,16 @@ def _groups(keys):
 def _column_groups(n: int, r: int):
     """The height-r columns grouped by the values `_fold` writes per slice:
     for i = 0..n by (eps_i, g - c) for the column c and its f_i image g (0
-    when f_i vanishes at c), by eps_i and by (eps_i, phi_i). The memo hands
+    when f_i vanishes at c), by eps_i and by (eps_i, phi_i), and for j = 1..n
+    by the pairing of the column's weight with alpha_j^vee. The memo hands
     every caller the same lists: read them, never change them."""
-    _, _, _, eps, phi, f = _column_tables(n, r)
+    _, _, wts, eps, phi, f = _column_tables(n, r)
     steps = [[g - c if g >= 0 else 0 for c, g in enumerate(fi)] for fi in f]
     return (
         [_groups(zip(e, d)) for e, d in zip(eps, steps)],
         [_groups(zip(e)) for e in eps],
         [_groups(zip(e, p)) for e, p in zip(eps, phi)],
+        [_groups(zip(w)) for w in zip(*wts)],
     )
 
 
@@ -415,10 +455,32 @@ def _indicator(lo: int, hi: int = 256, value: int = 1) -> bytes:
     return bytes(value if lo <= q < hi else 0 for q in range(256))
 
 
+@cache
+def _shift(d: int) -> bytes:
+    """The translate table that adds d to a byte (mod 256)."""
+    return bytes((q + d) % 256 for q in range(256))
+
+
 def _add_bytes(x: bytes, y: bytes) -> bytes:
-    """x + y byte by byte, through one int each: no carry occurs while every
-    sum is below 256."""
+    """x + y byte by byte, or 2-byte lane by lane, through one int each: no
+    carry occurs while every sum fits its byte or lane."""
     return (int.from_bytes(x, "little") + int.from_bytes(y, "little")).to_bytes(len(x), "little")
+
+
+def _lanes(values) -> bytes:
+    """The row of 2-byte little-endian lanes that holds -v for each value v
+    <= 0 (a local energy)."""
+    return b"".join((-v).to_bytes(2, "little") for v in values)
+
+
+def _lane_rows(m: int, groups, make, size: int) -> bytearray:
+    """`_by_column` on a row of `size` 2-byte lanes: lane slice c::m set to
+    make(*key), a slice of a memoryview of lanes (cast to "H", which moves
+    each lane as one unit whatever the byte order)."""
+    out = bytearray(2 * size)
+    with memoryview(out).cast("H") as lanes:
+        _by_column(m, groups, make, lanes)
+    return out
 
 
 def _arrow_level(m: int, groups, row: ArrowRow, P: bytes) -> ArrowRow:
@@ -448,84 +510,71 @@ def _arrow_level(m: int, groups, row: ArrowRow, P: bytes) -> ArrowRow:
     return ArrowRow(codes, steps)
 
 
-class _Shared(dict):
-    """Maps each value looked up to the first equal value looked up, so that
-    `map(_Shared().__getitem__, values)` makes equal entries one object:
-    CPython caches only the ints -5..256, and each sum or parsed int is
-    otherwise an object of its own."""
-
-    def __missing__(self, value):
-        self[value] = value
-        return value
-
-
 def _fold(n: int, heights, energy: bool):
     """(vertices, weights, eps, phi, f_arrows, D) of the tensor crystal with
     the given column heights, vertices in lexicographic order (a
-    `TensorVertices`) and weights a `WeightTable`; eps, phi and f_arrows are
-    indexed [i][t], each eps_i and phi_i row `bytes` and each f_i row an
-    `ArrowRow` (one byte per vertex), and D is None unless `energy`.
+    `TensorVertices`), weights a `WeightTable` and D a `DegreeRow`; eps, phi
+    and f_arrows are indexed [i][t], each eps_i and phi_i row `bytes` and
+    each f_i row an `ArrowRow` (one byte per vertex), and D is None unless
+    `energy`.
 
     Factor l extends every prefix state s by every column c, giving state
     s * m + c, so the states that end in c are the slice c::m of the new
     table. A column's statistics take few values, and each table is written
-    one slice at a time from one list over the prefix states per distinct
+    one slice at a time from one row over the prefix states per distinct
     value (`_by_column`); a value that leaves the prefix's entry as it is
-    writes the prefix table itself. The weight of a state is its id among the
-    distinct weights of its level: column c moves each prefix id to the id of
-    that weight plus the weight of c, one transition list per column read by
-    one `map` per slice. The statistics follow the two-factor rules of
-    `tensor_stats`, each eps_i and phi_i slice a `bytes.translate` of the
-    prefix's phi_i (`_phi_rule`, `_eps_rule`), the eps_i one added byte by
-    byte to the prefix's eps_i. f_i follows the signature rule of `apply_op`,
-    each slice a bytewise select between the prefix's step codes and the
-    code of the column's own step (`_arrow_level`). D is
-    `energy_of_element` by transport tables: for each height r still to come,
+    writes the prefix row itself. Each weight coordinate row is the prefix's
+    with the column's coordinate added by `bytes.translate` (`_shift`). The
+    statistics follow the two-factor rules of `tensor_stats`, each eps_i and
+    phi_i slice a `bytes.translate` of the prefix's phi_i (`_phi_rule`,
+    `_eps_rule`), the eps_i one added byte by byte to the prefix's eps_i. f_i
+    follows the signature rule of `apply_op`, each slice a bytewise select
+    between the prefix's step codes and the code of the column's own step
+    (`_arrow_level`). D is `energy_of_element` by transport tables, each a
+    row of 2-byte lanes of -D like D's own: for each height r still to come,
     T[r][s * m_r + x] is the energy a height-r column x collects moving left
-    through prefix s. Then D(s * m + c) = D(s) + T[r][s * m + c], and the new
-    factor p extends each table by T[r](s ⊗ p, x) = H(p, x) + T[r](s, R(p,
-    x)[0]); each new D maps its sums through `_Shared`, so each degree is one
-    int object."""
+    through prefix s. Then D(s * m + c) = D(s) + T[r][s * m + c], the prefix
+    lanes written into each column slice and T[r] added by one int sum, and
+    the new factor p extends each table by T[r](s ⊗ p, x) = H(p, x) + T[r](s,
+    R(p, x)[0]), the prefix lanes of R(p, x)[0] written into slice (p, x) and
+    the lanes of H added, repeated once per prefix state."""
     tables = {r: _column_tables(n, r) for r in set(heights)}
     pairs = {}
     if energy:
         for a, b in {(a, b) for j, b in enumerate(heights) for a in heights[:j]}:
             m_a = len(tables[a][0])
             R = [t // m_a for t in _build_R(n, a, b)]
-            pairs[a, b] = len(R), _groups(zip(_build_H(n, a, b), R))
+            pairs[a, b] = len(R), _groups(zip(R)), _lanes(_build_H(n, a, b))
     if heights:
-        # the states of the first factor are its columns, whose weights are
-        # distinct, their f_i rows the one select over the empty prefix (one
-        # state, no arrow, phi_i = 0), and each transport table starts as H of
-        # that column and the later one
+        # the states of the first factor are its columns, their f_i rows the
+        # one select over the empty prefix (one state, no arrow, phi_i = 0),
+        # and each transport table starts as H of that column and the later one
         r = heights[0]
-        distinct = tables[r][2]
-        ids = list(range(len(distinct)))
+        W = [bytes(128 + x for x in coords) for coords in zip(*tables[r][2])]
         E, P = ([bytes(row) for row in table] for table in tables[r][3:5])
-        m = len(distinct)
+        m = len(W[0])
         empty = ArrowRow(bytes(1), [0])
         F = [_arrow_level(m, groups, empty, bytes(1)) for groups in _column_groups(n, r)[0]]
-        D = [0] * m
-        T = {later: list(_build_H(n, r, later)) for later in set(heights[1:])} if energy else {}
+        D = bytes(2 * m)
+        T = {later: _lanes(_build_H(n, r, later)) for later in set(heights[1:])} if energy else {}
     else:  # the empty prefix is the one state
-        distinct, ids = [(0,) * n], [0]
+        W = [bytes([128]) for _ in range(n)]
         E = [bytes(1) for _ in range(n + 1)]
         P = [bytes(1) for _ in range(n + 1)]
         F = [ArrowRow(bytes(1), [0]) for _ in range(n + 1)]
-        D = [0]
+        D = bytes(2)
     for level, r in enumerate(heights[1:], start=1):
-        gf, ge, gp = _column_groups(n, r)
+        gf, ge, gp, gw = _column_groups(n, r)
         m = len(tables[r][0])
-        size = len(ids) * m
-        index = {}
-        moves = [
-            [index.setdefault(tuple(map(add, w, v)), len(index)) for w in distinct]
-            for v in tables[r][2]
+        size = len(W[0]) * m
+        W = [
+            bytes(
+                _by_column(
+                    m, groups, lambda x: Wj.translate(_shift(x)) if x else Wj, bytearray(size)
+                )
+            )
+            for Wj, groups in zip(W, gw)
         ]
-        distinct = list(index)
-        prefix_ids, ids = ids, [0] * size
-        for c, move in enumerate(moves):
-            ids[c::m] = map(move.__getitem__, prefix_ids)
         F = [_arrow_level(m, groups, row, Pi) for row, Pi, groups in zip(F, P, gf)]
         E = [
             bytes(
@@ -550,28 +599,43 @@ def _fold(n: int, heights, energy: bool):
             for Pi, groups in zip(P, gp)
         ]
         if energy:
-            prefix = _by_column(m, [((), range(m))], lambda: D, [0] * size)
-            D = list(map(_Shared().__getitem__, map(add, prefix, T[r])))
-            del prefix
+            with memoryview(D).cast("H") as prefix:
+                D = _add_bytes(_lane_rows(m, [((), range(m))], lambda: prefix, size), T[r])
             extended = {}
             for later in set(heights[level + 1 :]):
-                M, groups = pairs[r, later]
-                Tl, ml = T[later], M // m
-                extended[later] = _by_column(
-                    M,
-                    groups,
-                    lambda h, x: [h + v for v in Tl[x::ml]] if h else Tl[x::ml],
-                    [0] * (size * ml),
-                )
+                M, groups, H = pairs[r, later]
+                ml = M // m
+                with memoryview(T[later]).cast("H") as prefix:
+                    lanes = _lane_rows(M, groups, lambda x: prefix[x::ml], size * ml)
+                extended[later] = _add_bytes(lanes, H * (size // m))
+                del lanes
             T = extended
-    weights = WeightTable(ids, list(map(weight_from_ints, distinct)))
     vertices = TensorVertices([tables[r][0] for r in heights])
-    return vertices, weights, E, P, F, D if energy else None
+    return vertices, WeightTable(W), E, P, F, DegreeRow(D) if energy else None
 
 
 # -- sealed crystal graphs -------------------------------------------------
 
-CACHE_FORMAT = 2  # the disk cache document
+
+def _int(row) -> int:
+    """A row of bytes as one int, byte t the digit of 256^t."""
+    return int.from_bytes(row, "little")
+
+
+def _widen(row: bytes, width: int) -> int:
+    """The int of `row` with each byte at the bottom of a lane of `width`
+    bytes, so rows of small values sum in lanes without a carry."""
+    out = bytearray(width * len(row))
+    out[::width] = row
+    return _int(out)
+
+
+def _read_at(x: int, step: int) -> int:
+    """The row x of bytes with byte t + step moved to byte t."""
+    return x >> 8 * step if step >= 0 else x << -8 * step
+
+
+CACHE_FORMAT = 3  # the disk cache document
 EXPORT_FORMAT = 1  # the `export --format json` document
 
 
@@ -623,7 +687,8 @@ class CrystalGraph:
     components and the degree function; immutable after construction. The
     tables are those of `_fold`: eps, phi and f_arrows indexed [i][t] (each
     eps_i and phi_i row `bytes`, each f_i row an `ArrowRow`), the
-    `WeightTable` weights, and D and component indexed by vertex."""
+    `WeightTable` weights and the `DegreeRow` D, and component indexed by
+    vertex."""
 
     __slots__ = (
         "n",
@@ -651,93 +716,115 @@ class CrystalGraph:
         self._verify_axioms()
 
     def _verify_axioms(self):
-        """Check the crystal and degree-function axioms, one operator at a
-        time over the column tables, the 0-arrows last; the weights are
-        compared as ids. The component walk read every classical arrow, so D
-        is constant along them when each vertex has the D of its label."""
-        n, D = self.n, self.D
-        ids = self.weights.ids
-        distinct = [w.coeffs for w in self.weights.distinct]
-        position = {w: k for k, w in enumerate(distinct)}
+        """Check the crystal and degree-function axioms on whole rows, each
+        read as one int, one operator at a time, the 0-arrows last. b_0 is
+        the one vertex whose weight coordinate rows all hold mu."""
+        n, V = self.n, len(self.vertices)
         mu = tensor_weight(n, tuple(tuple(range(1, r + 1)) for r in self.heights)).coeffs
-        top = position.get(mu, -1)
-        if ids.count(top) != 1:
+        rows = zip(self.weights.rows, mu)
+        at_mu = reduce(and_, (_int(row.translate(_indicator(128 + c, 129 + c))) for row, c in rows))
+        at_mu = at_mu.to_bytes(V, "little")
+        if at_mu.count(1) != 1:
             raise StructuralError("highest-weight vertex is not unique")
-        if D[ids.index(top)] != 0:
+        if self.D[at_mu.index(1)] != 0:
             raise StructuralError("degree normalization D(b_0) = 0 fails")
-        if list(map(D.__getitem__, self.component)) != D:
-            raise StructuralError("degree changes along a classical arrow")
-        rs = build_root_system("A", n)
-        # <alpha_0^vee, wt> = -(theta, wt) with theta in simple-root coordinates;
-        # f_i lowers the weight by alpha_i, whose classical part is -theta at i = 0
-        coroots = [tuple(-c for c in rs.highest_root_coords)]
-        coroots += [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        shifts = [tuple(-c for c in rs.highest_root.coeffs)]
-        shifts += [a.coeffs for a in rs.simple_roots]
         for i in (*range(1, n + 1), 0):
-            pairing = [sum(map(mul, coroots[i], w)) for w in distinct]
-            image = [position.get(tuple(map(sub, w, shifts[i])), -1) for w in distinct]
-            self._verify_operator(i, pairing, image)
+            self._verify_operator(i)
 
-    def _verify_operator(self, i, pairing, image):
-        """The axioms that read operator i, given <alpha_i^vee, w> and the id
-        of w - alpha_i (-1 when no vertex has it) for each distinct weight w.
-        phi_i is compared as bytes, and the mask of the vertices where f_i
-        acts (phi_i > 0) with the mask of the nonzero step codes. The arrow
-        checks then read the sources through the mask and the targets as
-        `ArrowRow.targets` decodes them, so no list of the arrows is made."""
-        E, P, F, D = self.eps[i], self.phi[i], self.f_arrows[i], self.D
-        ids = self.weights.ids
-        try:
-            paired = bytes(map(add, E, map(pairing.__getitem__, ids)))
-        except ValueError:  # a value outside 0..255, which no phi_i byte holds
-            paired = None
-        if P != paired:
+    def _verify_operator(self, i):
+        """The axioms that read operator i. phi_i - eps_i = <alpha_i^vee, wt>
+        is one comparison of two sums of rows, each term on the side where it
+        is nonnegative, in lanes wide enough that none carries. The 0-arrows must
+        exist exactly where phi_0 > 0 (`_classical_components` compares the
+        classical rows). The arrow checks run once per step code k of the f_i
+        row: the sources are the mask codes == k, and the targets the same
+        rows read steps[k] bytes on (`_read_at`), compared by `&` and `^`
+        with the value each target must have, computed at its source. A
+        target's weight coordinate is its source's less that of alpha_i;
+        along a classical arrow each byte of the -D lanes is its source's; and
+        along a 0-arrow into a vertex with eps_0 >= 2 the -D lane is its
+        source's less 1: the low byte less 1, and the high byte less 1 where
+        the low byte is 0, which is exact since a lane is below 2^15
+        (`DegreeRow`)."""
+        E, P, F = self.eps[i], self.phi[i], self.f_arrows[i]
+        W, V = self.weights.rows, len(E)
+        rs = build_root_system("A", self.n)
+        if i:
+            coroot = tuple(int(j == i - 1) for j in range(self.n))
+            shift = rs.simple_roots[i - 1].coeffs
+        else:
+            # <alpha_0^vee, wt> = -(theta, wt) with theta in simple-root
+            # coordinates; f_0 lowers the weight by alpha_0, whose classical
+            # part is -theta
+            coroot = tuple(-c for c in rs.highest_root_coords)
+            shift = tuple(-c for c in rs.highest_root.coeffs)
+        width = (255 * (1 + sum(map(abs, coroot)))).bit_length() // 8 + 1
+        sides = [_widen(P, width), _widen(E, width)]
+        for a, row in zip(coroot, W):
+            if a:
+                sides[a > 0] += abs(a) * _widen(row, width)
+        offset = 128 * sum(coroot)  # each weight byte is 128 plus the coordinate
+        sides[offset < 0] += abs(offset) * _widen(bytes([1]) * V, width)
+        if sides[0] != sides[1]:
             raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
-        del paired
-        acts = P.translate(_indicator(1))
+        del sides
         if i == 0:  # over the arrows that F holds, whether or not phi_0 agrees
             self._verify_connected(F)
-        if F.codes.translate(_indicator(1)) != acts:
-            raise StructuralError("f_i arrow existence disagrees with phi")
-        moved = map(image.__getitem__, compress(ids, acts))
-        if any(map(ne, moved, map(ids.__getitem__, F.targets()))):
-            raise StructuralError("arrow does not shift the weight by alpha_i")
+            if F.codes.translate(_indicator(1)) != P.translate(_indicator(1)):
+                raise StructuralError("f_i arrow existence disagrees with phi")
+        # (the row, its value expected at the targets, whether only targets
+        # with eps_0 >= 2 are checked, the message)
+        message = "arrow does not shift the weight by alpha_i"
+        checks = [
+            (_int(row), _int(row.translate(_shift(-s))), False, message) for row, s in zip(W, shift)
+        ]
+        lo, hi = self.D.lanes[0::2], self.D.lanes[1::2]
         if i:
-            return
-        # e_0 is read only where eps_0 >= 2, through D(e_0 t): the D of each
-        # 0-arrow's source written onto its target (mapping __setitem__ keeps
-        # the loop in C), after which the mask is done with
-        below = [None] * len(D)
-        any(map(below.__setitem__, F.targets(), compress(D, acts)))
-        del acts
-        wanted = E.translate(_indicator(2))
-        if None in compress(below, wanted):
+            message = "degree changes along a classical arrow"
+            checks += [(x, x, False, message) for x in map(_int, (lo, hi))]
+        else:
+            message = "D(e_0 b) != D(b) - 1 at eps_0 >= 2"
+            borrow = _int(lo.translate(_indicator(0, 1, 255)))
+            held = _int(hi)
+            moved = _int(hi.translate(_shift(-1))) & borrow | held & ~borrow
+            checks += [
+                (_int(lo), _int(lo.translate(_shift(-1))), True, message),
+                (held, moved, True, message),
+            ]
+            del borrow, held, moved
+        del lo, hi
+        wanted = _int(E.translate(_indicator(2, 256, 255))) if i == 0 else 0
+        reached = 0  # the targets of the arrows
+        for k, step in enumerate(F.steps[1:], start=1):
+            sources = _int(F.codes.translate(_indicator(k, k + 1, 255)))
+            into = sources & _read_at(wanted, step)
+            for held, moved, only_into, message in checks:
+                if (_read_at(held, step) ^ moved) & (into if only_into else sources):
+                    raise StructuralError(message)
+            reached |= _read_at(sources, -step)
+        if wanted & ~reached:
             raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
-        if any(map(ne, compress(below, wanted), map(sub, compress(D, wanted), repeat(1)))):
-            raise StructuralError("D(e_0 b) != D(b) - 1 at eps_0 >= 2")
 
     def _verify_connected(self, F):
         """Affine connectivity: every classical component is connected, so it
         suffices that the 0-arrows of F join the components into one. The
-        distinct pairs of labels that the arrows join, each as one int, feed
-        a union-find over the components."""
-        label, size = self.component, len(self.component)
-        ends = map(label.__getitem__, F.targets())
+        labels at the two ends of each arrow, read as the arrows are decoded,
+        feed a union-find over the components, up to the join that leaves one."""
+        label = self.component
         starts = compress(label, F.codes.translate(_indicator(1)))
-        pairs = set(map(add, map(mul, starts, repeat(size)), ends))
         root = {c: c for c in self.component_highest}
-        joined = 0
-        for pair in pairs:
-            a, b = divmod(pair, size)
+        left = len(root) - 1  # the joins still missing
+        for a, b in zip(starts, map(label.__getitem__, F.targets())) if left else ():
             while root[a] != a:
                 root[a] = a = root[root[a]]
             while root[b] != b:
                 root[b] = b = root[root[b]]
             if a != b:
                 root[a] = b
-                joined += 1
-        if joined != len(root) - 1:
+                left -= 1
+                if not left:
+                    break
+        if left:
             raise StructuralError("tensor crystal is not affinely connected")
 
     # queries
@@ -758,8 +845,8 @@ class CrystalGraph:
     def graded_character(self):
         """sum_b q^{D(b)} e^{wt b} as Weight -> QPolynomial (Laurent: D <= 0)."""
         out: dict = {}
-        for t, w in enumerate(self.weights):
-            p = QPolynomial.monomial(self.D[t])
+        for w, d in zip(self.weights, self.D):
+            p = QPolynomial.monomial(d)
             out[w] = out[w] + p if w in out else p
         return out
 
@@ -794,14 +881,15 @@ class CrystalGraph:
             "eps": list(zip(*self.eps)),
             "phi": list(zip(*self.phi)),
             "f": {str(i): list(self.f_arrows[i]) for i in range(self.n + 1)},
-            "D": self.D,
+            "D": list(self.D),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "CrystalGraph":
         """The graph stored in a cache document. Vertices, statistics and
         arrows are recomputed from n and heights; the stored D (the expensive
-        table) must hold one int per vertex and is checked by the axioms."""
+        table) must be the hex of one 2-byte lane of -D per vertex, each
+        below 2^15 (`DegreeRow`), and is checked by the axioms."""
         if not isinstance(data, dict):
             raise StructuralError("crystal cache is not a JSON object")
         if data.get("format") != CACHE_FORMAT:
@@ -818,14 +906,15 @@ class CrystalGraph:
             raise StructuralError("crystal cache has invalid n or heights")
         heights = tuple(heights)
         D = data.get("D")
-        if not (isinstance(D, list) and len(D) == prod(comb(n + 1, r) for r in heights)):
+        try:
+            lanes = bytes.fromhex(D)
+        except (TypeError, ValueError):  # not a str, or not an even count of hex digits
+            raise StructuralError("crystal cache D is not a hex string") from None
+        if len(lanes) != 2 * prod(comb(n + 1, r) for r in heights):
             raise StructuralError("crystal cache D does not cover the crystal")
-        if not set(map(type, D)) <= {int}:
-            raise StructuralError("crystal cache D is not a list of ints")
-        # the document's own list, its entries shared in place before the fold,
-        # so the parsed ints that are not kept are freed first
-        D[:] = map(_Shared().__getitem__, D)
-        return cls(n, heights, *_fold(n, heights, energy=False)[:5], D)
+        if max(lanes[1::2], default=0) >= 128:
+            raise StructuralError("crystal cache D holds a degree below -32767")
+        return cls(n, heights, *_fold(n, heights, energy=False)[:5], DegreeRow(lanes))
 
 
 def element_label(b) -> str:
@@ -849,6 +938,7 @@ _MEMOS = (
     _phi_rule,
     _eps_rule,
     _indicator,
+    _shift,
     _two_factor,
     _build_R,
     _build_H,
@@ -904,26 +994,21 @@ def _read_cache(path: str):
 
 def _write_cache(graph: CrystalGraph, cache_dir: str, path: str):
     """Store the cache document: D under its key, the one table a load does
-    not recompute. The text is json.dumps of the document, written with D in
-    slices of 4,096 entries, so no str holds the whole of D."""
+    not recompute, as the hex of its lanes."""
     document = {
         "format": CACHE_FORMAT,
         "n": graph.n,
         "heights": graph.heights,
         "orientation": ENERGY_ORIENTATION,
-        "D": [],
+        "D": graph.D.lanes.hex(),
     }
-    D = graph.D
     import tempfile  # here, not at the top: only a cache write reads it
 
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(document)[:-2])  # up to the [ of D
-            for start in range(0, len(D), 4096):
-                fh.write((", " if start else "") + json.dumps(D[start : start + 4096])[1:-1])
-            fh.write("]}")
+            json.dump(document, fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -166,7 +166,7 @@ def test_kostka_trivial_crystal_through_the_cache(tmp_path, capsys):
         assert code == 0
         routes = json.loads(out)["routes"]
         assert routes == {"paths": {"0": 1}, "altsum": {"0": 1}, "chars": {"0": 1}}
-    assert os.listdir(cache) == ["crystal_v2_n2_h.json"]
+    assert os.listdir(cache) == ["crystal_v3_n2_h.json"]
 
 
 def test_export_rejects_non_type_a(capsys):
@@ -327,8 +327,9 @@ def _corrupt_cache_exits_1(tmp_path, capsys, corrupt):
 
 def test_kostka_cache_missing_last_vertex_exits_1(tmp_path, capsys):
     def drop_last_degree(text):
+        # D is the hex of one 2-byte lane per vertex
         data = json.loads(text)
-        data["D"].pop()
+        data["D"] = data["D"][:-4]
         return json.dumps(data)
 
     _corrupt_cache_exits_1(tmp_path, capsys, drop_last_degree)
@@ -343,7 +344,7 @@ def test_cache_content_faults_exit_1_and_io_faults_exit_2(tmp_path, capsys):
     # cache path that cannot be read is an I/O error: one line, no traceback
     _corrupt_cache_exits_1(tmp_path / "content", capsys, lambda text: "[]")
     cache = tmp_path / "io"
-    blocked = cache / "crystal_v2_n1_h1-1-1.json"
+    blocked = cache / "crystal_v3_n1_h1-1-1.json"
     blocked.mkdir(parents=True)
     clear_caches()
     code, out, err = _kostka_a1_mu3(capsys, str(cache))

@@ -11,6 +11,8 @@ from weylcurrents.crystals import (
     ENERGY_ORIENTATION,
     ArrowRow,
     CrystalGraph,
+    DegreeRow,
+    WeightTable,
     _arrow_level,
     _build_H,
     _build_R,
@@ -327,12 +329,12 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert len(files) == 1
     clear_caches()
     g2 = build_crystal(1, (1, 1), cache_dir=cache)
-    assert list(g2.vertices) == list(g.vertices) and g2.D == g.D
+    assert list(g2.vertices) == list(g.vertices) and list(g2.D) == list(g.D)
     assert g2.eps == g.eps and g2.phi == g.phi
     path = os.path.join(cache, files[0])
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    data["D"][1] = 7
+    _set_degree(data, 1, -7)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
     clear_caches()
@@ -409,33 +411,57 @@ def test_kernel_tables_match_per_element_references(n):
     clear_caches()
 
 
+def _degrees(data):
+    # D in a cache document is the hex of one 2-byte little-endian lane of -D
+    # per vertex
+    lanes = bytes.fromhex(data["D"])
+    return [-int.from_bytes(lanes[t : t + 2], "little") for t in range(0, len(lanes), 2)]
+
+
+def _hex_lanes(degrees):
+    return b"".join((-d % 65536).to_bytes(2, "little") for d in degrees).hex()
+
+
+def _set_degree(data, t, d):
+    degrees = _degrees(data)
+    degrees[t] = d
+    data["D"] = _hex_lanes(degrees)
+
+
 def test_cache_file_is_the_json_of_the_graph(tmp_path):
-    # the cache document holds only D under its key; the file name carries
-    # the format, so a file of another format is never opened
+    # the cache document holds only D under its key, as the hex of its lanes;
+    # the file name carries the format, so a file of another format is never
+    # opened
     clear_caches()
     heights = (1, 1, 1, 1, 1, 2, 2, 2, 2)
     g = build_crystal(2, heights, cache_dir=str(tmp_path))
     (name,) = os.listdir(tmp_path)
-    assert name == "crystal_v2_n2_h1-1-1-1-1-2-2-2-2.json"
+    assert name == "crystal_v3_n2_h1-1-1-1-1-2-2-2-2.json"
     document = {
-        "format": 2,
+        "format": 3,
         "n": 2,
         "heights": list(heights),
         "orientation": ENERGY_ORIENTATION,
-        "D": g.D,
+        "D": _hex_lanes(g.D),
     }
     assert (tmp_path / name).read_text(encoding="utf-8") == json.dumps(document)
+    assert _degrees(document) == list(g.D) == [energy_of_element(2, b) for b in g.vertices]
     clear_caches()
 
 
 def test_cache_ignores_a_file_of_the_old_format(tmp_path):
+    # neither the format-1 export document nor the format-2 list of degrees
+    # is opened: the run builds the crystal and writes its format-3 file
     clear_caches()
     g = build_crystal(2, (1, 2))
     old = tmp_path / "crystal_n2_h1-2.json"
     old.write_text(json.dumps(g.to_json()), encoding="utf-8")
+    v2 = tmp_path / "crystal_v2_n2_h1-2.json"
+    document = {"format": 2, "n": 2, "heights": [1, 2], "orientation": ENERGY_ORIENTATION}
+    v2.write_text(json.dumps({**document, "D": [7] * len(g.D)}), encoding="utf-8")
     clear_caches()
-    assert build_crystal(2, (1, 2), cache_dir=str(tmp_path)).D == g.D
-    assert sorted(os.listdir(tmp_path)) == [old.name, "crystal_v2_n2_h1-2.json"]
+    assert list(build_crystal(2, (1, 2), cache_dir=str(tmp_path)).D) == list(g.D)
+    assert sorted(os.listdir(tmp_path)) == [old.name, v2.name, "crystal_v3_n2_h1-2.json"]
     clear_caches()
 
 
@@ -447,7 +473,7 @@ def test_cache_load_equals_the_build(tmp_path):
     loaded = build_crystal(2, (1, 1, 2, 2), cache_dir=cache)
     assert loaded is not built
     for slot in CrystalGraph.__slots__:
-        if slot in ("vertices", "weights"):  # sequences computed when read
+        if slot in ("vertices", "weights", "D"):  # sequences computed when read
             assert list(getattr(loaded, slot)) == list(getattr(built, slot)), slot
         elif slot == "f_arrows":  # rows of step codes, compared as targets
             assert [list(row) for row in loaded.f_arrows] == [list(row) for row in built.f_arrows]
@@ -518,9 +544,10 @@ def _tampered_cache_is_rejected(cache_dir, tamper, match=None):
 def test_cache_rejects_permuted_vertex_order(tmp_path):
     def swap_degrees(data):
         # the D of b_0 (vertex 0) swapped with one of another degree
-        D = data["D"]
+        D = _degrees(data)
         t = next(t for t, d in enumerate(D) if d != D[0])
         D[0], D[t] = D[t], D[0]
+        data["D"] = _hex_lanes(D)
 
     _tampered_cache_is_rejected(tmp_path, swap_degrees)
 
@@ -534,7 +561,7 @@ SINGLETON = 2
 def test_cache_rejects_shifted_degree_on_a_singleton_component(tmp_path):
     # no classical arrow leaves vertex 2, so only the eps_0 rule sees its D
     def shift_singleton(data):
-        data["D"][SINGLETON] += 5
+        _set_degree(data, SINGLETON, _degrees(data)[SINGLETON] - 5)
 
     _tampered_cache_is_rejected(tmp_path, shift_singleton, re.escape("D(e_0 b) != D(b) - 1"))
 
@@ -542,14 +569,18 @@ def test_cache_rejects_shifted_degree_on_a_singleton_component(tmp_path):
 @pytest.mark.parametrize(
     "tamper",
     [
-        lambda data: data["D"].pop(),
+        lambda data: data.__setitem__("D", data["D"][:-4]),
         lambda data: data.pop("D"),
-        lambda data: data["D"].__setitem__(0, False),
-        lambda data: data["D"].__setitem__(0, "0"),
+        lambda data: data.__setitem__("D", False),
+        lambda data: data.__setitem__("D", _degrees(data)),
+        lambda data: data.__setitem__("D", data["D"][:-1]),
+        lambda data: data.__setitem__("D", "g" + data["D"][1:]),
+        lambda data: data.__setitem__("D", data["D"][:-4] + "0080"),
         lambda data: data.__setitem__("heights", [1, 3]),
         lambda data: data.update(build_crystal(2, (1, 2)).to_json()),
     ],
-    ids=["D-short", "D-missing", "D-bool", "D-not-int", "height-out-of-range", "export-document"],
+    ids=["D-short", "D-missing", "D-bool", "D-list", "D-odd", "D-not-hex", "D-beyond-lanes",
+         "height-out-of-range", "export-document"],
 )
 def test_cache_rejects_malformed_tables(tmp_path, tamper):
     _tampered_cache_is_rejected(tmp_path, tamper, "crystal cache")
@@ -606,11 +637,28 @@ def _remove_arrows(i):
 
 
 def _set_weight(t, coeffs):
-    # the weights are ids into the distinct weights: vertex t takes the id of
-    # the weight with these coefficients
+    # the weights are one row of bytes per coordinate, each 128 plus the
+    # coordinate: a copy with vertex t given these coefficients
     def tamper(tables):
-        weights = tables["weights"]
-        weights.ids[t] = weights.distinct.index(Weight(coeffs))
+        rows = tables["weights"].rows
+        rows = [_set_byte(row, t, 128 + c) for row, c in zip(rows, coeffs)]
+        tables["weights"] = WeightTable(rows)
+
+    return tamper
+
+
+def _degree_row(degrees):
+    # D as its row of lanes of -D, each taken mod 2^16 (a positive D wraps)
+    return DegreeRow(bytes.fromhex(_hex_lanes(degrees)))
+
+
+def _add_degree(by, t=None):
+    # D raised by `by` at vertex t, or at every vertex
+    def tamper(tables):
+        D = list(tables["D"])
+        for u in range(len(D)) if t is None else [t]:
+            D[u] += by
+        tables["D"] = _degree_row(D)
 
     return tamper
 
@@ -631,17 +679,15 @@ def _set_weight(t, coeffs):
     [
         (_remove_arrows(0), "tensor crystal is not affinely connected"),
         (_set_weight(8, (1, 1)), "highest-weight vertex is not unique"),
-        (lambda tab: tab.__setitem__("D", [d + 1 for d in tab["D"]]),
-         "degree normalization D(b_0) = 0 fails"),
+        (_add_degree(1), "degree normalization D(b_0) = 0 fails"),
         (_set_weight(8, (0, 0)), "crystal axiom <a_i^vee, wt> = phi - eps fails"),
         (_raise_eps0_and_phi0(4, 1), "f_i arrow existence disagrees with phi"),
         (_set_arrow(0, 4, 0), "f_i arrow existence disagrees with phi"),
         (_set_arrow(0, 5, 4), "arrow does not shift the weight by alpha_i"),
-        (lambda tab: tab["D"].__setitem__(1, tab["D"][1] + 1),
-         "degree changes along a classical arrow"),
+        (_add_degree(1, 1), "degree changes along a classical arrow"),
         (_raise_eps0_and_phi0(5, 2), "eps_0 >= 2 but no raising 0-arrow"),
-        (lambda tab: tab["D"].__setitem__(SINGLETON, tab["D"][SINGLETON] + 5),
-         "D(e_0 b) != D(b) - 1 at eps_0 >= 2"),
+        (_add_degree(5, SINGLETON), "D(e_0 b) != D(b) - 1 at eps_0 >= 2"),
+        (_add_degree(-256, SINGLETON), "D(e_0 b) != D(b) - 1 at eps_0 >= 2"),
         (_set_classical_eps(4, (0, 0)), "component with two classical-highest elements"),
         (_set_classical_eps(0, (1, 0)), "component without a classical-highest element"),
         (_set_arrow(1, 0, -1), "f_i arrow existence disagrees with phi"),
@@ -649,7 +695,8 @@ def _set_weight(t, coeffs):
     ],
     ids=["connected", "top-unique", "top-degree", "pairing", "arrow-exists", "arrow-without-phi",
          "arrow-shift",
-         "classical-degree", "eps0-arrow", "eps0-degree", "component-second-top",
+         "classical-degree", "eps0-arrow", "eps0-degree", "eps0-degree-high-byte",
+         "component-second-top",
          "component-no-top", "component-no-lowering-arrow", "component-joined"],
 )
 def test_axiom_check_rejects_each_tampered_table(tamper, message):
@@ -662,14 +709,71 @@ def test_axiom_check_rejects_each_tampered_table(tamper, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "n, heights",
+    [(2, (1, 2, 1)), (3, (1, 3, 2)), (2, (2, 2, 1, 1))],
+    ids=["A2-1,2,1", "A3-1,3,2", "A2-2,2,1,1"],
+)
+def test_axiom_check_rejects_every_one_entry_tamper(n, heights):
+    # at every vertex: each weight coordinate moved by +-1, D by +-1, and each
+    # eps_i and phi_i raised by 1; the seal rejects every one of these tables
+    # (324, 1,536 and 972 of them)
+    keys = ("vertices", "weights", "eps", "phi", "f", "D")
+    clean = dict(zip(keys, _fold(n, heights, energy=True)))
+    CrystalGraph(n, heights, *clean.values())
+
+    def tampered(t):
+        for j, by in product(range(n), (1, -1)):
+            rows = list(clean["weights"].rows)
+            rows[j] = _set_byte(rows[j], t, rows[j][t] + by)
+            yield {**clean, "weights": WeightTable(rows)}
+        for by in (1, -1):
+            tables = dict(clean)
+            _add_degree(by, t)(tables)
+            yield tables
+        for key, i in product(("eps", "phi"), range(n + 1)):
+            rows = list(clean[key])
+            rows[i] = _set_byte(rows[i], t, rows[i][t] + 1)
+            yield {**clean, key: rows}
+
+    count = 0
+    for t in range(len(clean["vertices"])):
+        for tables in tampered(t):
+            count += 1
+            with pytest.raises(StructuralError):
+                CrystalGraph(n, heights, *tables.values())
+    assert count == len(clean["vertices"]) * (4 * n + 4)
+
+
+def test_degree_checks_read_the_high_byte_and_its_borrow():
+    # the arrow checks compare -D byte by byte, along e_0 the high byte less
+    # the borrow of the low byte. D less 255 keeps every arrow relation and
+    # takes -D across 256: -D of the singleton is 256 and that of b_0, which
+    # e_0 raises it to, 255. So every operator's checks pass on it (only the
+    # normalization D(b_0) = 0 fails), and they fail once the singleton's
+    # high byte moves by one
+    graph = CrystalGraph(2, (1, 2), *_fold(2, (1, 2), energy=True))
+    degrees = [d - 255 for d in graph.D]
+    assert (degrees[0], degrees[SINGLETON]) == (-255, -256)
+    graph.D = _degree_row(degrees)
+    for i in range(3):
+        graph._verify_operator(i)
+    degrees[SINGLETON] -= 256
+    graph.D = _degree_row(degrees)
+    with pytest.raises(StructuralError, match=re.escape("D(e_0 b) != D(b) - 1")):
+        graph._verify_operator(0)
+
+
 def test_seal_holds_one_operator_at_a_time():
-    # The fold writes the f_i rows as step codes with no list of states, and
-    # the seal walks the operators one at a time over the fold's own tables,
-    # compares phi_i and the arrow codes as bytes and decodes the arrow
-    # targets as it reads them, so only one operator's masks are alive at
-    # once: on A2 mu=(5,4) (19,683 vertices) the traced peak of the fold and
-    # the seal together is at most 1.3 MB (1.08 MB measured; 2.33 MB, set by
-    # the fold's list of states, when the f rows held an int per vertex)
+    # The fold writes every table as rows of bytes with no list per vertex,
+    # and the seal walks the operators one at a time over the fold's own
+    # rows, each check on whole rows read as ints, once per step code, so
+    # only one operator's few row-sized ints are alive at once: on A2
+    # mu=(5,4) (19,683 vertices) the traced peak of the fold and the seal
+    # together is at most 0.9 MB (0.76 MB measured; 1.09 MB with a weight id
+    # and an int object per degree and the seal's per-vertex lists, 2.33 MB,
+    # set by the fold's list of states, when the f rows held an int per
+    # vertex)
     heights = heights_for_weight(Weight([5, 4]))
     clear_caches()
     build_crystal(2, heights)  # the column, R and H memos stay out of the figures
@@ -681,27 +785,28 @@ def test_seal_holds_one_operator_at_a_time():
     finally:
         tracemalloc.stop()
         clear_caches()
-    assert peak <= 1.3e6, peak
+    assert peak <= 0.9e6, peak
 
 
-def test_arrow_targets_and_degrees_share_their_ints(tmp_path):
-    # every f_i row is bytes of step codes, one byte per vertex, so it holds
-    # no int per arrow target, and each degree is one object per distinct
-    # value, in the built graph and in the one loaded back from its cache file
-    # (CPython caches only -5..256)
-    def objects(values):
-        return len({id(v) for v in values})
-
-    heights = heights_for_weight(Weight([5, 4]))
-    clear_caches()
-    built = build_crystal(2, heights, cache_dir=str(tmp_path))
-    clear_caches()
-    loaded = build_crystal(2, heights, cache_dir=str(tmp_path))
-    assert loaded is not built and loaded.D == built.D
-    for graph in (built, loaded):
-        assert [(type(row.codes), len(row)) for row in graph.f_arrows] == [(bytes, 19683)] * 3
-        assert objects(graph.D) == len(set(graph.D)) == 21
-    clear_caches()
+def test_graph_rows_slice_and_index_like_lists():
+    # the f_i rows, the weights and the degrees of a sealed graph read like
+    # the lists of their entries: a slice gives the list of its entries, a
+    # negative index reads from the end, and an index past either end raises
+    g = build_crystal(2, (1, 2))
+    assert g.f_arrows[1][0:2] == list(g.f_arrows[1])[:2]
+    for row in (*g.f_arrows, g.weights, g.D):
+        entries = list(row)
+        assert len(row) == len(entries) == 9
+        slices = (slice(0, 2), slice(None, None, -1), slice(-3, -1), slice(1, None, 3), slice(5, 0))
+        for s in slices:
+            assert row[s] == entries[s], s
+        assert [row[-t] for t in range(1, 10)] == entries[::-1]
+        assert [row[t] for t in range(9)] == entries
+        for t in (9, -10):
+            with pytest.raises(IndexError):
+                row[t]
+    assert list(g.D) == [energy_of_element(2, b) for b in g.vertices]
+    assert list(g.weights) == [tensor_weight(2, b) for b in g.vertices]
 
 
 def test_arrow_row_reads_like_a_list():
@@ -728,21 +833,35 @@ def test_arrow_row_holds_at_most_256_codes():
         _arrow_level(2, groups, ArrowRow(bytes(1), list(range(256))), bytes(1))
 
 
-def test_eps_and_phi_rows_are_one_byte_per_vertex():
-    # every eps_i and phi_i row of the fold and of the sealed graph is bytes,
-    # one byte per vertex: on A2 mu=(5,4) (19,683 vertices) the fold's tables
-    # trace to at most 0.65 MB (0.55 MB with the f rows as step codes), against
-    # 1.58 MB with one int object per vertex index in the f rows and one per
-    # degree, 2.71 MB with an int per arrow target and per degree, and 3.53 MB
+def _row_types(graph):
+    # (type, length) of every row of the graph's tables
+    rows = [*graph.weights.rows, *graph.eps, *graph.phi, *(row.codes for row in graph.f_arrows)]
+    return [(type(row), len(row)) for row in rows] + [(type(graph.D.lanes), len(graph.D.lanes))]
+
+
+def test_eps_and_phi_rows_are_one_byte_per_vertex(tmp_path):
+    # every weight coordinate, eps_i, phi_i and f_i row of the fold and of the
+    # sealed graph, built or loaded from its cache file, is bytes, one byte
+    # per vertex, and D one 2-byte lane per vertex: on A2 mu=(5,4) (19,683
+    # vertices) the fold's tables trace to at most 0.32 MB (0.26 MB with the
+    # weights and D as rows), against 0.55 MB with a weight id and an int
+    # object per degree, 1.58 MB with one int object per vertex index in the f
+    # rows, 2.71 MB with an int per arrow target and per degree, and 3.53 MB
     # with a list of ints per row
     for n, heights in [(2, ()), (3, (2,)), (2, (1, 2)), (3, (1, 3, 2, 1))]:
         size = prod(comb(n + 1, r) for r in heights)
-        for eps, phi in (_fold(n, heights, energy=False)[2:4], _fold(n, heights, energy=True)[2:4]):
-            assert [(type(row), len(row)) for row in eps + phi] == [(bytes, size)] * (2 * n + 2)
+        for tables in (_fold(n, heights, energy=False), _fold(n, heights, energy=True)):
+            _, weights, eps, phi, f, _ = tables
+            rows = [*weights.rows, *eps, *phi, *(row.codes for row in f)]
+            assert [(type(row), len(row)) for row in rows] == [(bytes, size)] * (4 * n + 3)
     heights = heights_for_weight(Weight([5, 4]))
     clear_caches()
-    graph = build_crystal(2, heights)
-    assert [(type(row), len(row)) for row in graph.eps + graph.phi] == [(bytes, 19683)] * 6
+    built = build_crystal(2, heights, cache_dir=str(tmp_path))
+    clear_caches()
+    loaded = build_crystal(2, heights, cache_dir=str(tmp_path))
+    assert loaded is not built
+    for graph in (built, loaded):
+        assert _row_types(graph) == [(bytes, 19683)] * 11 + [(bytes, 2 * 19683)]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -752,7 +871,7 @@ def test_eps_and_phi_rows_are_one_byte_per_vertex():
         tracemalloc.stop()
         clear_caches()
     assert len(tables[0]) == 19683
-    assert folded <= 0.65e6, folded
+    assert folded <= 0.32e6, folded
 
 
 INTERLEAVED = [(2, (2, 1, 2, 1, 1)), (2, (1, 2, 1, 2, 2, 1)), (3, (1, 3, 2, 1, 3))]
@@ -763,21 +882,23 @@ def test_degree_function_on_interleaved_heights(n, heights):
     # two transport tables are live at once while the heights alternate
     clear_caches()
     g = build_crystal(n, heights)
-    assert g.D == [energy_of_element(n, b) for b in g.vertices]
+    assert list(g.D) == [energy_of_element(n, b) for b in g.vertices]
     clear_caches()
 
 
 @pytest.mark.parametrize("n, heights", INTERLEAVED)
 def test_weight_ids_read_the_tensor_weight(n, heights):
-    # the fold carries each weight as an id into the distinct weights of its
-    # level; read back, every vertex has the weight of its columns
+    # the fold carries each weight as one row of bytes per coordinate, 128
+    # plus the coordinate; read back, every vertex has the weight of its
+    # columns
     clear_caches()
     g = build_crystal(n, heights)
     assert len(g.weights) == len(g.vertices)
     for t, b in enumerate(g.vertices):
         assert g.weights[t] == tensor_weight(n, b)
-    assert list(g.weights) == g.weights[:] == [tensor_weight(n, b) for b in g.vertices]
-    assert len(set(g.weights.ids)) == len(g.weights.distinct)
+    want = [tensor_weight(n, b) for b in g.vertices]
+    assert list(g.weights) == g.weights[:] == want
+    assert g.weights.rows == [bytes(128 + w.coeffs[j] for w in want) for j in range(n)]
     clear_caches()
 
 
@@ -841,6 +962,7 @@ def test_fold_equals_the_comprehension_fold(n, heights):
     for energy in (True, False):
         _, weights, eps, phi, f, D = _fold(n, heights, energy)
         eps, phi, f = [list(map(list, rows)) for rows in (eps, phi, f)]
+        D = list(D) if energy else D
         assert ([w.coeffs for w in weights], eps, phi, f, D) == _comprehension_fold(
             n, heights, energy
         )
@@ -849,13 +971,13 @@ def test_fold_equals_the_comprehension_fold(n, heights):
 @pytest.mark.parametrize("n, heights", [(2, ()), (2, (1,)), (2, (1, 2)), (3, (1, 3, 2, 1))])
 def test_fold_tables_share_no_list(n, heights):
     # no returned list is a memo list of `_column_tables` or another returned
-    # list, so changing one fold's lists in place (as the axiom tests do)
-    # leaves the memos and the next fold as they were; the eps and phi rows
-    # and the f codes are bytes, which cannot be changed in place, and the f
-    # rows are compared as their targets
+    # list, so changing one fold's lists in place leaves the memos and the
+    # next fold as they were; the weight, eps and phi rows, the f codes and
+    # the D lanes are bytes, which cannot be changed in place, and the f rows
+    # are compared as their targets
     def lists(tables):
-        _, weights, eps, phi, f, D = tables
-        return [weights.ids, weights.distinct, f, *(row.steps for row in f), D]
+        _, weights, eps, phi, f, _ = tables
+        return [weights.rows, eps, phi, f, *(row.steps for row in f)]
 
     def decoded(tables):
         return [[list(x) if isinstance(x, ArrowRow) else x for x in row] for row in tables]

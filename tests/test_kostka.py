@@ -473,6 +473,7 @@ def test_clear_caches_empties_every_route_memo():
         "_dominant_below",
         "_q_binomial",
         "_column_tables",
+        "_shift",
         "_build_R",
         "_build_H",
     }
