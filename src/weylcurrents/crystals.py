@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections.abc import Sequence
 from functools import cache, reduce
 from itertools import combinations, compress, count, product, repeat
 from math import comb, prod
-from operator import add, and_, mul, neg, or_
+from operator import add, and_, neg, or_
 
 from .affine import check_level
 from .errors import StructuralError
@@ -206,7 +207,7 @@ def _build_H(n: int, r: int, s: int):
     _, f_arrows, label, highest = _two_factor(n, r, s)
     R = _build_R(n, r, s)
     here, there = _acts_left(n, r, s), _acts_left(n, s, r)
-    links = {c: [] for c in highest}
+    links = [[] for _ in highest]
     for u, v in enumerate(f_arrows[0]):
         if v < 0:
             continue
@@ -255,9 +256,17 @@ def energy_of_element(n: int, b) -> int:
 class _Row(Sequence):
     """A read-only sequence whose entry t, 0 <= t < len, is computed when
     asked (`_at`): an index reads from either end, as in a list, and a slice
-    gives the list of its entries."""
+    gives the list of its entries. Two rows are equal when they are of one
+    type and store equal rows, so read the same entries; like a list, a row
+    is not hashable."""
 
     __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __getitem__(self, t):
         if isinstance(t, slice):
@@ -312,13 +321,17 @@ class WeightTable(_Row):
     def _at(self, t):
         return weight_from_ints(tuple(row[t] - 128 for row in self.rows))
 
+    def coeffs(self):
+        """The coordinate tuples of the weights in vertex order, each row
+        read as signed bytes, so no weight is made."""
+        return zip(*(memoryview(row.translate(_shift(-128))).cast("b") for row in self.rows))
+
     def __iter__(self):
         """The weights in vertex order, each distinct one made once."""
-        shared = {}
-        return (
-            shared.get(key) or shared.setdefault(key, weight_from_ints(tuple(c - 128 for c in key)))
-            for key in zip(*self.rows)
-        )
+        shared = dict.fromkeys(zip(*self.rows))
+        for key in shared:
+            shared[key] = weight_from_ints(tuple(c - 128 for c in key))
+        return map(shared.__getitem__, zip(*self.rows))
 
 
 class DegreeRow(_Row):
@@ -340,8 +353,13 @@ class DegreeRow(_Row):
         return -int.from_bytes(self.lanes[2 * t : 2 * t + 2], "little")
 
     def __iter__(self):
+        """The degrees in vertex order, each lane read as one native "H"
+        (byte-swapped first on a big-endian host)."""
         lanes = self.lanes
-        return map(neg, map(add, lanes[::2], map(mul, lanes[1::2], repeat(256))))
+        if sys.byteorder == "big":
+            lanes = bytearray(len(lanes))
+            lanes[0::2], lanes[1::2] = self.lanes[1::2], self.lanes[0::2]
+        return map(neg, memoryview(lanes).cast("H"))
 
 
 class ArrowRow(_Row):
@@ -372,9 +390,9 @@ class ArrowRow(_Row):
     def targets(self):
         """The targets of the row's arrows in the order of their sources,
         each decoded as it is read, so no list of them is made."""
-        has = self.codes.translate(_indicator(1))
-        steps = map(self.steps.__getitem__, compress(self.codes, has))
-        return map(add, compress(count(), has), steps)
+        codes = self.codes  # a nonzero code selects its vertex
+        steps = map(self.steps.__getitem__, compress(codes, codes))
+        return map(add, compress(count(), codes), steps)
 
 
 @cache
@@ -453,6 +471,13 @@ def _indicator(lo: int, hi: int = 256, value: int = 1) -> bytes:
     """The translate table that maps a byte q to `value` when lo <= q < hi,
     else 0."""
     return bytes(value if lo <= q < hi else 0 for q in range(256))
+
+
+@cache
+def _one_hot(k: int) -> bytes:
+    """The translate table that maps the code k + j, 0 <= j < 8, to the bit
+    1 << j, and every other byte to 0."""
+    return bytes(1 << q - k if k <= q < k + 8 else 0 for q in range(256))
 
 
 @cache
@@ -599,8 +624,12 @@ def _fold(n: int, heights, energy: bool):
             for Pi, groups in zip(P, gp)
         ]
         if energy:
+            # one int sum, each row freed once read: the prefix lanes, their
+            # copy per column and T[r] when no later factor extends it
             with memoryview(D).cast("H") as prefix:
-                D = _add_bytes(_lane_rows(m, [((), range(m))], lambda: prefix, size), T[r])
+                D = _int(_lane_rows(m, [((), range(m))], lambda: prefix, size))
+            D += _int(T[r] if r in heights[level + 1 :] else T.pop(r))
+            D = D.to_bytes(2 * size, "little")
             extended = {}
             for later in set(heights[level + 1 :]):
                 M, groups, H = pairs[r, later]
@@ -625,6 +654,8 @@ def _int(row) -> int:
 def _widen(row: bytes, width: int) -> int:
     """The int of `row` with each byte at the bottom of a lane of `width`
     bytes, so rows of small values sum in lanes without a carry."""
+    if width == 1:
+        return _int(row)
     out = bytearray(width * len(row))
     out[::width] = row
     return _int(out)
@@ -640,9 +671,9 @@ EXPORT_FORMAT = 1  # the `export --format json` document
 
 
 def _classical_components(eps, phi, f_arrows):
-    """(label, highest): each vertex labelled by the classical-highest vertex
-    (eps_i = 0 for i >= 1) of its classical component, and those vertices in
-    index order.
+    """(label, highest): the classical-highest vertices (eps_i = 0 for i >=
+    1) in index order, and each vertex labelled by the position in that list
+    of the classical-highest vertex of its classical component.
 
     Each classical f_i row must hold an arrow exactly where phi_i > 0 (its
     nonzero codes and phi_i compared as bytes). Then a breadth-first walk
@@ -661,10 +692,11 @@ def _classical_components(eps, phi, f_arrows):
     ored = reduce(or_, map(int.from_bytes, eps[1:], repeat("little")))
     zero = ored.to_bytes(len(eps[0]), "little").translate(_indicator(0, 1))
     highest = list(compress(count(), zero))
+    del ored, zero  # before the walk's per-vertex list
     label = [None] * len(eps[0])
-    any(map(label.__setitem__, highest, highest))
+    any(map(label.__setitem__, highest, range(len(highest))))
     rows = [(f.codes, f.steps) for f in f_arrows[1:]]
-    for top in highest:
+    for c, top in enumerate(highest):
         queue = [top]
         for u in queue:
             for codes, steps in rows:
@@ -673,9 +705,9 @@ def _classical_components(eps, phi, f_arrows):
                     t = u + steps[k]
                     seen = label[t]
                     if seen is None:
-                        label[t] = top
+                        label[t] = c
                         queue.append(t)
-                    elif seen != top:
+                    elif seen != c:
                         raise StructuralError("component with two classical-highest elements")
     if None in label:
         raise StructuralError("component without a classical-highest element")
@@ -687,8 +719,9 @@ class CrystalGraph:
     components and the degree function; immutable after construction. The
     tables are those of `_fold`: eps, phi and f_arrows indexed [i][t] (each
     eps_i and phi_i row `bytes`, each f_i row an `ArrowRow`), the
-    `WeightTable` weights and the `DegreeRow` D, and component indexed by
-    vertex."""
+    `WeightTable` weights and the `DegreeRow` D. The classical-highest
+    vertices are kept; the label of each vertex's component lives only until
+    the 0-arrows have joined the components."""
 
     __slots__ = (
         "n",
@@ -699,7 +732,6 @@ class CrystalGraph:
         "phi",
         "f_arrows",
         "D",
-        "component",
         "component_highest",
     )
 
@@ -712,7 +744,9 @@ class CrystalGraph:
         self.phi = phi
         self.f_arrows = f_arrows
         self.D = D
-        self.component, self.component_highest = _classical_components(eps, phi, f_arrows)
+        label, self.component_highest = _classical_components(eps, phi, f_arrows)
+        self._verify_connected(label)
+        del label
         self._verify_axioms()
 
     def _verify_axioms(self):
@@ -732,89 +766,107 @@ class CrystalGraph:
             self._verify_operator(i)
 
     def _verify_operator(self, i):
-        """The axioms that read operator i. phi_i - eps_i = <alpha_i^vee, wt>
-        is one comparison of two sums of rows, each term on the side where it
-        is nonnegative, in lanes wide enough that none carries. The 0-arrows must
-        exist exactly where phi_0 > 0 (`_classical_components` compares the
-        classical rows). The arrow checks run once per step code k of the f_i
-        row: the sources are the mask codes == k, and the targets the same
-        rows read steps[k] bytes on (`_read_at`), compared by `&` and `^`
-        with the value each target must have, computed at its source. A
-        target's weight coordinate is its source's less that of alpha_i;
-        along a classical arrow each byte of the -D lanes is its source's; and
-        along a 0-arrow into a vertex with eps_0 >= 2 the -D lane is its
-        source's less 1: the low byte less 1, and the high byte less 1 where
-        the low byte is 0, which is exact since a lane is below 2^15
-        (`DegreeRow`)."""
+        """The axioms that read operator i, on whole rows read as ints.
+
+        phi_i - eps_i - <alpha_i^vee, wt> is summed over the rows in lanes of
+        `width` bytes, signed; each lane's term is smaller than 256^width in
+        size, so the sum is 0 only if every lane's term is. One byte is wide
+        enough when phi_i and eps_i are below 128 and the coroot has one
+        nonzero coordinate, 1. The 0-arrows must exist exactly where phi_0 > 0
+        (`_classical_components` compares the classical rows).
+
+        The arrow checks (`_arrow_checks`) run one at a time, each once per
+        step code k of the f_i row: the sources are the bytes with code k,
+        each code's one bit of a byte in a row of eight codes (one translate
+        of the codes per eight), and the targets the check's rows read
+        steps[k] bytes on (`_read_at`), compared by `&` and `^` with the value
+        each target must have, computed at its source. The 0-arrows into a
+        vertex with eps_0 >= 2 are collected as they are checked: each such
+        vertex must have one."""
         E, P, F = self.eps[i], self.phi[i], self.f_arrows[i]
         W, V = self.weights.rows, len(E)
         rs = build_root_system("A", self.n)
         if i:
             coroot = tuple(int(j == i - 1) for j in range(self.n))
-            shift = rs.simple_roots[i - 1].coeffs
         else:
             # <alpha_0^vee, wt> = -(theta, wt) with theta in simple-root
-            # coordinates; f_0 lowers the weight by alpha_0, whose classical
-            # part is -theta
+            # coordinates
             coroot = tuple(-c for c in rs.highest_root_coords)
-            shift = tuple(-c for c in rs.highest_root.coeffs)
-        width = (255 * (1 + sum(map(abs, coroot)))).bit_length() // 8 + 1
-        sides = [_widen(P, width), _widen(E, width)]
+        size = (127 if P.isascii() and E.isascii() else 255) + 128 * sum(map(abs, coroot))
+        width = (size.bit_length() + 7) // 8
+        # each weight byte is 128 plus the coordinate
+        total = 128 * sum(coroot) * _int((b"\1" + bytes(width - 1)) * V)
+        total += _widen(P, width)
+        total -= _widen(E, width)
         for a, row in zip(coroot, W):
             if a:
-                sides[a > 0] += abs(a) * _widen(row, width)
-        offset = 128 * sum(coroot)  # each weight byte is 128 plus the coordinate
-        sides[offset < 0] += abs(offset) * _widen(bytes([1]) * V, width)
-        if sides[0] != sides[1]:
+                total -= a * _widen(row, width)
+        if total:
             raise StructuralError("crystal axiom <a_i^vee, wt> = phi - eps fails")
-        del sides
-        if i == 0:  # over the arrows that F holds, whether or not phi_0 agrees
-            self._verify_connected(F)
-            if F.codes.translate(_indicator(1)) != P.translate(_indicator(1)):
-                raise StructuralError("f_i arrow existence disagrees with phi")
-        # (the row, its value expected at the targets, whether only targets
-        # with eps_0 >= 2 are checked, the message)
-        message = "arrow does not shift the weight by alpha_i"
-        checks = [
-            (_int(row), _int(row.translate(_shift(-s))), False, message) for row, s in zip(W, shift)
-        ]
-        lo, hi = self.D.lanes[0::2], self.D.lanes[1::2]
-        if i:
-            message = "degree changes along a classical arrow"
-            checks += [(x, x, False, message) for x in map(_int, (lo, hi))]
-        else:
-            message = "D(e_0 b) != D(b) - 1 at eps_0 >= 2"
-            borrow = _int(lo.translate(_indicator(0, 1, 255)))
-            held = _int(hi)
-            moved = _int(hi.translate(_shift(-1))) & borrow | held & ~borrow
-            checks += [
-                (_int(lo), _int(lo.translate(_shift(-1))), True, message),
-                (held, moved, True, message),
-            ]
-            del borrow, held, moved
-        del lo, hi
-        wanted = _int(E.translate(_indicator(2, 256, 255))) if i == 0 else 0
-        reached = 0  # the targets of the arrows
-        for k, step in enumerate(F.steps[1:], start=1):
-            sources = _int(F.codes.translate(_indicator(k, k + 1, 255)))
-            into = sources & _read_at(wanted, step)
-            for held, moved, only_into, message in checks:
-                if (_read_at(held, step) ^ moved) & (into if only_into else sources):
+        if i == 0 and F.codes.translate(_indicator(1)) != P.translate(_indicator(1)):
+            raise StructuralError("f_i arrow existence disagrees with phi")
+        steps = F.steps
+        bits = [_int(F.codes.translate(_one_hot(k))) for k in range(1, len(steps), 8)]
+        ones = _int(bytes([1]) * V)
+        # the vertices with eps_0 >= 2, made for the first check that reads
+        # them, and those of them that the 0-arrows reach
+        wanted, reached = None, 0
+        for held, moved, only_into, message in self._arrow_checks(i):
+            if only_into and wanted is None:
+                wanted = _int(E.translate(_indicator(2, 256, 255)))
+            for k, step in enumerate(steps[1:], start=1):
+                mask = ((bits[(k - 1) // 8] >> (k - 1) % 8) & ones) * 255
+                if only_into:
+                    mask &= _read_at(wanted, step)
+                    reached |= _read_at(mask, -step)
+                if (_read_at(held, step) ^ moved) & mask:
                     raise StructuralError(message)
-            reached |= _read_at(sources, -step)
-        if wanted & ~reached:
+                mask = None  # freed before the next code's mask is made
+            held = moved = None  # freed before the next check's rows are made
+        if wanted is not None and wanted & ~reached:
             raise StructuralError("eps_0 >= 2 but no raising 0-arrow")
 
-    def _verify_connected(self, F):
+    def _arrow_checks(self, i):
+        """The arrow checks of operator i, each made when it is read: (a row,
+        its value expected at the targets, whether only targets with eps_0 >=
+        2 are checked, the message). A target's weight coordinate is its
+        source's less that of alpha_i; along a classical arrow each byte of
+        the -D lanes is its source's; and along a 0-arrow into a vertex with
+        eps_0 >= 2 the -D lane is its source's less 1: the low byte less 1,
+        and the high byte less 1 where the low byte is 0, which is exact since
+        a lane is below 2^15 (`DegreeRow`)."""
+        rs = build_root_system("A", self.n)
+        # f_0 lowers the weight by alpha_0, whose classical part is -theta
+        shift = rs.simple_roots[i - 1].coeffs if i else tuple(-c for c in rs.highest_root.coeffs)
+        message = "arrow does not shift the weight by alpha_i"
+        for row, s in zip(self.weights.rows, shift):
+            yield _int(row), _int(row.translate(_shift(-s))), False, message
+        lanes = self.D.lanes  # each half read again where it is needed
+        if i:
+            message = "degree changes along a classical arrow"
+            for half in (0, 1):
+                held = _int(lanes[half::2])
+                yield held, held, False, message
+        else:
+            message = "D(e_0 b) != D(b) - 1 at eps_0 >= 2"
+            yield _int(lanes[0::2]), _int(lanes[0::2].translate(_shift(-1))), True, message
+            borrow = _int(lanes[0::2].translate(_indicator(0, 1, 255)))
+            held = _int(lanes[1::2])
+            moved = _int(lanes[1::2].translate(_shift(-1))) & borrow | held & ~borrow
+            del borrow
+            yield held, moved, True, message
+
+    def _verify_connected(self, label):
         """Affine connectivity: every classical component is connected, so it
-        suffices that the 0-arrows of F join the components into one. The
-        labels at the two ends of each arrow, read as the arrows are decoded,
-        feed a union-find over the components, up to the join that leaves one."""
-        label = self.component
-        starts = compress(label, F.codes.translate(_indicator(1)))
-        root = {c: c for c in self.component_highest}
+        suffices that the 0-arrows join the components into one, whether or
+        not phi_0 agrees. The labels (`_classical_components`) at the two ends
+        of each arrow, read as the arrows are decoded, feed a union-find over
+        the components, up to the join that leaves one."""
+        F = self.f_arrows[0]
+        ends = map(label.__getitem__, F.targets())
+        root = list(range(len(self.component_highest)))
         left = len(root) - 1  # the joins still missing
-        for a, b in zip(starts, map(label.__getitem__, F.targets())) if left else ():
+        for a, b in zip(compress(label, F.codes), ends) if left else ():
             while root[a] != a:
                 root[a] = a = root[root[a]]
             while root[b] != b:
@@ -877,7 +929,7 @@ class CrystalGraph:
             "heights": self.heights,
             "orientation": ENERGY_ORIENTATION,
             "vertices": list(self.vertices),
-            "weights": [w.coeffs for w in self.weights],
+            "weights": list(self.weights.coeffs()),
             "eps": list(zip(*self.eps)),
             "phi": list(zip(*self.phi)),
             "f": {str(i): list(self.f_arrows[i]) for i in range(self.n + 1)},
@@ -889,7 +941,10 @@ class CrystalGraph:
         """The graph stored in a cache document. Vertices, statistics and
         arrows are recomputed from n and heights; the stored D (the expensive
         table) must be the hex of one 2-byte lane of -D per vertex, each
-        below 2^15 (`DegreeRow`), and is checked by the axioms."""
+        below 2^15 (`DegreeRow`), and is checked by the axioms. The document
+        is dropped once D is decoded: passed in with no other reference (as
+        `build_crystal` does), its hex string of D outlives neither the fold
+        nor the seal."""
         if not isinstance(data, dict):
             raise StructuralError("crystal cache is not a JSON object")
         if data.get("format") != CACHE_FORMAT:
@@ -910,6 +965,7 @@ class CrystalGraph:
             lanes = bytes.fromhex(D)
         except (TypeError, ValueError):  # not a str, or not an even count of hex digits
             raise StructuralError("crystal cache D is not a hex string") from None
+        del data, D
         if len(lanes) != 2 * prod(comb(n + 1, r) for r in heights):
             raise StructuralError("crystal cache D does not cover the crystal")
         if max(lanes[1::2], default=0) >= 128:
@@ -938,6 +994,7 @@ _MEMOS = (
     _phi_rule,
     _eps_rule,
     _indicator,
+    _one_hot,
     _shift,
     _two_factor,
     _build_R,
@@ -968,9 +1025,10 @@ def build_crystal(n: int, heights, cache_dir=None) -> CrystalGraph:
         return hit
     path = _cache_path(cache_dir, n, heights) if cache_dir else None
     if path and os.path.exists(path):
-        data = _read_cache(path)
         try:
-            graph = CrystalGraph.from_json(data)
+            graph = CrystalGraph.from_json(_read_cache(path))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # not JSON, or not UTF-8
+            raise StructuralError(f"crystal cache {path} is not valid JSON: {exc}") from exc
         except StructuralError as exc:
             raise StructuralError(f"crystal cache {path}: {exc}") from exc
         if graph.n != n or graph.heights != heights:
@@ -985,11 +1043,10 @@ def build_crystal(n: int, heights, cache_dir=None) -> CrystalGraph:
 
 
 def _read_cache(path: str):
+    """The parsed cache document; JSONDecodeError or UnicodeDecodeError when
+    the file is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise StructuralError(f"crystal cache {path} is not valid JSON: {exc}") from exc
+        return json.load(fh)
 
 
 def _write_cache(graph: CrystalGraph, cache_dir: str, path: str):

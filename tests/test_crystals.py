@@ -211,8 +211,9 @@ def test_classical_components_a2_pair():
 
 
 def test_single_column_connected():
+    # one column is one classical component: its one classical-highest vertex
     g = build_crystal(3, (2,))
-    assert len(set(g.component)) == 1
+    assert len(g.classical_highest()) == 1
 
 
 def test_combinatorial_R_identity_on_equal_heights():
@@ -329,8 +330,8 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     assert len(files) == 1
     clear_caches()
     g2 = build_crystal(1, (1, 1), cache_dir=cache)
-    assert list(g2.vertices) == list(g.vertices) and list(g2.D) == list(g.D)
-    assert g2.eps == g.eps and g2.phi == g.phi
+    assert g2.vertices == g.vertices and g2.weights == g.weights and g2.D == g.D
+    assert g2.eps == g.eps and g2.phi == g.phi and g2.f_arrows == g.f_arrows
     path = os.path.join(cache, files[0])
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -767,25 +768,33 @@ def test_degree_checks_read_the_high_byte_and_its_borrow():
 def test_seal_holds_one_operator_at_a_time():
     # The fold writes every table as rows of bytes with no list per vertex,
     # and the seal walks the operators one at a time over the fold's own
-    # rows, each check on whole rows read as ints, once per step code, so
-    # only one operator's few row-sized ints are alive at once: on A2
-    # mu=(5,4) (19,683 vertices) the traced peak of the fold and the seal
-    # together is at most 0.9 MB (0.76 MB measured; 1.09 MB with a weight id
-    # and an int object per degree and the seal's per-vertex lists, 2.33 MB,
-    # set by the fold's list of states, when the f rows held an int per
-    # vertex)
+    # rows, each arrow check on whole rows read as ints, once per step code,
+    # with one check's rows made at a time; the component labels die with
+    # the 0-arrow union-find, before the operator checks. On A2 mu=(5,4)
+    # (19,683 vertices) the traced peak of the fold and the seal together is
+    # at most 0.57 MB (0.515 MB measured; 0.76 MB while the labels lived on
+    # and every check's rows were made first, 1.09 MB with a weight id and an
+    # int object per degree and the seal's per-vertex lists, 2.33 MB, set by
+    # the fold's list of states, when the f rows held an int per vertex).
+    # The seal holds at most the fold's own peak and the label list, 8 bytes
+    # per vertex (0.39 MB and 0.12 MB more measured, against 0.16 MB for the
+    # labels)
     heights = heights_for_weight(Weight([5, 4]))
     clear_caches()
     build_crystal(2, heights)  # the column, R and H memos stay out of the figures
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        CrystalGraph(2, heights, *_fold(2, heights, energy=True))
+        tables = _fold(2, heights, energy=True)
+        fold_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        CrystalGraph(2, heights, *tables)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
         clear_caches()
-    assert peak <= 0.9e6, peak
+    assert peak <= 0.57e6, peak
+    assert peak <= fold_peak + 8 * len(tables[0]), (peak, fold_peak)
 
 
 def test_graph_rows_slice_and_index_like_lists():
@@ -807,6 +816,24 @@ def test_graph_rows_slice_and_index_like_lists():
                 row[t]
     assert list(g.D) == [energy_of_element(2, b) for b in g.vertices]
     assert list(g.weights) == [tensor_weight(2, b) for b in g.vertices]
+    # the coordinate tuples, negative ones too, as the export writes them
+    assert list(g.weights.coeffs()) == [tensor_weight(2, b).coeffs for b in g.vertices]
+
+
+def test_graph_rows_compare_by_value():
+    # two folds of one crystal store equal rows, so their sequences are equal;
+    # one changed degree makes them differ, a list of the entries or a row of
+    # another type is never equal, and a row, like a list, is not hashable
+    g = build_crystal(2, (1, 2))
+    vertices, weights, eps, phi, f_arrows, D = _fold(2, (1, 2), energy=True)
+    assert (vertices, weights, f_arrows, D) == (g.vertices, g.weights, g.f_arrows, g.D)
+    degrees = list(g.D)
+    degrees[1] -= 1
+    assert _degree_row(degrees) != g.D
+    assert g.D != list(g.D) and g.weights != list(g.weights) and g.weights != g.D
+    for row in (g.vertices, g.weights, g.f_arrows[0], g.D):
+        with pytest.raises(TypeError):
+            hash(row)
 
 
 def test_arrow_row_reads_like_a_list():
