@@ -149,6 +149,15 @@ def char_irreducible(rs: RootSystem, lam: Weight) -> GradedCharacter:
 
 
 @cache
+def _key(lam: tuple) -> tuple:
+    """lam itself, the first tuple of its value asked for. The products of
+    _tensor, the sweep layers and the Freudenthal and local Weyl rows take
+    their weights from this memo, so every dict and memo keyed by one
+    dominant weight holds one tuple of it."""
+    return lam
+
+
+@cache
 def _orbit(rs: RootSystem, mu: tuple) -> list:
     """The W-orbit of the dominant coefficient tuple mu (RootSystem.orbit_coeffs),
     which the Brauer-Klimyk products of _tensor read once per factor weight.
@@ -175,7 +184,7 @@ def _tensor(rs: RootSystem, a: tuple, b: tuple) -> dict:
             if 0 not in nu:
                 key = tuple([c - 1 for c in nu])
                 out[key] = out.get(key, 0) + (-m if len(ascent) % 2 else m)
-    return {lam: m for lam, m in out.items() if m}
+    return {_key(lam): m for lam, m in out.items() if m}
 
 
 def _times(rs: RootSystem, a: tuple, b: tuple) -> dict:
@@ -188,7 +197,7 @@ def _sweep_layers(sweep, N: int) -> list:
     over the terms (nu, offset, word) of an alcove sweep (affine._alcove_sweep)."""
     layers: list = [{} for _ in range(N + 1)]
     for nu, offset, word in sweep:
-        layers[offset][tuple([c - 1 for c in nu.coeffs])] = -1 if len(word) % 2 else 1
+        layers[offset][_key(tuple([c - 1 for c in nu.coeffs]))] = -1 if len(word) % 2 else 1
     return layers
 
 
@@ -511,6 +520,7 @@ def kostka_fermionic(rs: RootSystem, mu: Weight, lam: Weight, cap=None) -> QPoly
                 total[e] = total.get(e, 0) + c
 
     place(0)
+    del place  # it calls itself: drop the cycle, so no collection is needed to free it
     return QPolynomial(total)
 
 
@@ -518,7 +528,7 @@ def kostka_fermionic(rs: RootSystem, mu: Weight, lam: Weight, cap=None) -> QPoly
 def _dominant_below(rs: RootSystem, nu: tuple) -> list:
     """The dominant lam' <= nu, as sorted coefficient tuples: the rows of the
     local Weyl table of nu."""
-    return sorted(lam.coeffs for lam in rs.dominant_weights_below(weight_from_ints(nu)))
+    return sorted(_key(lam.coeffs) for lam in rs.dominant_weights_below(weight_from_ints(nu)))
 
 
 def _local_weyl_table(rs: RootSystem, nu: tuple, cap=None, floor=None) -> dict:
@@ -556,7 +566,8 @@ def char_local_weyl(rs: RootSystem, lam: Weight) -> GradedCharacter:
 def _freudenthal_dominant(rs: RootSystem, lam: tuple) -> dict:
     """Dominant weight multiplicities of V(lam), {coeffs: multiplicity}, for a
     dominant coefficient tuple lam."""
-    return {mu.coeffs: m for mu, m in rs.freudenthal_dominant(weight_from_ints(lam)).items()}
+    table = rs.freudenthal_dominant(weight_from_ints(lam))
+    return {_key(mu.coeffs): m for mu, m in table.items()}
 
 
 # taken once: a rebound name (a tracer, say) still clears its memo
@@ -566,6 +577,7 @@ _MEMOS = (
     _solved_layers,
     _denominator,
     _tensor,
+    _key,
     _orbit,
     kostka_fermionic,
     _placed_forms,
@@ -578,7 +590,8 @@ _MEMOS = (
 def clear_caches():
     """Empty the in-process memos of this module (integrable characters and
     their layers, solved and per cutoff, Macdonald denominator, tensor
-    products and their orbits, the fermionic sum and its parts, Freudenthal)."""
+    products, their orbits and weight keys, the fermionic sum and its parts,
+    Freudenthal)."""
     for memo in _MEMOS:
         memo.cache_clear()
 

@@ -908,10 +908,11 @@ class CrystalGraph:
             "  rankdir=TB;",
             '  node [shape=box, fontname="monospace"];',
         ]
-        for t, v in enumerate(self.vertices):
+        rows = zip(self.vertices, self.weights.coeffs(), self.D)  # each row read once
+        for t, (v, coeffs, d) in enumerate(rows):
             label = element_label(v)
-            wt = ",".join(str(c) for c in self.weights[t].coeffs)
-            lines.append(f'  v{t} [label="{label}\\nwt=({wt}), D={self.D[t]}"];')
+            wt = ",".join(map(str, coeffs))
+            lines.append(f'  v{t} [label="{label}\\nwt=({wt}), D={d}"];')
         for i in range(self.n + 1):
             for src, dst in enumerate(self.f_arrows[i]):
                 if dst >= 0:
@@ -974,7 +975,7 @@ class CrystalGraph:
 
 
 def element_label(b) -> str:
-    return "|".join(",".join(str(x) for x in col) for col in b)
+    return "|".join([",".join(map(str, col)) for col in b])
 
 
 def heights_for_weight(mu: Weight):

@@ -385,6 +385,7 @@ class RootSystem:
             coords[i] = low
 
         rec(0, self.scaled_root_coords(start), self.scaled_inner(start, start))
+        del rec  # it calls itself: drop the cycle, so no collection is needed to free it
         return out
 
     def longest_element_image(self, lam: Weight) -> Weight:

@@ -1,4 +1,5 @@
 import functools
+import pathlib
 import random
 from itertools import product
 
@@ -599,3 +600,80 @@ def test_fermionic_node_order_matches_the_full_word_strings_on_e7_and_e8():
         lam = rs.fundamental_weight(i)
         got = chars._local_weyl_table(rs, lam.coeffs)
         assert got == full_word_local_weyl(rs, lam), (rs, i)
+
+
+def test_products_layers_and_rows_share_one_tuple_per_weight():
+    # _tensor hands out its weights through the _key memo, as do the sweep
+    # layers, the Freudenthal rows and the local Weyl rows, so every dict
+    # keyed by one dominant weight holds the one tuple that the memo holds:
+    # reading every key back through _key adds no entry and gives the key
+    import weylcurrents.characters as chars
+
+    D4 = build_root_system("D", 4)
+    chars.clear_caches()
+    layers = chars._integrable_layers(D4, Weight([1, 0, 0, 0]), 1, 7)
+    keys = [lam for layer in layers + chars._denominator(D4, 7) for lam in layer]
+    a, b = keys[0], keys[-1]
+    keys += chars._times(D4, a, b)
+    keys += chars._freudenthal_dominant(D4, b)
+    keys += chars._dominant_below(D4, b)
+    size = chars._key.cache_info().currsize
+    try:
+        assert all(chars._key(lam) is lam for lam in keys)
+        assert chars._key.cache_info().currsize == size > 1
+    finally:
+        chars.clear_caches()
+    assert chars._key.cache_info().currsize == 0
+
+
+def test_recursive_enumerators_leave_no_cycle():
+    # M's place and the ball's rec call themselves through their closures:
+    # each is dropped after its walk, so with the cyclic collector off
+    # nothing of theirs waits for it
+    import gc
+
+    import weylcurrents
+    import weylcurrents.characters as chars
+
+    package = str(pathlib.Path(weylcurrents.__file__).parent)
+    E6 = build_root_system("E", 6)
+    mu, lam = E6.fundamental_weight(2) + E6.fundamental_weight(6), E6.fundamental_weight(6)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        chars.clear_caches()
+        assert chars.kostka_fermionic(E6, mu, lam)
+        assert chars.kostka_fermionic(E6, mu, lam, 2)
+        assert E6.dominant_in_ball(mu.coeffs, E6.scaled_inner(mu.coeffs, mu.coeffs))
+        chars.clear_caches()
+        gc.collect()
+        codes = [getattr(o, "__code__", None) or getattr(o, "f_code", None) for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not [c.co_name for c in codes if c is not None and c.co_filename.startswith(package)]
+
+
+def test_e6_vacuum_expansion_traced_peak():
+    # from cold memos: one key tuple per weight and no enumerator cycle keep
+    # the ratio, its products and M's tables at 1.13 MB traced, against 1.99
+    # MB with a key tuple per product and the cycles left to the collector
+    import tracemalloc
+
+    from weylcurrents.kostka import clear_caches, integrable_weyl_expansion
+
+    E6 = build_root_system("E", 6)
+    vacuum = Weight([0] * 6)
+    integrable_weyl_expansion(E6, vacuum, 1, 10)  # the root system's own memos stay out
+    clear_caches()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        integrable_weyl_expansion(E6, vacuum, 1, 10)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert peak <= 1.245e6, peak

@@ -232,9 +232,12 @@ def test_verify_and_export_ignore_the_old_cache_variable(tmp_path, capsys, monke
 
 
 def test_verify_rejects_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "bogus"])
-    assert err.value.code == 2
+    # run_suite is the one place that checks a suite name: one error line
+    # that names every suite, exit 2
+    code, out, err = run_cli(capsys, "verify", "bogus")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: unknown suite 'bogus'; choose from ")
+    assert all(repr(name) in err for name in SUITES)
 
 
 def test_kostka_route_disagreement_exits_1(monkeypatch, capsys):

@@ -109,22 +109,27 @@ COMMANDS = (
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # against the modules the interpreter holds before the import, and with -S
     # (no site hooks), so a module that a host's site hooks load still counts;
-    # the second list is taken after the commands, so a module that a command
-    # imports when it runs counts too
+    # a list is taken after the import and after each command, so a module
+    # that a command imports when it runs counts too. Only `verify` reads the
+    # suites: decompose and kostka run without them
     code = (
         "import contextlib, io, sys; bare = set(sys.modules); import weylcurrents.cli as cli; "
         "print(*sorted(set(sys.modules) - bare))\n"
         f"for argv in {COMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "print(*sorted(set(sys.modules) - bare))"
+        "    print(*sorted(set(sys.modules) - bare))"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(weylcurrents.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    imported, after_commands = (set(line.split()) for line in run.stdout.splitlines())
+    imported, *after, after_commands = (set(line.split()) for line in run.stdout.splitlines())
+    assert len(after) == len(COMMANDS) - 1 and COMMANDS[-1][0] == "verify"
     assert "weylcurrents.cli" in imported
     assert not imported & {"dataclasses", "inspect", "tempfile", "fractions", "decimal"}
+    for modules in (imported, *after):
+        assert "weylcurrents.verify" not in modules
+    assert "weylcurrents.verify" in after_commands
     assert not after_commands & {"fractions", "decimal"}
 
 
